@@ -207,9 +207,9 @@ def cmd_train(args) -> int:
     from .config import load_run_config
     from .errors import FingerprintError
     from .fem import reduce_system
-    from .neural import init_model
+    from .neural import init_model, save_model
     from .sampling import build_sample_set, load_sample_set
-    from .training import TrainConfig, save_checkpoint, train
+    from .training import TrainConfig, train
 
     cfg = load_run_config(args.config)
     mesh, dofs, k, mat, sys_mats = _problem(cfg)
@@ -232,7 +232,7 @@ def cmd_train(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(model, out / "model.folmodel")
+    save_model(model, out / "model.folmodel")
     with open(out / "loss_history.csv", "w") as f:
         f.write("epoch,mean_loss\n")
         for i, loss in enumerate(record):
@@ -249,12 +249,12 @@ def cmd_predict(args) -> int:
     from .evaluation import rollout
     from .mesh import build_dof_map
     from .fe_solver import Trajectory, save_trajectory
-    from .training import load_checkpoint
+    from .neural import load_model
 
     cfg = load_run_config(args.config)
     mesh = cfg.build_mesh()
     dofs = build_dof_map(mesh, cfg.dirichlet())
-    model = load_checkpoint(args.checkpoint, dofs)
+    model = load_model(args.checkpoint, dofs)
     t0 = _initial_field(args.init, mesh, dofs)
     result = rollout(model, dofs, t0, args.steps)
     out = Path(args.out)
@@ -296,7 +296,12 @@ def cmd_evaluate(args) -> int:
     dt = args.dt
     if dt is None:
         text = _read_manifest_value(pred_dir, "dt") or _read_manifest_value(ref_dir, "dt")
-        dt = float(text) if text else 0.0
+        if text is None:
+            raise ValidationError(
+                f"no dt: pass --dt, or evaluate directories with a manifest.txt giving dt "
+                f"({pred_dir}, {ref_dir} have none)"
+            )
+        dt = float(text)
     pred = load_trajectory(pred_dir, dt)
     ref = load_trajectory(ref_dir, dt)
     if len(pred.fields) != len(ref.fields):
@@ -320,11 +325,11 @@ def cmd_benchmark(args) -> int:
     from .fem import reduce_system
     from .config import load_run_config
     from .evaluation import benchmark_speed
-    from .training import load_checkpoint
+    from .neural import load_model
 
     cfg = load_run_config(args.config)
     mesh, dofs, k, mat, sys_mats = _problem(cfg)
-    model = load_checkpoint(args.checkpoint, dofs)
+    model = load_model(args.checkpoint, dofs)
     rs = reduce_system(sys_mats, dofs, model.dt, 1.0)
     t0 = _initial_field(args.init, mesh, dofs)
     res = benchmark_speed(model, rs, dofs, t0, n_steps=args.steps, repeats=args.repeats)
@@ -382,7 +387,7 @@ def cmd_postprocess(args) -> int:
         write_section_csv(out / f"section_{axis.strip()}_{value}.csv", sec)
 
     grid = upsample_field(mesh, field, args.upsample, args.upsample)
-    np.savetxt(out / "upsampled.csv", grid, delimiter=",", fmt="%r")
+    np.savetxt(out / "upsampled.csv", grid, delimiter=",", fmt="%.17g")  # exact round trip
     write_pgm(out / "upsampled.pgm", grid)
     _write_manifest(out, "postprocess", cfg, {"field": args.field})
     print(f"wrote {out}: flux.csv, section CSVs, upsampled.csv/.pgm")

@@ -2,14 +2,14 @@
 
 This is the ground truth the learned operator is judged against. The linear
 solves use Jacobi-preconditioned conjugate gradients (the reduced operators
-are SPD for alpha in {0.5, 1}); a dense fallback exists for debugging small
-systems.
+are SPD for alpha in {0.5, 1}).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,17 +82,6 @@ def linear_solve_spd(A, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int |
     )
 
 
-def linear_solve_dense(A, b: np.ndarray) -> np.ndarray:
-    """Direct dense solve, for debugging small systems (n <= 500)."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape[0] > 500:
-        raise ValidationError("dense fallback is limited to n <= 500 dofs")
-    if b.shape[0] == 0:
-        return np.zeros(0)
-    dense = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=np.float64)
-    return np.linalg.solve(dense, b)
-
-
 def step_fe(rs: ReducedSystem, dofs: DofMap, t_n: np.ndarray) -> np.ndarray:
     """One implicit step: solve A_ff T_f = B_ff T^n_f + rhs_const, merge Dirichlet."""
     t_free = dofs.extract_free(t_n)
@@ -134,12 +123,17 @@ def save_field(path, mesh: Mesh, values: np.ndarray) -> None:
 
 
 def load_field(path_or_text, mesh: Mesh | None = None) -> np.ndarray:
-    """Read a `node_id,x,y,T` CSV back into a nodal array."""
+    """Read a `node_id,x,y,T` CSV back into a nodal array.
+
+    A non-integer node id or a non-numeric or non-finite T is a
+    ValidationError naming the source and line.
+    """
     if hasattr(path_or_text, "read"):
+        source = getattr(path_or_text, "name", "field CSV")
         text = path_or_text.read()
     else:
-        p = Path(path_or_text)
-        text = p.read_text()
+        source = str(path_or_text)
+        text = Path(path_or_text).read_text()
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:4]] != ["node_id", "x", "y", "T"]:
@@ -148,7 +142,16 @@ def load_field(path_or_text, mesh: Mesh | None = None) -> np.ndarray:
     for row in reader:
         if not row:
             continue
-        rows[int(row[0])] = float(row[3])
+        try:
+            node, value = int(row[0]), float(row[3])
+        except (ValueError, IndexError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"{source} line {reader.line_num}: expected an integer node id and a finite T, "
+                f"got {','.join(row)!r}"
+            )
+        rows[node] = value
     n = len(rows)
     if sorted(rows) != list(range(n)):
         raise ValidationError("field CSV node ids must be contiguous from 0")

@@ -40,37 +40,6 @@ DEFAULT_HIDDEN = {
 }
 
 
-def activation_apply(kind: str, x):
-    """Elementwise activation; `x` may be scalar or array."""
-    x = np.asarray(x, dtype=np.float64)
-    if kind == "swish":
-        return x * expit(x)
-    if kind == "tanh":
-        return np.tanh(x)
-    if kind == "sigmoid":
-        return expit(x)
-    if kind == "relu":
-        return np.maximum(x, 0.0)
-    raise ValidationError(f"unknown activation {kind!r}, expected one of {ACTIVATIONS}")
-
-
-def activation_grad(kind: str, x):
-    """Exact derivative of activation_apply (relu uses subgradient 0 at 0)."""
-    x = np.asarray(x, dtype=np.float64)
-    if kind == "swish":
-        s = expit(x)
-        return s * (1.0 + x * (1.0 - s))
-    if kind == "tanh":
-        t = np.tanh(x)
-        return 1.0 - t * t
-    if kind == "sigmoid":
-        s = expit(x)
-        return s * (1.0 - s)
-    if kind == "relu":
-        return np.where(x > 0, 1.0, 0.0)
-    raise ValidationError(f"unknown activation {kind!r}, expected one of {ACTIVATIONS}")
-
-
 def _act_forward(kind: str, z):
     """(activation(z), cached transcendental) so the reverse pass can skip
     recomputing expit/tanh; the cache is expit(z) for swish/sigmoid, tanh(z)
@@ -88,7 +57,8 @@ def _act_forward(kind: str, z):
 
 
 def _act_grad_cached(kind: str, z, aux):
-    # same expressions as activation_grad, reusing the forward cache
+    """Exact derivative of the activation at z from the forward cache `aux`
+    (relu uses subgradient 0 at 0)."""
     if kind == "swish":
         return aux * (1.0 + z * (1.0 - aux))
     if kind == "tanh":
@@ -96,14 +66,6 @@ def _act_grad_cached(kind: str, z, aux):
     if kind == "sigmoid":
         return aux * (1.0 - aux)
     return np.where(z > 0, 1.0, 0.0)
-
-
-@dataclass
-class LayerParams:
-    """One net's weight matrix (out, in) and bias vector (out,)."""
-
-    W: np.ndarray
-    b: np.ndarray
 
 
 @dataclass
@@ -140,38 +102,6 @@ class ModelBundle:
     grid_meta: str  # DofMap fingerprint of the training mesh
     dt: float
 
-    @property
-    def n_nets(self) -> int:
-        return sum(g.n_nets for g in self.groups)
-
-    @property
-    def input_map(self) -> list[np.ndarray]:
-        """Input free slots per net, ordered by output slot."""
-        full = np.arange(self.n_free)
-        if self.arch == "fully_connected":
-            return [full]
-        entries: list[tuple[int, np.ndarray]] = []
-        for g in self.groups:
-            for i in range(g.n_nets):
-                slots = full if g.in_slots is None else g.in_slots[i]
-                entries.append((int(g.out_slots[i]), slots))
-        entries.sort(key=lambda t: t[0])
-        return [slots for _, slots in entries]
-
-    def net_layers(self, net: int) -> list[LayerParams]:
-        """Layer views of one net (by output slot; 0 for fully_connected)."""
-        if self.arch == "fully_connected":
-            if net != 0:
-                raise ValidationError("fully_connected has a single net (index 0)")
-            g = self.groups[0]
-            return [LayerParams(g.weights[l][0], g.biases[l][0]) for l in range(g.n_layers)]
-        for g in self.groups:
-            hits = np.flatnonzero(g.out_slots == net)
-            if hits.size:
-                i = int(hits[0])
-                return [LayerParams(g.weights[l][i], g.biases[l][i]) for l in range(g.n_layers)]
-        raise ValidationError(f"no net produces output slot {net}")
-
     def params_flat(self) -> np.ndarray:
         """All parameters as one vector (group, layer, weights-then-bias order)."""
         chunks = []
@@ -183,15 +113,13 @@ class ModelBundle:
 
     def set_params_flat(self, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=np.float64)
-        pos = 0
-        for g in self.groups:
-            for w, b in zip(g.weights, g.biases):
-                np.copyto(w, vec[pos : pos + w.size].reshape(w.shape))
-                pos += w.size
-                np.copyto(b, vec[pos : pos + b.size].reshape(b.shape))
-                pos += b.size
-        if pos != vec.size:
-            raise ValidationError(f"parameter vector has {vec.size} entries, model needs {pos}")
+        n = count_params(self)
+        if vec.shape != (n,):
+            raise ValidationError(f"parameter vector has shape {vec.shape}, model needs ({n},)")
+        for g, (ws, bs) in zip(self.groups, _flat_views(self.groups, vec)):
+            for w, b, vw, vb in zip(g.weights, g.biases, ws, bs):
+                np.copyto(w, vw)
+                np.copyto(b, vb)
 
     def rebind_params_flat(self) -> np.ndarray:
         """Re-home all parameters as views into one flat buffer and return it.
@@ -200,15 +128,24 @@ class ModelBundle:
         skipping a copy per step.
         """
         flat = self.params_flat()
-        pos = 0
-        for g in self.groups:
-            for l in range(g.n_layers):
-                w, b = g.weights[l], g.biases[l]
-                g.weights[l] = flat[pos : pos + w.size].reshape(w.shape)
-                pos += w.size
-                g.biases[l] = flat[pos : pos + b.size].reshape(b.shape)
-                pos += b.size
+        for g, (ws, bs) in zip(self.groups, _flat_views(self.groups, flat)):
+            g.weights[:] = ws
+            g.biases[:] = bs
         return flat
+
+
+def _flat_views(groups: list[NetGroup], flat: np.ndarray):
+    """Per group, (weight views, bias views) of `flat` in params_flat order."""
+    views, pos = [], 0
+    for g in groups:
+        ws, bs = [], []
+        for w, b in zip(g.weights, g.biases):
+            ws.append(flat[pos : pos + w.size].reshape(w.shape))
+            pos += w.size
+            bs.append(flat[pos : pos + b.size].reshape(b.shape))
+            pos += b.size
+        views.append((ws, bs))
+    return views
 
 
 def count_params(m: ModelBundle) -> int:
@@ -307,10 +244,6 @@ class ForwardTape:
     group_tapes: list[GroupTape]
     out: np.ndarray  # (batch, n_free)
 
-    @property
-    def n_layers(self) -> int:
-        return max(len(gt.preacts) for gt in self.group_tapes)
-
 
 def _group_forward(group: NetGroup, X: np.ndarray, activation: str) -> GroupTape:
     n_nets, out0, in0 = group.weights[0].shape
@@ -360,64 +293,32 @@ def forward_with_tape(m: ModelBundle, X: np.ndarray):
     return out, ForwardTape(tapes, out)
 
 
-def forward(m: ModelBundle, t_n: np.ndarray) -> np.ndarray:
-    """One free field in, one free field out."""
-    t_n = np.asarray(t_n, dtype=np.float64)
-    if t_n.shape != (m.n_free,):
-        raise ValidationError(f"input shape {t_n.shape} does not match n_free={m.n_free}")
-    return forward_batch(m, t_n[None, :])[0]
+def backprop(m: ModelBundle, tape: ForwardTape, d_out: np.ndarray) -> np.ndarray:
+    """Exact parameter gradients given d(loss)/d(output), shape (batch, n_free).
 
-
-@dataclass
-class Gradients:
-    """Per-group, per-layer parameter gradients mirroring ModelBundle storage."""
-
-    by_group: list[tuple[list[np.ndarray], list[np.ndarray]]]
-
-    def flat(self) -> np.ndarray:
-        chunks = []
-        for d_ws, d_bs in self.by_group:
-            for dw, db in zip(d_ws, d_bs):
-                chunks.append(dw.ravel())
-                chunks.append(db.ravel())
-        return np.concatenate(chunks)
-
-    def scaled(self, factor: float) -> "Gradients":
-        return Gradients(
-            [
-                ([dw * factor for dw in d_ws], [db * factor for db in d_bs])
-                for d_ws, d_bs in self.by_group
-            ]
-        )
-
-
-def backprop(m: ModelBundle, tape: ForwardTape, d_out: np.ndarray) -> Gradients:
-    """Exact parameter gradients given d(loss)/d(output), shape (batch, n_free)."""
+    Returns a fresh flat vector in params_flat order; each layer's dW and db
+    are written straight into their views of it.
+    """
     d_out = np.asarray(d_out, dtype=np.float64)
-    by_group = []
-    for g, gt in zip(m.groups, tape.group_tapes):
-        n_layers = g.n_layers
-        batch = d_out.shape[0]
+    grad = np.empty(count_params(m))
+    batch = d_out.shape[0]
+    for g, gt, (d_ws, d_bs) in zip(m.groups, tape.group_tapes, _flat_views(m.groups, grad)):
         dz = np.ascontiguousarray(
             d_out[:, g.out_slots].reshape(batch, g.n_nets, -1).transpose(1, 0, 2)
         )
-        d_ws: list = [None] * n_layers
-        d_bs: list = [None] * n_layers
-        for l in range(n_layers - 1, 0, -1):
-            a_prev = gt.acts[l - 1]
-            d_ws[l] = dz.transpose(0, 2, 1) @ a_prev
-            d_bs[l] = dz.sum(axis=1)
+        for l in range(g.n_layers - 1, 0, -1):
+            np.matmul(dz.transpose(0, 2, 1), gt.acts[l - 1], out=d_ws[l])
+            dz.sum(axis=1, out=d_bs[l])
             da = dz @ g.weights[l]
             dz = da * _act_grad_cached(m.activation, gt.preacts[l - 1], gt.act_aux[l - 1])
-        d_bs[0] = dz.sum(axis=1)
+        dz.sum(axis=1, out=d_bs[0])
         if g.in_slots is None:
             n_nets, _, out0 = dz.shape
             dz0 = dz.transpose(1, 0, 2).reshape(batch, n_nets * out0)
-            d_ws[0] = (dz0.T @ gt.x_full).reshape(n_nets, out0, -1)
+            np.matmul(dz0.T, gt.x_full, out=d_ws[0].reshape(n_nets * out0, -1))
         else:
-            d_ws[0] = dz.transpose(0, 2, 1) @ gt.x_gath
-        by_group.append((d_ws, d_bs))
-    return Gradients(by_group)
+            np.matmul(dz.transpose(0, 2, 1), gt.x_gath, out=d_ws[0])
+    return grad
 
 
 def save_model(m: ModelBundle, path) -> None:

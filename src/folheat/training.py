@@ -18,7 +18,7 @@ from . import neural
 from .errors import FingerprintError, NumericalError, ValidationError
 from .fem import ReducedSystem
 from .mesh import DofMap
-from .neural import Gradients, ModelBundle
+from .neural import ModelBundle
 from .sampling import SampleSet
 
 LOSS_ALPHA = 1.0  # the residual loss is the backward-Euler one
@@ -98,8 +98,9 @@ def batch_loss(rs: ReducedSystem, dofs: DofMap, batch: np.ndarray, model: ModelB
     return _loss_and_grad(rs, dofs, batch, model, want_grad=False)[0]
 
 
-def loss_gradient(rs: ReducedSystem, dofs: DofMap, batch: np.ndarray, model: ModelBundle) -> Gradients:
-    """Exact gradient of batch_loss with respect to every weight and bias."""
+def loss_gradient(rs: ReducedSystem, dofs: DofMap, batch: np.ndarray, model: ModelBundle) -> np.ndarray:
+    """Exact gradient of batch_loss with respect to every weight and bias, in
+    params_flat order."""
     return _loss_and_grad(rs, dofs, batch, model, want_grad=True)[1]
 
 
@@ -133,33 +134,14 @@ def _adam_inplace(params, grads, state: AdamState, lr, beta1, beta2, eps, scratc
     params -= scratch
 
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
-    """Standard bias-corrected Adam update; returns (new params, new state)."""
-    params = np.array(params, dtype=np.float64)
-    grads = np.array(grads, dtype=np.float64)
-    if params.shape != grads.shape or params.shape != state.m.shape:
-        raise ValidationError(
-            f"shape mismatch: params {params.shape}, grads {grads.shape}, state {state.m.shape}"
-        )
-    new_state = AdamState(state.m.copy(), state.v.copy(), state.t)
-    _adam_inplace(params, grads, new_state, lr, beta1, beta2, eps, np.empty_like(params))
-    return params, new_state
-
-
 @dataclass
 class LbfgsState:
     s_pairs: list = field(default_factory=list)  # parameter steps
     y_pairs: list = field(default_factory=list)  # gradient differences
     last_loss: float = np.nan
     line_search_failed: bool = False
+    point: np.ndarray | None = None  # the array the step returned
+    grad: np.ndarray | None = None  # gradient at `point`; its loss is last_loss
 
     @property
     def history(self) -> int:
@@ -176,9 +158,16 @@ def lbfgs_step(params: np.ndarray, grad_fn, state: LbfgsState, m: int = 10):
     grad_fn(params) must return (loss, gradient). Pairs with non-positive
     curvature s.y are discarded. On line-search failure the parameters are
     returned unchanged and state.line_search_failed is set.
+
+    When `params` is the array the previous step returned (and has not been
+    modified in place since), its loss and gradient are taken from `state`
+    instead of calling grad_fn again, so each point is evaluated once.
     """
     params = np.asarray(params, dtype=np.float64)
-    loss, grad = grad_fn(params)
+    if params is state.point:
+        loss, grad = state.last_loss, state.grad
+    else:
+        loss, grad = grad_fn(params)
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss {loss} in L-BFGS step")
 
@@ -210,7 +199,8 @@ def lbfgs_step(params: np.ndarray, grad_fn, state: LbfgsState, m: int = 10):
         if np.isfinite(trial_loss) and trial_loss <= loss + ARMIJO_C * step * slope:
             s_new = trial - params
             y_new = trial_grad - grad
-            new_state = LbfgsState(list(state.s_pairs), list(state.y_pairs), trial_loss, False)
+            new_state = LbfgsState(list(state.s_pairs), list(state.y_pairs), trial_loss, False,
+                                   trial, trial_grad)
             if float(s_new @ y_new) > 0:  # curvature guard
                 new_state.s_pairs.append(s_new)
                 new_state.y_pairs.append(y_new)
@@ -219,7 +209,7 @@ def lbfgs_step(params: np.ndarray, grad_fn, state: LbfgsState, m: int = 10):
                     new_state.y_pairs.pop(0)
             return trial, new_state
         step *= 0.5
-    failed = LbfgsState(list(state.s_pairs), list(state.y_pairs), loss, True)
+    failed = LbfgsState(list(state.s_pairs), list(state.y_pairs), loss, True, params, grad)
     return params, failed
 
 
@@ -250,9 +240,9 @@ def train(
     record = np.zeros(cfg.epochs)
     t_start = time.perf_counter()
 
+    # parameters live in one flat buffer; the model's arrays are views
+    neural_params = model.rebind_params_flat()
     if cfg.optimizer == "adam":
-        # parameters live in one flat buffer; the model's arrays are views
-        neural_params = model.rebind_params_flat()
         state = AdamState.zeros(neural_params.size)
         scratch = np.empty_like(neural_params)
         for epoch in range(cfg.epochs):
@@ -266,22 +256,24 @@ def train(
                     raise NumericalError(
                         f"loss diverged at epoch {epoch} (value {loss}); try a smaller lr"
                     )
-                _adam_inplace(neural_params, grads.flat(), state, cfg.lr, 0.9, 0.999, 1e-8, scratch)
+                _adam_inplace(neural_params, grads, state, cfg.lr, 0.9, 0.999, 1e-8, scratch)
                 losses.append(loss)
             record[epoch] = float(np.mean(losses))
             _maybe_log(cfg, epoch, record[epoch], t_start)
     else:  # lbfgs, full batch
-        neural_params = model.params_flat()
+        # the L-BFGS point is its own array: trials are written into the model's
+        # buffer, which must not alias the point they step from
+        point = neural_params.copy()
         state = LbfgsState()
 
         def f_and_g(p):
-            model.set_params_flat(p)
-            loss, grads = _loss_and_grad(rs, dofs, data, model, want_grad=True)
-            return loss, grads.flat()
+            np.copyto(neural_params, p)
+            return _loss_and_grad(rs, dofs, data, model, want_grad=True)
 
         for epoch in range(cfg.epochs):
-            neural_params, state = lbfgs_step(neural_params, f_and_g, state)
-            model.set_params_flat(neural_params)
+            point, state = lbfgs_step(point, f_and_g, state)
+            # a failed line search leaves the buffer at its last rejected trial
+            np.copyto(neural_params, point)
             if not np.isfinite(state.last_loss):
                 raise NumericalError(f"loss diverged at epoch {epoch}")
             record[epoch] = state.last_loss
@@ -294,11 +286,3 @@ def _maybe_log(cfg: TrainConfig, epoch: int, loss: float, t_start: float) -> Non
     if cfg.log_every and (epoch % cfg.log_every == 0 or epoch == cfg.epochs - 1):
         wall = time.perf_counter() - t_start
         print(f"epoch {epoch + 1}/{cfg.epochs}  mean_loss {loss:.6e}  wall {wall:.1f}s", flush=True)
-
-
-def save_checkpoint(model: ModelBundle, path) -> None:
-    neural.save_model(model, path)
-
-
-def load_checkpoint(path, dofs: DofMap | None = None) -> ModelBundle:
-    return neural.load_model(path, dofs)

@@ -143,7 +143,7 @@ def test_criterion_3_gradient_correctness():
     for arch in ("separated", "elementwise", "fully_connected"):
         for act in ("swish", "tanh", "sigmoid", "relu"):
             model = init_model(arch, mesh, dofs, activation=act, seed=11)
-            analytic = loss_gradient(rs, dofs, batch, model).flat()
+            analytic = loss_gradient(rs, dofs, batch, model)
             p0 = model.params_flat()
             idx = rng.choice(p0.size, size=20, replace=False)
             floor = 1e-6 * max(1.0, float(np.abs(analytic).max()))

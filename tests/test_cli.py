@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from folheat.cli import main
+from folheat.config import load_run_config
+from folheat.evaluation import upsample_field
+from folheat.fe_solver import load_field
 
 SMOKE_CONFIG = """\
 [mesh]
@@ -214,6 +217,20 @@ class TestEvaluate:
             (pred / step.name).write_text("\n".join(out) + "\n")
         assert run("evaluate", "--pred", pred, "--ref", ref, "--assert-below", 0.1) == 2
 
+    def test_no_dt_anywhere_is_validation_error(self, two_dirs, capsys):
+        tmp_path, ref = two_dirs
+        bare = [tmp_path / "bare_pred", tmp_path / "bare_ref"]
+        for d in bare:
+            d.mkdir()
+            for step in ref.glob("step_*.csv"):
+                (d / step.name).write_text(step.read_text())
+        assert run("evaluate", "--pred", bare[0], "--ref", bare[1],
+                   "--out", tmp_path / "e.csv") == 1
+        assert "--dt" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+        assert run("evaluate", "--pred", bare[0], "--ref", bare[1], "--dt", 0.05,
+                   "--out", tmp_path / "e.csv") == 0
+
 
 class TestBenchmark:
     def test_report_schema(self, tmp_path, smoke_cfg, capsys):
@@ -239,6 +256,27 @@ class TestPostprocess:
         for name in ("flux.csv", "section_x_0.5.csv", "upsampled.csv", "upsampled.pgm"):
             assert (out / name).exists()
         assert (out / "upsampled.pgm").read_bytes().startswith(b"P5\n9 9\n255\n")
+        mesh = load_run_config(smoke_cfg).build_mesh()
+        grid = upsample_field(mesh, load_field(ref / "step_0001.csv", mesh), 9, 9)
+        assert np.array_equal(np.loadtxt(out / "upsampled.csv", delimiter=","), grid)
+
+    @pytest.mark.parametrize("bad", ["id:x", "T:abc", "T:nan", "T:-inf"])
+    def test_bad_field_value_is_validation_error(self, tmp_path, smoke_cfg, capsys, bad):
+        ref = tmp_path / "ref"
+        run("solve-fem", "--config", smoke_cfg, "--init", "canonical:sin10y",
+            "--steps", 0, "--out", ref)
+        lines = (ref / "step_0000.csv").read_text().splitlines()
+        nid, x, y, t = lines[3].split(",")
+        column, value = bad.split(":")
+        lines[3] = ",".join([value, x, y, t] if column == "id" else [nid, x, y, value])
+        field = tmp_path / "bad.csv"
+        field.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("postprocess", "--config", smoke_cfg, "--field", field,
+                   "--out", tmp_path / "post", "--upsample", 9) == 1
+        err = capsys.readouterr().err
+        assert f"{field} line 4" in err
+        assert "Traceback" not in err
 
 
 class TestDeterminismPipeline:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from folheat.errors import ConvergenceError, NumericalError, ValidationError
 from folheat.fe_solver import (
-    linear_solve_dense,
     linear_solve_spd,
     load_field,
     load_trajectory,
@@ -61,11 +61,11 @@ class TestLinearSolve:
         with pytest.raises(ConvergenceError, match="residual"):
             linear_solve_spd(rs.A_ff, b, tol=1e-15, max_iter=2)
 
-    def test_dense_fallback_agrees(self, reduced11):
+    def test_agrees_with_sparse_direct_solve(self, reduced11):
         _, _, _, rs = reduced11
         rng = np.random.default_rng(6)
         b = rng.standard_normal(rs.n_free)
-        assert np.abs(linear_solve_dense(rs.A_ff, b) - linear_solve_spd(rs.A_ff, b)).max() < 1e-10
+        assert np.abs(spsolve(rs.A_ff.tocsc(), b) - linear_solve_spd(rs.A_ff, b)).max() < 1e-10
 
     def test_determinism(self, reduced11):
         _, _, _, rs = reduced11

@@ -5,13 +5,11 @@ from folheat.errors import FingerprintError, ValidationError
 from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid
 from folheat.neural import (
     ACTIVATIONS,
-    LayerParams,
     ModelBundle,
     NetGroup,
-    activation_apply,
-    activation_grad,
+    _act_forward,
+    _act_grad_cached,
     count_params,
-    forward,
     forward_batch,
     forward_with_tape,
     init_model,
@@ -20,10 +18,14 @@ from folheat.neural import (
 )
 
 
+def act(kind, x):
+    return _act_forward(kind, np.float64(x))[0]
+
+
 class TestActivations:
     def test_swish_values(self):
-        assert activation_apply("swish", 0.0) == 0.0
-        assert activation_apply("swish", 1.0) == pytest.approx(0.7310585786300049)
+        assert act("swish", 0.0) == 0.0
+        assert act("swish", 1.0) == pytest.approx(0.7310585786300049)
 
     @pytest.mark.parametrize("kind", ACTIVATIONS)
     def test_grad_matches_finite_differences(self, kind):
@@ -32,12 +34,18 @@ class TestActivations:
         if kind == "relu":
             points.remove(0.0)  # the kink has no two-sided derivative
         for x in points:
-            fd = (activation_apply(kind, x + h) - activation_apply(kind, x - h)) / (2 * h)
-            assert activation_grad(kind, x) == pytest.approx(fd, abs=1e-8)
+            fd = (act(kind, x + h) - act(kind, x - h)) / (2 * h)
+            z = np.float64(x)
+            grad = _act_grad_cached(kind, z, _act_forward(kind, z)[1])
+            assert grad == pytest.approx(fd, abs=1e-8)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            activation_apply("gelu", 1.0)
+    def test_unknown_kind(self, tmp_path, grid3):
+        mesh, dofs = grid3
+        path = tmp_path / "m.folmodel"
+        save_model(init_model("separated", mesh, dofs, seed=0), path)
+        path.write_text(path.read_text().replace("activation swish", "activation gelu", 1))
+        with pytest.raises(ValidationError, match="unknown activation 'gelu'"):
+            load_model(path)
 
 
 class TestInitAndCounts:
@@ -79,7 +87,7 @@ class TestInitAndCounts:
     def test_elementwise_stencil_sizes(self, grid11):
         mesh, dofs = grid11
         model = init_model("elementwise", mesh, dofs, seed=0)
-        sizes = sorted({im.size for im in model.input_map})
+        sizes = sorted({g.in_slots.shape[1] for g in model.groups})
         assert sizes == [4, 6, 9]  # near both boundaries, near one, interior
 
     def test_unknown_arch_and_activation(self, grid3):
@@ -95,7 +103,7 @@ class TestForward:
         mesh, dofs = grid3
         model = init_model("separated", mesh, dofs, seed=0)
         model.set_params_flat(np.zeros(count_params(model)))
-        out = forward(model, np.ones(dofs.n_free))
+        out = forward_batch(model, np.ones(dofs.n_free))
         assert np.array_equal(out, np.zeros(dofs.n_free))
 
     def test_identity_embedding_with_relu(self, grid3):
@@ -109,19 +117,19 @@ class TestForward:
         g.weights[1][0] = np.eye(n)
         g.biases[1][0] = 0.0
         x = np.array([0.3, 0.0, 1.7])
-        assert np.allclose(forward(model, x), x)
+        assert np.allclose(forward_batch(model, x), x)
 
     def test_dimension_mismatch(self, grid3):
         mesh, dofs = grid3
         model = init_model("separated", mesh, dofs, seed=0)
         with pytest.raises(ValidationError):
-            forward(model, np.zeros(dofs.n_free + 1))
+            forward_batch(model, np.zeros(dofs.n_free + 1))
 
     def test_pure_function(self, grid11):
         mesh, dofs = grid11
         model = init_model("separated", mesh, dofs, seed=1)
         x = np.random.default_rng(0).uniform(0, 1, dofs.n_free)
-        assert np.array_equal(forward(model, x), forward(model, x))
+        assert np.array_equal(forward_batch(model, x), forward_batch(model, x))
 
     def test_elementwise_locality(self, grid11):
         # output i must ignore inputs outside its stencil
@@ -129,15 +137,15 @@ class TestForward:
         model = init_model("elementwise", mesh, dofs, seed=2)
         rng = np.random.default_rng(3)
         x = rng.uniform(0, 1, dofs.n_free)
-        base = forward(model, x)
-        input_map = model.input_map
+        base = forward_batch(model, x)
         for j in (0, 17, 50, 98):
             bumped = x.copy()
             bumped[j] += 0.25
-            delta = forward(model, bumped) - base
-            for i in range(dofs.n_free):
-                if j not in input_map[i]:
-                    assert delta[i] == 0.0
+            delta = forward_batch(model, bumped) - base
+            for g in model.groups:
+                for out_slot, in_slots in zip(g.out_slots, g.in_slots):
+                    if j not in in_slots:
+                        assert delta[out_slot] == 0.0
 
     def test_separated_reads_full_field(self, grid11):
         mesh, dofs = grid11
@@ -145,7 +153,7 @@ class TestForward:
         x = np.random.default_rng(4).uniform(0, 1, dofs.n_free)
         bumped = x.copy()
         bumped[0] += 0.25
-        delta = forward(model, bumped) - forward(model, x)
+        delta = forward_batch(model, bumped) - forward_batch(model, x)
         assert np.count_nonzero(delta) > dofs.n_free // 2
 
 
@@ -157,7 +165,7 @@ class TestTape:
         out_plain = forward_batch(model, x)
         out_tape, tape = forward_with_tape(model, x)
         assert np.array_equal(out_plain, out_tape)
-        assert tape.n_layers == 3  # two hidden + linear output
+        assert len(tape.group_tapes[0].preacts) == 3  # two hidden + linear output
 
 
 class TestCheckpoint:
@@ -172,7 +180,7 @@ class TestCheckpoint:
             assert back.dt == 0.025
             assert count_params(back) == count_params(model)
             x = np.random.default_rng(6).uniform(0, 1, dofs.n_free)
-            assert np.array_equal(forward(back, x), forward(model, x))
+            assert np.array_equal(forward_batch(back, x), forward_batch(model, x))
 
     def test_corrupted_header(self, tmp_path, grid3):
         mesh, dofs = grid3
@@ -200,14 +208,15 @@ class TestIntrospection:
     def test_net_layers_shapes(self, grid3):
         mesh, dofs = grid3
         model = init_model("separated", mesh, dofs, seed=0)
-        layers = model.net_layers(1)
-        assert [lay.W.shape for lay in layers] == [(10, 3), (10, 10), (1, 10)]
-        assert isinstance(layers[0], LayerParams)
+        (group,) = model.groups
+        assert [w.shape[1:] for w in group.weights] == [(10, 3), (10, 10), (1, 10)]
+        assert [b.shape[1:] for b in group.biases] == [(10,), (10,), (1,)]
 
     def test_input_map_orderings(self, grid3):
         mesh, dofs = grid3
         model = init_model("elementwise", mesh, dofs, seed=0)
-        im = model.input_map
-        assert len(im) == dofs.n_free
-        for slots in im:
-            assert np.all(np.diff(slots) > 0)
+        out_slots = np.concatenate([g.out_slots for g in model.groups])
+        assert np.array_equal(np.sort(out_slots), np.arange(dofs.n_free))
+        for g in model.groups:
+            for slots in g.in_slots:
+                assert np.all(np.diff(slots) > 0)
