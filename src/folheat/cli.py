@@ -8,6 +8,7 @@ numpy loads, which is why all heavy imports live inside the subcommands.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -120,14 +121,23 @@ def _write_manifest(out_dir: Path, command: str, cfg, extra: dict | None = None)
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _read_manifest_value(dir_path: Path, key: str) -> str | None:
+def _manifest_dt(dir_path: Path) -> float | None:
+    """The `dt` recorded in dir_path/manifest.txt, or None when there is none."""
+    from .errors import ValidationError
+
     mf = dir_path / "manifest.txt"
     if not mf.exists():
         return None
     for line in mf.read_text().splitlines():
         parts = line.split()
-        if len(parts) == 2 and parts[0] == key:
-            return parts[1]
+        if len(parts) == 2 and parts[0] == "dt":
+            try:
+                dt = float(parts[1])
+            except ValueError:
+                dt = math.nan
+            if not (math.isfinite(dt) and dt > 0):
+                raise ValidationError(f"{mf}: dt must be a positive finite number, got {parts[1]!r}")
+            return dt
     return None
 
 
@@ -293,15 +303,12 @@ def cmd_evaluate(args) -> int:
     from .fe_solver import load_trajectory
 
     pred_dir, ref_dir = Path(args.pred), Path(args.ref)
-    dt = args.dt
+    dt = args.dt if args.dt is not None else _manifest_dt(pred_dir) or _manifest_dt(ref_dir)
     if dt is None:
-        text = _read_manifest_value(pred_dir, "dt") or _read_manifest_value(ref_dir, "dt")
-        if text is None:
-            raise ValidationError(
-                f"no dt: pass --dt, or evaluate directories with a manifest.txt giving dt "
-                f"({pred_dir}, {ref_dir} have none)"
-            )
-        dt = float(text)
+        raise ValidationError(
+            f"no dt: pass --dt, or evaluate directories with a manifest.txt giving dt "
+            f"({pred_dir}, {ref_dir} have none)"
+        )
     pred = load_trajectory(pred_dir, dt)
     ref = load_trajectory(ref_dir, dt)
     if len(pred.fields) != len(ref.fields):

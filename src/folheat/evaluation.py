@@ -27,6 +27,7 @@ from .neural import ModelBundle
 
 LINE_TOL = 1e-9  # nodes this close to a section line count as lying on it
 CANONICAL_GAUSSIAN_SEED = 1234
+UPSAMPLE_BLOCK = 1024  # query points per batched Newton pass; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -99,23 +100,19 @@ def heat_flux(mesh: Mesh, k: ConductivityField, t: np.ndarray) -> np.ndarray:
         raise ValidationError(f"field shape {t.shape} does not match mesh ({mesh.n_nodes})")
     if k.values.shape[0] != mesh.n_nodes:
         raise ValidationError("conductivity field does not match mesh")
-    rule = gauss_rule_2x2()
+    coords = mesh.nodes[mesh.elems]
+    t_e = t[mesh.elems]
+    k_e = k.values[mesh.elems]
+    points = gauss_rule_2x2().points
+    q_mean = np.zeros((mesh.n_elems, 2))
+    for xi, eta in points:
+        b, _ = b_matrix(coords, xi, eta)
+        k_gp = k_e @ shape_values(xi, eta)
+        q_mean += -k_gp[:, None] * (b @ t_e[:, :, None])[:, :, 0]
+    q_mean /= points.shape[0]
     acc = np.zeros((mesh.n_nodes, 2))
-    counts = np.zeros(mesh.n_nodes)
-    for e in range(mesh.n_elems):
-        conn = mesh.elems[e]
-        coords = mesh.nodes[conn]
-        t_e = t[conn]
-        k_e = k.values[conn]
-        q_mean = np.zeros(2)
-        for xi, eta in rule.points:
-            b, _ = b_matrix(coords, xi, eta)
-            k_gp = float(shape_values(xi, eta) @ k_e)
-            q_mean += -k_gp * (b @ t_e)
-        q_mean /= rule.points.shape[0]
-        acc[conn] += q_mean
-        counts[conn] += 1.0
-    counts[counts == 0] = 1.0
+    np.add.at(acc, mesh.elems, q_mean[:, None, :])
+    counts = np.maximum(np.bincount(mesh.elems.ravel(), minlength=mesh.n_nodes), 1)
     return acc / counts[:, None]
 
 
@@ -159,84 +156,87 @@ def cross_section(mesh: Mesh, field: np.ndarray, axis: str, value: float) -> np.
     return pts.reshape(-1, 2)
 
 
-class _PointLocator:
-    """Bucketed point-in-element lookup with Newton inversion of the bilinear map."""
+def _expand(counts: np.ndarray):
+    """(owner, rank) listing 0..counts[i]-1 for each i in turn."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    def __init__(self, mesh: Mesh, n_buckets: int | None = None):
-        self.mesh = mesh
-        lo = mesh.nodes.min(axis=0)
-        hi = mesh.nodes.max(axis=0)
-        span = np.maximum(hi - lo, 1e-300)
-        nb = n_buckets or max(1, int(np.sqrt(mesh.n_elems)))
-        self.lo, self.span, self.nb = lo, span, nb
-        self.buckets: dict[tuple[int, int], list[int]] = {}
-        for e in range(mesh.n_elems):
-            xy = mesh.elem_coords(e)
-            b0 = self._bucket(xy.min(axis=0))
-            b1 = self._bucket(xy.max(axis=0))
-            for bx in range(b0[0], b1[0] + 1):
-                for by in range(b0[1], b1[1] + 1):
-                    self.buckets.setdefault((bx, by), []).append(e)
 
-    def _bucket(self, p):
-        idx = np.floor((p - self.lo) / self.span * self.nb).astype(int)
-        return tuple(np.clip(idx, 0, self.nb - 1))
+def _bucket_of(p: np.ndarray, lo: np.ndarray, span: np.ndarray, nb: int) -> np.ndarray:
+    """Integer (bx, by) bucket of each point of p (..., 2), clipped to the grid."""
+    return np.clip(np.floor((p - lo) / span * nb).astype(np.int64), 0, nb - 1)
 
-    def locate(self, p) -> tuple[int, float, float]:
-        """(element, xi, eta) containing the point; raises when outside."""
-        p = np.asarray(p, dtype=np.float64)
-        for e in self.buckets.get(self._bucket(p), ()):  # bucket order is deterministic
-            ref = self._invert(e, p)
-            if ref is not None:
-                return (e, ref[0], ref[1])
-        raise ValidationError(f"point ({p[0]}, {p[1]}) lies outside the mesh")
 
-    def _invert(self, e: int, p, tol: float = 1e-12):
-        coords = self.mesh.elem_coords(e)
-        xi = np.zeros(2)
-        for _ in range(25):
-            n = shape_values(xi[0], xi[1])
-            res = n @ coords - p
-            if np.abs(res).max() < tol:
-                break
-            jac = shape_gradients_ref(xi[0], xi[1]) @ coords
-            delta = np.linalg.solve(jac.T, res)
-            xi -= delta
-            if np.abs(xi).max() > 3.0:  # diverging; point is far from this element
-                return None
-        if np.abs(xi).max() <= 1.0 + 1e-9:
-            return np.clip(xi, -1.0, 1.0)
-        return None
+def _invert_bilinear(coords: np.ndarray, p: np.ndarray, tol: float = 1e-12):
+    """Newton inversion of each element map (P, 4, 2) at its point p (P, 2).
+
+    Every pair starts at (0, 0) and takes at most 25 steps; it stops once
+    max |residual| < tol and is dropped once |xi|max exceeds 3 (the point is
+    far from that element) or xi is not finite (a singular step). Returns
+    (accepted, xi): accepted pairs end within the reference square up to
+    1e-9, and their xi is clipped onto it.
+    """
+    xi = np.zeros(p.shape)
+    live = np.ones(p.shape[0], dtype=bool)
+    dropped = np.zeros(p.shape[0], dtype=bool)
+    for _ in range(25):
+        res = np.einsum("pi,pij->pj", shape_values(xi[:, 0], xi[:, 1]), coords) - p
+        live &= np.abs(res).max(axis=1) >= tol
+        if not live.any():
+            break
+        # solve jac^T step = res in closed form; jac rows are d(x,y)/dxi, d(x,y)/deta
+        (a, b), (c, d) = np.moveaxis(shape_gradients_ref(xi[:, 0], xi[:, 1]) @ coords, 0, -1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.column_stack([d * res[:, 0] - c * res[:, 1], a * res[:, 1] - b * res[:, 0]])
+            xi[live] -= step[live] / (a * d - c * b)[live, None]
+        dropped |= live & ~(np.abs(xi).max(axis=1) <= 3.0)
+        live &= ~dropped
+    return ~dropped & (np.abs(xi).max(axis=1) <= 1.0 + 1e-9), np.clip(xi, -1.0, 1.0)
 
 
 def upsample_field(mesh: Mesh, field: np.ndarray, rx: int, ry: int, fill: float | None = None) -> np.ndarray:
     """Resample onto an rx-by-ry grid over the mesh bounding box.
 
     Row i is the i-th y level (ascending), column j the j-th x position.
-    Query points outside the mesh raise unless `fill` is given.
+    Query points outside the mesh raise unless `fill` is given. A point on
+    several elements takes the lowest-numbered one of its bucket.
     """
     field = np.asarray(field, dtype=np.float64)
     if field.shape != (mesh.n_nodes,):
         raise ValidationError(f"field shape {field.shape} does not match mesh")
     if rx < 2 or ry < 2:
         raise ValidationError(f"resampling grid must be at least 2x2, got {rx}x{ry}")
-    locator = _PointLocator(mesh)
-    lo = mesh.nodes.min(axis=0)
-    hi = mesh.nodes.max(axis=0)
-    xs = np.linspace(lo[0], hi[0], rx)
-    ys = np.linspace(lo[1], hi[1], ry)
-    out = np.empty((ry, rx))
-    for i, y in enumerate(ys):
-        for j, x in enumerate(xs):
-            try:
-                e, xi, eta = locator.locate((x, y))
-            except ValidationError:
-                if fill is None:
-                    raise
-                out[i, j] = fill
-                continue
-            out[i, j] = shape_values(xi, eta) @ field[mesh.elems[e]]
-    return out
+    # uniform buckets over the bounding box, as CSR: the elements whose bounding box
+    # overlaps bucket b = bx * nb + by are members[start[b]:start[b + 1]], ids ascending
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    span = np.maximum(hi - lo, 1e-300)
+    nb = max(1, int(np.sqrt(mesh.n_elems)))
+    coords = mesh.nodes[mesh.elems]
+    b0 = _bucket_of(coords.min(axis=1), lo, span, nb)
+    nx, ny = (_bucket_of(coords.max(axis=1), lo, span, nb) - b0 + 1).T
+    elem, k = _expand(nx * ny)
+    keys = (b0[elem, 0] + k // ny[elem]) * nb + b0[elem, 1] + k % ny[elem]
+    start = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=nb * nb))])
+    members = elem[np.argsort(keys, kind="stable")]
+
+    xx, yy = np.meshgrid(np.linspace(lo[0], hi[0], rx), np.linspace(lo[1], hi[1], ry))
+    queries = np.column_stack([xx.ravel(), yy.ravel()])
+    out = np.full(queries.shape[0], np.nan if fill is None else fill, dtype=np.float64)
+    for q0 in range(0, queries.shape[0], UPSAMPLE_BLOCK):
+        q = queries[q0:q0 + UPSAMPLE_BLOCK]
+        bucket = _bucket_of(q, lo, span, nb) @ np.array([nb, 1])
+        owner, rank = _expand(start[bucket + 1] - start[bucket])  # candidates by query, then rank
+        elem = members[start[bucket][owner] + rank]
+        accepted, xi = _invert_bilinear(coords[elem], q[owner])
+        hit = np.flatnonzero(accepted)
+        found, first = np.unique(owner[hit], return_index=True)
+        pick = hit[first]  # the lowest-ranked accepted candidate of each found query
+        if fill is None and found.size < q.shape[0]:
+            x, y = q[np.setdiff1d(np.arange(q.shape[0]), found)[0]]
+            raise ValidationError(f"point ({x}, {y}) lies outside the mesh")
+        n = shape_values(xi[pick, 0], xi[pick, 1])
+        out[q0 + found] = np.einsum("pi,pi->p", n, field[mesh.elems[elem[pick]]])
+    return out.reshape(ry, rx)
 
 
 def canonical_test_fields(mesh: Mesh, dofs: DofMap) -> dict[str, np.ndarray]:

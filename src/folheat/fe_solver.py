@@ -8,8 +8,6 @@ are SPD for alpha in {0.5, 1}).
 from __future__ import annotations
 
 import csv
-import io
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,8 +17,11 @@ import scipy.sparse as sp
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .fem import ReducedSystem, SystemMatrices, split_blocks
 from .mesh import DofMap, Mesh
+from .textio import read_nodal_csv
 
 DEFAULT_TOL = 1e-12
+# field CSV coordinates must match the mesh to this fraction of its extent
+COORD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -122,42 +123,30 @@ def save_field(path, mesh: Mesh, values: np.ndarray) -> None:
                         repr(float(values[i]))])
 
 
-def load_field(path_or_text, mesh: Mesh | None = None) -> np.ndarray:
+def load_field(path_or_file, mesh: Mesh | None = None) -> np.ndarray:
     """Read a `node_id,x,y,T` CSV back into a nodal array.
 
-    A non-integer node id or a non-numeric or non-finite T is a
-    ValidationError naming the source and line.
+    A malformed row or a non-finite T is a ValidationError naming the source
+    and line. Given a mesh, so is a row whose x, y are not its node's
+    coordinates (to 1e-12 of the mesh extent): the field was saved for
+    another mesh.
     """
-    if hasattr(path_or_text, "read"):
-        source = getattr(path_or_text, "name", "field CSV")
-        text = path_or_text.read()
-    else:
-        source = str(path_or_text)
-        text = Path(path_or_text).read_text()
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:4]] != ["node_id", "x", "y", "T"]:
-        raise ValidationError(f"field CSV must start with 'node_id,x,y,T', got {header}")
-    rows = {}
-    for row in reader:
-        if not row:
-            continue
-        try:
-            node, value = int(row[0]), float(row[3])
-        except (ValueError, IndexError):
-            value = math.nan
-        if not math.isfinite(value):
+    columns = ["node_id", "x", "y", "T"]
+    source, values, lines = read_nodal_csv(path_or_file, columns, None if mesh is None else mesh.n_nodes)
+    bad = ~np.isfinite(values[:, 2])
+    if bad.any():
+        raise ValidationError(f"{source} line {lines[bad].min()}: T must be finite")
+    if mesh is not None:
+        tol = COORD_RTOL * np.abs(mesh.nodes).max(initial=0.0)
+        moved = ~(np.abs(values[:, :2] - mesh.nodes) <= tol).all(axis=1)
+        if moved.any():
+            e = np.flatnonzero(moved)[0]
             raise ValidationError(
-                f"{source} line {reader.line_num}: expected an integer node id and a finite T, "
-                f"got {','.join(row)!r}"
+                f"{source} line {lines[e]}: node {e} lies at {tuple(values[e, :2].tolist())}, "
+                f"the mesh has it at {tuple(mesh.nodes[e].tolist())}; "
+                f"was the field saved for another mesh?"
             )
-        rows[node] = value
-    n = len(rows)
-    if sorted(rows) != list(range(n)):
-        raise ValidationError("field CSV node ids must be contiguous from 0")
-    if mesh is not None and n != mesh.n_nodes:
-        raise ValidationError(f"field CSV has {n} rows, mesh has {mesh.n_nodes} nodes")
-    return np.array([rows[i] for i in range(n)])
+    return values[:, 2].copy()
 
 
 def step_filename(i: int) -> str:

@@ -10,7 +10,6 @@ for the 2x2 rule (integrands are at most cubic per axis).
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,11 @@ import scipy.sparse as sp
 
 from .errors import NumericalError, ValidationError
 from .mesh import SINGULAR_JACOBIAN_TOL, DofMap, Mesh
+from .textio import read_nodal_csv
 
 GAUSS_COORD = 1.0 / np.sqrt(3.0)
+# reference coordinates of the four element nodes, counter-clockwise from (-1, -1)
+REF_NODES = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
 
 VALID_ALPHAS = (0.0, 0.5, 1.0)
 
@@ -52,8 +54,8 @@ class ConductivityField:
         values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         if values.ndim != 1:
             raise ValidationError(f"conductivity must be a 1-d nodal array, got {values.shape}")
-        if not np.all(values > 0):
-            raise ValidationError("conductivity values must be strictly positive")
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise ValidationError("conductivity values must be finite and strictly positive")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -117,79 +119,85 @@ class ReducedSystem:
 
 def gauss_rule_2x2() -> QuadratureRule:
     """Tensor 2x2 Gauss rule on [-1, 1]^2 (exact through cubic per axis)."""
-    g = GAUSS_COORD
-    points = np.array([(-g, -g), (g, -g), (g, g), (-g, g)])
-    weights = np.ones(4)
-    return QuadratureRule(points, weights)
+    return QuadratureRule(GAUSS_COORD * REF_NODES, np.ones(4))
 
 
-def shape_values(xi: float, eta: float) -> np.ndarray:
-    """Bilinear basis values [N1..N4] at a reference point."""
-    return 0.25 * np.array(
-        [
-            (1 - xi) * (1 - eta),
-            (1 + xi) * (1 - eta),
-            (1 + xi) * (1 + eta),
-            (1 - xi) * (1 + eta),
-        ]
+def shape_values(xi, eta) -> np.ndarray:
+    """Bilinear basis values [N1..N4] at reference points, shape (..., 4)."""
+    xi, eta = np.expand_dims(xi, -1), np.expand_dims(eta, -1)
+    return 0.25 * ((1 + REF_NODES[:, 0] * xi) * (1 + REF_NODES[:, 1] * eta))
+
+
+def shape_gradients_ref(xi, eta) -> np.ndarray:
+    """Reference-space basis gradients, rows (d/dxi, d/deta), shape (..., 2, 4)."""
+    xi, eta = np.expand_dims(xi, -1), np.expand_dims(eta, -1)
+    return 0.25 * np.stack(
+        [REF_NODES[:, 0] * (1 + REF_NODES[:, 1] * eta), REF_NODES[:, 1] * (1 + REF_NODES[:, 0] * xi)],
+        axis=-2,
     )
 
 
-def shape_gradients_ref(xi: float, eta: float) -> np.ndarray:
-    """Reference-space basis gradients, rows (d/dxi, d/deta), shape (2, 4)."""
-    return 0.25 * np.array(
-        [
-            [-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)],
-            [-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)],
-        ]
-    )
+def _check_singular(det: np.ndarray, xi, eta) -> None:
+    singular = np.abs(det) < SINGULAR_JACOBIAN_TOL
+    if singular.any():
+        first = int(np.flatnonzero(singular)[0])
+        where = f" in element {first}" if det.ndim else ""
+        raise NumericalError(
+            f"singular element Jacobian (det={det.flat[first]:.3e}) at ({xi}, {eta}){where}"
+        )
 
 
-def jacobian_det(elem_coords: np.ndarray, xi: float, eta: float) -> float:
-    """det of the isoparametric map's Jacobian at one reference point."""
+def jacobian_det(elem_coords: np.ndarray, xi: float, eta: float) -> np.ndarray:
+    """det of the isoparametric maps' Jacobians at one reference point.
+
+    `elem_coords` is (..., 4, 2); the result has shape (...).
+    """
     jac = shape_gradients_ref(xi, eta) @ np.asarray(elem_coords, dtype=np.float64)
-    return float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
+    return jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
 
 
 def b_matrix(elem_coords: np.ndarray, xi: float, eta: float):
-    """Physical-space basis gradients and Jacobian determinant.
+    """Physical-space basis gradients and Jacobian determinants at one point.
 
-    Returns (B, detJ) with B rows (dN_i/dx, dN_i/dy), shape (2, 4).
-    Raises NumericalError when the map is singular at the point.
+    For `elem_coords` of shape (..., 4, 2) returns (B, detJ) with B rows
+    (dN_i/dx, dN_i/dy), shape (..., 2, 4), and detJ of shape (...).
+    Raises NumericalError naming the first element whose map is singular.
     """
-    coords = np.asarray(elem_coords, dtype=np.float64)
     grad_ref = shape_gradients_ref(xi, eta)
-    jac = grad_ref @ coords  # rows: d(x,y)/dxi, d(x,y)/deta
-    det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
-    if abs(det) < SINGULAR_JACOBIAN_TOL:
-        raise NumericalError(f"singular element Jacobian (det={det:.3e}) at ({xi}, {eta})")
-    inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
-    return inv @ grad_ref, det
+    jac = grad_ref @ np.asarray(elem_coords, dtype=np.float64)  # rows: d(x,y)/dxi, d(x,y)/deta
+    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    _check_singular(det, xi, eta)
+    adjugate = np.swapaxes(jac[..., ::-1, ::-1], -1, -2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return adjugate / det[..., None, None] @ grad_ref, det
 
 
 def element_mass(elem_coords: np.ndarray, mat: MaterialParams, rule: QuadratureRule) -> np.ndarray:
-    """4x4 consistent mass: sum_j N^T rho*c N detJ * w_j."""
-    m = np.zeros((4, 4))
+    """Consistent mass sum_j N^T rho*c N detJ * w_j, shape (..., 4, 4) for coords (..., 4, 2)."""
+    coords = np.asarray(elem_coords, dtype=np.float64)
+    m = np.zeros(coords.shape[:-2] + (4, 4))
     rho_c = mat.rho * mat.c
     for (xi, eta), w in zip(rule.points, rule.weights):
         n = shape_values(xi, eta)
-        det = jacobian_det(elem_coords, xi, eta)
-        if abs(det) < SINGULAR_JACOBIAN_TOL:
-            raise NumericalError(f"singular element Jacobian (det={det:.3e}) at ({xi}, {eta})")
-        m += np.outer(n, n) * (rho_c * det * w)
+        det = jacobian_det(coords, xi, eta)
+        _check_singular(det, xi, eta)
+        m += np.outer(n, n) * (rho_c * det * w)[..., None, None]
     return m
 
 
 def element_stiffness(elem_coords: np.ndarray, k_nodal: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """4x4 conductivity stiffness: sum_j B^T (N.k) B detJ * w_j."""
+    """Conductivity stiffness sum_j B^T (N.k) B detJ * w_j, shape (..., 4, 4).
+
+    `elem_coords` is (..., 4, 2) and `k_nodal` the matching (..., 4) nodal values.
+    """
+    coords = np.asarray(elem_coords, dtype=np.float64)
     k_nodal = np.asarray(k_nodal, dtype=np.float64)
-    if k_nodal.shape != (4,):
-        raise ValidationError(f"k_nodal must have 4 entries, got {k_nodal.shape}")
-    ke = np.zeros((4, 4))
+    if k_nodal.shape != coords.shape[:-1]:
+        raise ValidationError(f"k_nodal must have shape {coords.shape[:-1]}, got {k_nodal.shape}")
+    ke = np.zeros(coords.shape[:-2] + (4, 4))
     for (xi, eta), w in zip(rule.points, rule.weights):
-        b, det = b_matrix(elem_coords, xi, eta)
-        k_gp = float(shape_values(xi, eta) @ k_nodal)
-        ke += (b.T @ b) * (k_gp * det * w)
+        b, det = b_matrix(coords, xi, eta)
+        k_gp = k_nodal @ shape_values(xi, eta)
+        ke += (np.swapaxes(b, -1, -2) @ b) * (k_gp * det * w)[..., None, None]
     return ke
 
 
@@ -200,21 +208,12 @@ def assemble(m: Mesh, k: ConductivityField, mat: MaterialParams) -> SystemMatric
             f"conductivity has {k.values.shape[0]} values, mesh has {m.n_nodes} nodes"
         )
     rule = gauss_rule_2x2()
-    n_e = m.n_elems
-    rows = np.empty(16 * n_e, dtype=np.int64)
-    cols = np.empty(16 * n_e, dtype=np.int64)
-    mass_data = np.empty(16 * n_e)
-    stiff_data = np.empty(16 * n_e)
-    for e in range(n_e):
-        conn = m.elems[e]
-        coords = m.nodes[conn]
-        me = element_mass(coords, mat, rule)
-        ke = element_stiffness(coords, k.values[conn], rule)
-        sl = slice(16 * e, 16 * (e + 1))
-        rows[sl] = np.repeat(conn, 4)
-        cols[sl] = np.tile(conn, 4)
-        mass_data[sl] = me.ravel()
-        stiff_data[sl] = ke.ravel()
+    coords = m.nodes[m.elems]
+    mass_data = element_mass(coords, mat, rule).ravel()
+    stiff_data = element_stiffness(coords, k.values[m.elems], rule).ravel()
+    # entry (e, i, j) of the element matrices lands at (elems[e, i], elems[e, j])
+    rows = np.repeat(m.elems, 4, axis=1).ravel()
+    cols = np.tile(m.elems, (1, 4)).ravel()
     shape = (m.n_nodes, m.n_nodes)
     mass = sp.coo_array((mass_data, (rows, cols)), shape=shape).tocsr()
     stiff = sp.coo_array((stiff_data, (rows, cols)), shape=shape).tocsr()
@@ -251,31 +250,15 @@ def save_conductivity(path, k: ConductivityField) -> None:
             w.writerow([i, repr(float(v))])
 
 
-def load_conductivity(path_or_text, n_nodes: int | None = None) -> ConductivityField:
-    """Read the `node_id,k` CSV; rows must cover ids 0..n-1 exactly once."""
-    if hasattr(path_or_text, "read"):
-        text = path_or_text.read()
-    else:
-        try:
-            with open(path_or_text) as f:
-                text = f.read()
-        except TypeError:
-            text = str(path_or_text)
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:2]] != ["node_id", "k"]:
-        raise ValidationError(f"conductivity CSV must start with 'node_id,k', got {header}")
-    pairs = {}
-    for row in reader:
-        if not row:
-            continue
-        i, v = int(row[0]), float(row[1])
-        if i in pairs:
-            raise ValidationError(f"duplicate node id {i} in conductivity CSV")
-        pairs[i] = v
-    n = len(pairs)
-    if sorted(pairs) != list(range(n)):
-        raise ValidationError("conductivity CSV node ids must be contiguous from 0")
-    if n_nodes is not None and n != n_nodes:
-        raise ValidationError(f"conductivity CSV has {n} rows, mesh has {n_nodes} nodes")
-    return ConductivityField(np.array([pairs[i] for i in range(n)]))
+def load_conductivity(path_or_file, n_nodes: int | None = None) -> ConductivityField:
+    """Read the `node_id,k` CSV; rows must cover ids 0..n-1 exactly once.
+
+    A malformed row or a non-finite or non-positive k is a ValidationError
+    naming the source and line.
+    """
+    source, values, lines = read_nodal_csv(path_or_file, ["node_id", "k"], n_nodes)
+    k = values[:, 0]
+    bad = ~(np.isfinite(k) & (k > 0))
+    if bad.any():
+        raise ValidationError(f"{source} line {lines[bad].min()}: k must be finite and positive")
+    return ConductivityField(k)

@@ -56,10 +56,6 @@ class Mesh:
     def n_elems(self) -> int:
         return self.elems.shape[0]
 
-    def elem_coords(self, e: int) -> np.ndarray:
-        """Coordinates of element e's four nodes, shape (4, 2)."""
-        return self.nodes[self.elems[e]]
-
 
 @dataclass(frozen=True)
 class DirichletSpec:
@@ -155,33 +151,33 @@ def validate_mesh(m: Mesh) -> list[str]:
 
     diags: list[str] = []
     n = m.n_nodes
-    bad_elems = set()
-    for e in range(m.n_elems):
-        conn = m.elems[e]
-        if conn.min() < 0 or conn.max() >= n:
-            diags.append(f"element {e}: node index out of range [0, {n}): {conn.tolist()}")
-            bad_elems.add(e)
-            continue
-        if len(set(conn.tolist())) != 4:
-            diags.append(f"element {e}: degenerate (repeated node ids {conn.tolist()})")
-            bad_elems.add(e)
+    elems = m.elems
+    out_of_range = (elems < 0).any(axis=1) | (elems >= n).any(axis=1)
+    ordered = np.sort(elems, axis=1)
+    repeated = ~out_of_range & (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    for e in np.flatnonzero(out_of_range | repeated):
+        conn = elems[e].tolist()
+        if out_of_range[e]:
+            diags.append(f"element {e}: node index out of range [0, {n}): {conn}")
+        else:
+            diags.append(f"element {e}: degenerate (repeated node ids {conn})")
 
-    rule = fem.gauss_rule_2x2()
-    for e in range(m.n_elems):
-        if e in bad_elems:
-            continue
-        coords = m.elem_coords(e)
-        for xi, eta in rule.points:
-            det = fem.jacobian_det(coords, xi, eta)
-            if abs(det) < SINGULAR_JACOBIAN_TOL:
-                diags.append(f"element {e}: singular Jacobian at gauss point ({xi:.4f}, {eta:.4f})")
-                break
-            if det < 0:
-                diags.append(
-                    f"element {e}: negative Jacobian at gauss point ({xi:.4f}, {eta:.4f})"
-                    " (connectivity not counter-clockwise?)"
-                )
-                break
+    # per element, the first gauss point whose Jacobian is singular or negative
+    good = np.flatnonzero(~(out_of_range | repeated))
+    coords = m.nodes[elems[good]]
+    points = fem.gauss_rule_2x2().points
+    dets = np.stack([fem.jacobian_det(coords, xi, eta) for xi, eta in points])
+    flagged = (np.abs(dets) < SINGULAR_JACOBIAN_TOL) | (dets < 0)
+    first = flagged.argmax(axis=0)
+    for j in np.flatnonzero(flagged.any(axis=0)):
+        (xi, eta), det = points[first[j]], dets[first[j], j]
+        if abs(det) < SINGULAR_JACOBIAN_TOL:
+            diags.append(f"element {good[j]}: singular Jacobian at gauss point ({xi:.4f}, {eta:.4f})")
+        else:
+            diags.append(
+                f"element {good[j]}: negative Jacobian at gauss point ({xi:.4f}, {eta:.4f})"
+                " (connectivity not counter-clockwise?)"
+            )
 
     for tag, ids in m.boundary_sets.items():
         if ids.size and (ids.min() < 0 or ids.max() >= n):
@@ -296,6 +292,7 @@ def load_mesh(text: str) -> Mesh:
         boundary_sets[tag] = np.array([r.next_int("boundary node id") for _ in range(count)],
                                       dtype=np.int64)
 
+    del r  # free the token list before validate_mesh allocates its batched arrays
     mesh = Mesh(nodes, elems, boundary_sets)
     diags = validate_mesh(mesh)
     if diags:

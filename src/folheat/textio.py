@@ -1,12 +1,19 @@
-"""Whitespace-token reader for the line-based text formats (mesh, checkpoint).
+"""Readers for the text formats: whitespace tokens (mesh, checkpoint) and
+nodal CSV tables (fields, conductivity).
 
-Comments run from ``#`` to end of line. Tokens may wrap across lines; the
-reader tracks line numbers so parse errors can point at the offending line.
+Token comments run from ``#`` to end of line. Tokens may wrap across lines;
+the reader tracks line numbers so parse errors can point at the offending line.
 """
 
 from __future__ import annotations
 
-from .errors import MeshFormatError
+import csv
+import io
+from pathlib import Path
+
+import numpy as np
+
+from .errors import MeshFormatError, ValidationError
 
 
 class TokenReader:
@@ -61,3 +68,43 @@ def wrap_tokens(tokens, per_line: int = 8) -> str:
     for i in range(0, len(items), per_line):
         lines.append(" ".join(items[i : i + per_line]))
     return "\n".join(lines)
+
+
+def read_nodal_csv(path_or_file, columns: list[str], n_nodes: int | None = None):
+    """Read a CSV whose header starts with `columns`, the first being node_id.
+
+    Returns (source, values, lines): the other columns as floats in node
+    order, shape (n, len(columns) - 1), and the file line of each node's
+    row. A row without an integer id and numbers in every column, a repeated
+    id, ids not contiguous from 0, or (given n_nodes) another row count is a
+    ValidationError naming the source and, for a row, its line.
+    """
+    if hasattr(path_or_file, "read"):
+        source, text = getattr(path_or_file, "name", "CSV stream"), path_or_file.read()
+    else:
+        source, text = str(path_or_file), Path(path_or_file).read_text()
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[: len(columns)]] != columns:
+        raise ValidationError(f"{source} must start with {','.join(columns)!r}, got {header}")
+    rows = {}
+    for row in reader:
+        if not row:
+            continue
+        try:
+            node, values = int(row[0]), [float(row[j]) for j in range(1, len(columns))]
+        except (ValueError, IndexError):
+            node = None
+        if node is None or node in rows:
+            raise ValidationError(
+                f"{source} line {reader.line_num}: expected a new integer node id and "
+                f"numeric {', '.join(columns[1:])}, got {','.join(row)!r}"
+            )
+        rows[node] = (reader.line_num, *values)
+    n = len(rows)
+    if sorted(rows) != list(range(n)):
+        raise ValidationError(f"{source}: node ids must be contiguous from 0")
+    if n_nodes is not None and n != n_nodes:
+        raise ValidationError(f"{source} has {n} rows, the mesh has {n_nodes} nodes")
+    table = np.array([rows[i] for i in range(n)]).reshape(n, len(columns))
+    return source, table[:, 1:], table[:, 0].astype(np.int64)

@@ -231,6 +231,21 @@ class TestEvaluate:
         assert run("evaluate", "--pred", bare[0], "--ref", bare[1], "--dt", 0.05,
                    "--out", tmp_path / "e.csv") == 0
 
+    @pytest.mark.parametrize("dt", ["abc", "nan", "-1", "inf"])
+    def test_bad_manifest_dt_is_validation_error(self, two_dirs, capsys, dt):
+        tmp_path, ref = two_dirs
+        pred = tmp_path / "pred_dt"
+        pred.mkdir()
+        for step in ref.glob("step_*.csv"):
+            (pred / step.name).write_text(step.read_text())
+        (pred / "manifest.txt").write_text(f"folheat run manifest\ndt {dt}\n")
+        capsys.readouterr()
+        assert run("evaluate", "--pred", pred, "--ref", ref, "--out", tmp_path / "e.csv") == 1
+        err = capsys.readouterr().err
+        assert str(pred / "manifest.txt") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "e.csv").exists()
+
 
 class TestBenchmark:
     def test_report_schema(self, tmp_path, smoke_cfg, capsys):
@@ -260,15 +275,16 @@ class TestPostprocess:
         grid = upsample_field(mesh, load_field(ref / "step_0001.csv", mesh), 9, 9)
         assert np.array_equal(np.loadtxt(out / "upsampled.csv", delimiter=","), grid)
 
-    @pytest.mark.parametrize("bad", ["id:x", "T:abc", "T:nan", "T:-inf"])
+    @pytest.mark.parametrize("bad", ["id:x", "T:abc", "T:nan", "T:-inf", "id:1", "x:abc", "y:0.7"])
     def test_bad_field_value_is_validation_error(self, tmp_path, smoke_cfg, capsys, bad):
         ref = tmp_path / "ref"
         run("solve-fem", "--config", smoke_cfg, "--init", "canonical:sin10y",
             "--steps", 0, "--out", ref)
         lines = (ref / "step_0000.csv").read_text().splitlines()
-        nid, x, y, t = lines[3].split(",")
+        cells = lines[3].split(",")
         column, value = bad.split(":")
-        lines[3] = ",".join([value, x, y, t] if column == "id" else [nid, x, y, value])
+        cells[["id", "x", "y", "T"].index(column)] = value
+        lines[3] = ",".join(cells)
         field = tmp_path / "bad.csv"
         field.write_text("\n".join(lines) + "\n")
         capsys.readouterr()

@@ -201,6 +201,21 @@ class TestUpsample:
         assert np.isnan(grid).any()
         assert np.isfinite(grid).any()
 
+    def test_linear_field_exact_on_annulus(self):
+        mesh = demo_irregular_mesh()  # quarter annulus, radii 0.45 and 1, 12 arcs
+        a, b, c = 0.3, 1.7, -0.9
+        grid = upsample_field(mesh, a + b * mesh.nodes[:, 0] + c * mesh.nodes[:, 1], 97, 89,
+                              fill=np.nan)
+        xx, yy = np.meshgrid(np.linspace(0, 1, 97), np.linspace(0, 1, 89))
+        inside = np.isfinite(grid)
+        assert 0 < inside.sum() < grid.size
+        assert np.abs(grid[inside] - (a + b * xx + c * yy)[inside]).max() < 1e-12
+        # the mesh's arcs are chords, which lie inside the circles by at most cos(dtheta/2)
+        r = np.hypot(xx, yy)
+        chord = np.cos(np.pi / 48)
+        assert np.all((r[~inside] < 0.45) | (r[~inside] > chord))
+        assert np.all((r[inside] >= 0.45 * chord - 1e-12) & (r[inside] <= 1.0 + 1e-12))
+
 
 class TestCanonicalFields:
     def test_names_and_order(self, grid11):

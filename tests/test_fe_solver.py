@@ -195,6 +195,15 @@ class TestFieldIO:
         save_field(path, mesh, values)
         assert np.array_equal(load_field(path, mesh), values)
 
+    def test_field_of_another_mesh_refused(self, tmp_path, grid11):
+        mesh, _ = grid11
+        wide = build_structured_grid(11, 11, 2.0, 1.0)  # same node count, other coordinates
+        path = tmp_path / "field.csv"
+        save_field(path, wide, np.zeros(wide.n_nodes))
+        assert load_field(path).shape == (mesh.n_nodes,)
+        with pytest.raises(ValidationError, match=f"{path} line 3: node 1 lies at"):
+            load_field(path, mesh)
+
     def test_trajectory_round_trip(self, tmp_path, reduced11):
         mesh, dofs, _, rs = reduced11
         traj = solve_transient(rs, dofs, np.full(dofs.n_nodes, 0.5), 3)

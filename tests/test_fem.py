@@ -10,6 +10,7 @@ from folheat.fem import (
     element_mass,
     element_stiffness,
     gauss_rule_2x2,
+    jacobian_det,
     load_conductivity,
     reduce_system,
     save_conductivity,
@@ -17,7 +18,7 @@ from folheat.fem import (
     shape_values,
     split_blocks,
 )
-from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid
+from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid, demo_irregular_mesh
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 RULE = gauss_rule_2x2()
@@ -198,6 +199,43 @@ class TestElementMatrices:
         assert np.allclose(ke2, 2.0 * ke1)
 
 
+class TestBatchedKernels:
+    """Element kernels over a leading element axis equal the stacked single-element calls."""
+
+    def test_all_elements_of_irregular_mesh(self):
+        mesh = demo_irregular_mesh()
+        coords = mesh.nodes[mesh.elems]
+        k_e = (1.0 + mesh.nodes[:, 0] ** 2)[mesh.elems]
+        mat = MaterialParams(2.0, 3.0)
+
+        def close(batched, single):
+            single = np.stack(single)
+            assert batched.shape == single.shape
+            assert np.abs(batched - single).max() <= 1e-14 * np.abs(single).max()
+
+        close(element_mass(coords, mat, RULE), [element_mass(c, mat, RULE) for c in coords])
+        close(element_stiffness(coords, k_e, RULE),
+              [element_stiffness(c, k, RULE) for c, k in zip(coords, k_e)])
+        for xi, eta in RULE.points:
+            b, det = b_matrix(coords, xi, eta)
+            singles = [b_matrix(c, xi, eta) for c in coords]
+            close(b, [s[0] for s in singles])
+            close(det, [s[1] for s in singles])
+            close(jacobian_det(coords, xi, eta), [jacobian_det(c, xi, eta) for c in coords])
+
+    def test_singular_element_named(self):
+        coords = np.stack([UNIT_SQUARE] * 4)
+        coords[2, :, 0] = 0.0  # element 2 collapses onto a line
+        with pytest.raises(NumericalError, match="in element 2"):
+            b_matrix(coords, *RULE.points[0])
+        with pytest.raises(NumericalError, match="in element 2"):
+            element_mass(coords, MaterialParams(), RULE)
+
+    def test_k_nodal_must_match_elements(self):
+        with pytest.raises(ValidationError, match="k_nodal"):
+            element_stiffness(np.stack([UNIT_SQUARE] * 3), np.ones((2, 4)), RULE)
+
+
 class TestAssembly:
     def test_single_element_grid(self):
         m = build_structured_grid(2, 2, 1.0, 1.0)
@@ -295,6 +333,8 @@ class TestConductivity:
     def test_positive_required(self):
         with pytest.raises(ValidationError):
             ConductivityField(np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(ValidationError, match="finite"):
+            ConductivityField(np.array([1.0, np.inf, 2.0]))
 
     def test_inclusions_two_levels(self):
         m = build_structured_grid(11, 11, 1.0, 1.0)
@@ -317,3 +357,16 @@ class TestConductivity:
         save_conductivity(path, ConductivityField.homogeneous(m))
         with pytest.raises(ValidationError):
             load_conductivity(path, 121)
+
+    @pytest.mark.parametrize("row", ["x,1.0", "0,abc", "0", "0,inf", "0,nan", "0,-2.0", "0.5,1.0"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "k.csv"
+        path.write_text(f"node_id,k\n1,1.0\n{row}\n")
+        with pytest.raises(ValidationError, match=f"{path} line 3"):
+            load_conductivity(path)
+
+    def test_duplicate_id_names_line(self, tmp_path):
+        path = tmp_path / "k.csv"
+        path.write_text("node_id,k\n0,1.0\n0,2.0\n")
+        with pytest.raises(ValidationError, match="line 3: expected a new integer node id"):
+            load_conductivity(path)

@@ -48,7 +48,7 @@ def test_mesh_is_valid_general_quads():
     mesh = demo_irregular_mesh()
     assert validate_mesh(mesh) == []
     # genuinely non-axis-aligned elements
-    coords = mesh.elem_coords(0)
+    coords = mesh.nodes[mesh.elems[0]]
     edges = coords[[1, 2, 3, 0]] - coords
     assert np.abs(edges[:, 0] * edges[:, 1]).max() > 1e-6
 

@@ -43,7 +43,7 @@ class TestStructuredGrid:
         rule = gauss_rule_2x2()
         for e in range(m.n_elems):
             for xi, eta in rule.points:
-                assert jacobian_det(m.elem_coords(e), xi, eta) == pytest.approx(expected)
+                assert jacobian_det(m.nodes[m.elems[e]], xi, eta) == pytest.approx(expected)
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValidationError):
@@ -80,6 +80,23 @@ class TestValidate:
         elems[0, 3] = 99
         diags = validate_mesh(Mesh(m.nodes, elems, m.boundary_sets))
         assert any("out of range" in d for d in diags)
+
+    def test_message_order(self):
+        """Index and degenerate messages in element order, then Jacobian ones."""
+        m = build_structured_grid(4, 4, 1.0, 1.0)
+        elems = m.elems.copy()
+        elems[1, 2] = 99  # out of range
+        elems[3, 1] = elems[3, 0]  # repeated node
+        elems[5] = elems[5][::-1]  # clockwise
+        nodes = m.nodes.copy()
+        nodes[m.elems[7][2]] = nodes[m.elems[7][0]]  # element 7 folds onto its diagonal
+        assert validate_mesh(Mesh(nodes, elems, m.boundary_sets)) == [
+            "element 1: node index out of range [0, 16): [1, 2, 99, 5]",
+            "element 3: degenerate (repeated node ids [4, 4, 9, 8])",
+            "element 5: negative Jacobian at gauss point (-0.5774, -0.5774)"
+            " (connectivity not counter-clockwise?)",
+            "element 7: singular Jacobian at gauss point (0.5774, -0.5774)",
+        ]
 
 
 class TestMeshFile:
