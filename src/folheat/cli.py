@@ -142,16 +142,13 @@ def _manifest_dt(dir_path: Path) -> float | None:
 
 
 def _problem(cfg):
-    """mesh, dofs, conductivity, material, assembled system from a config."""
+    """mesh, dofs, assembled system from a config."""
     from .fem import assemble
     from .mesh import build_dof_map
 
     mesh = cfg.build_mesh()
     dofs = build_dof_map(mesh, cfg.dirichlet())
-    k = cfg.conductivity(mesh)
-    mat = cfg.material()
-    sys_mats = assemble(mesh, k, mat)
-    return mesh, dofs, k, mat, sys_mats
+    return mesh, dofs, assemble(mesh, cfg.conductivity(mesh), cfg.material())
 
 
 def _initial_field(spec: str, mesh, dofs):
@@ -219,10 +216,11 @@ def cmd_train(args) -> int:
     from .fem import reduce_system
     from .neural import init_model, save_model
     from .sampling import build_sample_set, load_sample_set
+    from .textio import write_csv
     from .training import TrainConfig, train
 
     cfg = load_run_config(args.config)
-    mesh, dofs, k, mat, sys_mats = _problem(cfg)
+    mesh, dofs, sys_mats = _problem(cfg)
     rs = reduce_system(sys_mats, dofs, cfg.dt, 1.0)
 
     if args.samples:
@@ -243,10 +241,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.folmodel")
-    with open(out / "loss_history.csv", "w") as f:
-        f.write("epoch,mean_loss\n")
-        for i, loss in enumerate(record):
-            f.write(f"{i},{float(loss)!r}\n")
+    write_csv(out / "loss_history.csv", ["epoch", "mean_loss"], [range(len(record)), record])
     _write_manifest(out, "train", cfg, {"seed": cfg.seed, "dt": repr(cfg.dt),
                                         "final_loss": repr(float(record[-1]))})
     print(f"wrote {out}/model.folmodel ({cfg.arch}, {cfg.activation}); "
@@ -281,7 +276,7 @@ def cmd_solve_fem(args) -> int:
     from .fe_solver import save_trajectory, solve_transient
 
     cfg = load_run_config(args.config)
-    mesh, dofs, k, mat, sys_mats = _problem(cfg)
+    mesh, dofs, sys_mats = _problem(cfg)
     dt = args.dt if args.dt is not None else cfg.dt
     rs = reduce_system(sys_mats, dofs, dt, args.alpha)
     t0 = _initial_field(args.init, mesh, dofs)
@@ -299,8 +294,9 @@ def cmd_evaluate(args) -> int:
     import numpy as np
 
     from .errors import NumericalError, ValidationError
-    from .evaluation import per_step_errors, write_error_csv
-    from .fe_solver import load_trajectory
+    from .evaluation import per_step_errors
+    from .fe_solver import load_trajectory, moved_node, step_filename
+    from .textio import write_csv
 
     pred_dir, ref_dir = Path(args.pred), Path(args.ref)
     dt = args.dt if args.dt is not None else _manifest_dt(pred_dir) or _manifest_dt(ref_dir)
@@ -315,9 +311,15 @@ def cmd_evaluate(args) -> int:
         raise ValidationError(
             f"step-count mismatch: {len(pred.fields)} predicted vs {len(ref.fields)} reference"
         )
+    for i, (xy_pred, xy_ref) in enumerate(zip(pred.nodes, ref.nodes)):
+        if xy_pred.shape != xy_ref.shape or moved_node(xy_pred, xy_ref) is not None:
+            raise ValidationError(
+                f"{pred_dir / step_filename(i)} and {ref_dir / step_filename(i)} hold "
+                f"different node coordinates; were they saved for different meshes?"
+            )
     errors = per_step_errors(pred.fields, ref.fields)
     out = Path(args.out) if args.out else pred_dir / "errors.csv"
-    write_error_csv(out, errors, dt)
+    write_csv(out, ["step", "t", "E_rr"], [range(errors.size), np.arange(errors.size) * dt, errors])
     marching = errors[1:] if errors.size > 1 else errors
     print(f"wrote {out}: mean E_rr {np.mean(marching):.6f}, "
           f"max {np.max(marching):.6f}, final {errors[-1]:.6f}")
@@ -335,7 +337,7 @@ def cmd_benchmark(args) -> int:
     from .neural import load_model
 
     cfg = load_run_config(args.config)
-    mesh, dofs, k, mat, sys_mats = _problem(cfg)
+    mesh, dofs, sys_mats = _problem(cfg)
     model = load_model(args.checkpoint, dofs)
     rs = reduce_system(sys_mats, dofs, model.dt, 1.0)
     t0 = _initial_field(args.init, mesh, dofs)
@@ -360,12 +362,11 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_postprocess(args) -> int:
-    import numpy as np
-
     from .errors import ValidationError
     from .config import load_run_config
-    from .evaluation import cross_section, heat_flux, upsample_field, write_pgm, write_section_csv
+    from .evaluation import cross_section, heat_flux, upsample_field, write_pgm
     from .fe_solver import load_field
+    from .textio import write_csv
 
     cfg = load_run_config(args.config)
     mesh = cfg.build_mesh()
@@ -375,11 +376,8 @@ def cmd_postprocess(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     flux = heat_flux(mesh, k, field)
-    with open(out / "flux.csv", "w") as f:
-        f.write("node_id,x,y,qx,qy\n")
-        for i in range(mesh.n_nodes):
-            f.write(f"{i},{float(mesh.nodes[i,0])!r},{float(mesh.nodes[i,1])!r},"
-                    f"{float(flux[i,0])!r},{float(flux[i,1])!r}\n")
+    write_csv(out / "flux.csv", ["node_id", "x", "y", "qx", "qy"],
+              [range(mesh.n_nodes), *mesh.nodes.T, *flux.T])
 
     for token in args.sections.split(","):
         token = token.strip()
@@ -391,10 +389,10 @@ def cmd_postprocess(args) -> int:
         except ValueError:
             raise ValidationError(f"sections: expected axis=value, got {token!r}") from None
         sec = cross_section(mesh, field, axis.strip(), value)
-        write_section_csv(out / f"section_{axis.strip()}_{value}.csv", sec)
+        write_csv(out / f"section_{axis.strip()}_{value}.csv", ["coord", "value"], sec.T)
 
     grid = upsample_field(mesh, field, args.upsample, args.upsample)
-    np.savetxt(out / "upsampled.csv", grid, delimiter=",", fmt="%.17g")  # exact round trip
+    write_csv(out / "upsampled.csv", None, grid.T)
     write_pgm(out / "upsampled.pgm", grid)
     _write_manifest(out, "postprocess", cfg, {"field": args.field})
     print(f"wrote {out}: flux.csv, section CSVs, upsampled.csv/.pgm")

@@ -68,7 +68,7 @@ seed = 0
 """
 
 
-def _parse_ranges(text: str, what: str) -> tuple:
+def _parse_ranges(text: str) -> tuple:
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -78,9 +78,9 @@ def _parse_ranges(text: str, what: str) -> tuple:
             lo, hi = part.split(":")
             out.append((float(lo), float(hi)))
         except ValueError:
-            raise ValidationError(f"{what}: expected 'lo:hi' pairs, got {part!r}") from None
+            raise ValueError(f"expected 'lo:hi' pairs, got {part!r}") from None
     if not out:
-        raise ValidationError(f"{what}: no intervals given")
+        raise ValueError("no intervals given")
     return tuple(out)
 
 
@@ -93,7 +93,7 @@ def _parse_circles(text: str) -> tuple:
         try:
             cx, cy, r = (float(v) for v in part.split(","))
         except ValueError:
-            raise ValidationError(f"circles: expected 'x,y,r' triples, got {part!r}") from None
+            raise ValueError(f"expected 'x,y,r' triples, got {part!r}") from None
         out.append((cx, cy, r))
     return tuple(out)
 
@@ -103,18 +103,24 @@ class RunConfig:
     raw_text: str
     parser: configparser.ConfigParser
     base_dir: Path
+    source: str  # named in errors: the config file, or "default config"
 
-    def _get(self, section: str, key: str) -> str:
-        return self.parser.get(section, key).strip()
+    def _get(self, section: str, key: str, kind=str):
+        """[section] key read by kind; a ValueError from kind is a ValidationError."""
+        text = self.parser.get(section, key).strip()
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise ValidationError(f"{self.source}: [{section}] {key} = {text!r}: {exc}") from None
 
     def build_mesh(self) -> Mesh:
         source = self._get("mesh", "source")
         if source == "structured":
             return build_structured_grid(
-                self.parser.getint("mesh", "nx"),
-                self.parser.getint("mesh", "ny"),
-                self.parser.getfloat("mesh", "width"),
-                self.parser.getfloat("mesh", "height"),
+                self._get("mesh", "nx", int),
+                self._get("mesh", "ny", int),
+                self._get("mesh", "width", float),
+                self._get("mesh", "height", float),
             )
         if source == "file":
             path = self._resolve(self._get("mesh", "path"), "mesh.path")
@@ -122,9 +128,7 @@ class RunConfig:
         raise ValidationError(f"mesh.source must be 'structured' or 'file', got {source!r}")
 
     def dirichlet(self) -> DirichletSpec:
-        entries = {
-            tag: float(value) for tag, value in self.parser.items("dirichlet")
-        }
+        entries = {tag: self._get("dirichlet", tag, float) for tag in self.parser.options("dirichlet")}
         if not entries:
             raise ValidationError("config must prescribe at least one Dirichlet boundary")
         return DirichletSpec(entries)
@@ -132,13 +136,13 @@ class RunConfig:
     def conductivity(self, mesh: Mesh) -> ConductivityField:
         kind = self._get("conductivity", "kind")
         if kind == "homogeneous":
-            return ConductivityField.homogeneous(mesh, self.parser.getfloat("conductivity", "value"))
+            return ConductivityField.homogeneous(mesh, self._get("conductivity", "value", float))
         if kind == "inclusions":
             return ConductivityField.inclusions(
                 mesh,
-                circles=_parse_circles(self._get("conductivity", "circles")),
-                background=self.parser.getfloat("conductivity", "background"),
-                inclusion=self.parser.getfloat("conductivity", "inclusion"),
+                circles=self._get("conductivity", "circles", _parse_circles),
+                background=self._get("conductivity", "background", float),
+                inclusion=self._get("conductivity", "inclusion", float),
             )
         if kind == "file":
             path = self._resolve(self._get("conductivity", "path"), "conductivity.path")
@@ -148,34 +152,32 @@ class RunConfig:
         )
 
     def material(self) -> MaterialParams:
-        return MaterialParams(
-            self.parser.getfloat("material", "rho"), self.parser.getfloat("material", "c")
-        )
+        return MaterialParams(self._get("material", "rho", float), self._get("material", "c", float))
 
     def fourier_params(self) -> FourierParams:
         return FourierParams(
-            n_terms=self.parser.getint("samples", "n_terms"),
-            offset_ranges=_parse_ranges(self._get("samples", "offset_ranges"), "offset_ranges"),
-            amp_x_ranges=_parse_ranges(self._get("samples", "amp_x_ranges"), "amp_x_ranges"),
-            amp_y_ranges=_parse_ranges(self._get("samples", "amp_y_ranges"), "amp_y_ranges"),
-            freq_x_ranges=_parse_ranges(self._get("samples", "freq_x_ranges"), "freq_x_ranges"),
-            freq_y_ranges=_parse_ranges(self._get("samples", "freq_y_ranges"), "freq_y_ranges"),
+            n_terms=self._get("samples", "n_terms", int),
+            offset_ranges=self._get("samples", "offset_ranges", _parse_ranges),
+            amp_x_ranges=self._get("samples", "amp_x_ranges", _parse_ranges),
+            amp_y_ranges=self._get("samples", "amp_y_ranges", _parse_ranges),
+            freq_x_ranges=self._get("samples", "freq_x_ranges", _parse_ranges),
+            freq_y_ranges=self._get("samples", "freq_y_ranges", _parse_ranges),
         )
 
     def sample_counts(self) -> tuple[int, int, int]:
         return (
-            self.parser.getint("samples", "fourier"),
-            self.parser.getint("samples", "gaussian"),
-            self.parser.getint("samples", "constant"),
+            self._get("samples", "fourier", int),
+            self._get("samples", "gaussian", int),
+            self._get("samples", "constant", int),
         )
 
     @property
     def seed(self) -> int:
-        return self.parser.getint("run", "seed")
+        return self._get("run", "seed", int)
 
     @property
     def dt(self) -> float:
-        return self.parser.getfloat("train", "dt")
+        return self._get("train", "dt", float)
 
     @property
     def arch(self) -> str:
@@ -191,21 +193,19 @@ class RunConfig:
 
     @property
     def epochs(self) -> int:
-        return self.parser.getint("train", "epochs")
+        return self._get("train", "epochs", int)
 
     @property
     def batch_size(self) -> int:
-        return self.parser.getint("train", "batch_size")
+        return self._get("train", "batch_size", int)
 
     @property
     def lr(self) -> float:
-        return self.parser.getfloat("train", "lr")
+        return self._get("train", "lr", float)
 
     def hidden_spec(self):
-        text = self._get("train", "hidden")
-        if not text:
-            return None
-        return tuple(int(t) for t in text.split())
+        """Layer widths, or None (the architecture default) when blank."""
+        return self._get("train", "hidden", lambda text: tuple(int(t) for t in text.split())) or None
 
     def _resolve(self, value: str, key: str) -> Path:
         if not value:
@@ -218,18 +218,26 @@ class RunConfig:
         return path
 
 
-def load_run_config(path=None) -> RunConfig:
-    """Read a config file layered over the defaults; None gives pure defaults."""
+def _parser(text: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.read_string(DEFAULT_CONFIG)
+    parser.read_string(text)
+    return parser
+
+
+def load_run_config(path=None) -> RunConfig:
+    """Read a config file layered over the defaults, None giving pure defaults; a
+    [dirichlet] section in the file replaces the default left/right one whole."""
+    parser = _parser(DEFAULT_CONFIG)
     if path is None:
-        return RunConfig(DEFAULT_CONFIG, parser, Path.cwd())
+        return RunConfig(DEFAULT_CONFIG, parser, Path.cwd(), "default config")
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"config file not found: {p}")
     text = p.read_text()
     try:
+        if _parser(text).has_section("dirichlet"):
+            parser.remove_section("dirichlet")
         parser.read_string(text)
     except configparser.Error as exc:
         raise ValidationError(f"bad config file {p}: {exc}") from exc
-    return RunConfig(text, parser, p.parent.resolve())
+    return RunConfig(text, parser, p.parent.resolve(), str(p))

@@ -4,7 +4,6 @@ NN-vs-FE speed benchmark.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,12 +34,7 @@ class RolloutResult:
     """Autoregressive prediction; trajectory[0] is the initial full field."""
 
     trajectory: list[np.ndarray]
-    per_step_err: np.ndarray | None
     dt: float
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.trajectory) - 1
 
 
 @dataclass(frozen=True)
@@ -67,7 +61,7 @@ def rollout(model: ModelBundle, dofs: DofMap, t0: np.ndarray, n_steps: int) -> R
     for _ in range(n_steps):
         free = neural.forward_batch(model, free[None, :])[0]
         fields.append(dofs.merge(free))
-    return RolloutResult(fields, None, model.dt)
+    return RolloutResult(fields, model.dt)
 
 
 def relative_l2(t_nn: np.ndarray, t_fe: np.ndarray) -> float:
@@ -288,23 +282,6 @@ def benchmark_speed(
     defined = n_steps > 0 and t_nn > 0
     ratio = t_fe / t_nn if defined else float("nan")
     return BenchmarkResult(t_nn, t_fe, ratio, n_steps, repeats, defined)
-
-
-def write_error_csv(path, errors: np.ndarray, dt: float) -> None:
-    """Per-step relative error CSV: step, t, E_rr."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["step", "t", "E_rr"])
-        for i, e in enumerate(errors):
-            w.writerow([i, repr(float(i * dt)), repr(float(e))])
-
-
-def write_section_csv(path, section: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["coord", "value"])
-        for coord, val in section:
-            w.writerow([repr(float(coord)), repr(float(val))])
 
 
 def write_pgm(path, grid: np.ndarray) -> None:

@@ -7,7 +7,6 @@ are SPD for alpha in {0.5, 1}).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,10 +16,11 @@ import scipy.sparse as sp
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .fem import ReducedSystem, SystemMatrices, split_blocks
 from .mesh import DofMap, Mesh
-from .textio import read_nodal_csv
+from .textio import read_nodal_csv, write_csv
 
 DEFAULT_TOL = 1e-12
-# field CSV coordinates must match the mesh to this fraction of its extent
+# field CSV coordinates must match the mesh (or the field compared with) to this
+# fraction of its extent
 COORD_RTOL = 1e-12
 
 
@@ -30,10 +30,7 @@ class Trajectory:
 
     fields: list[np.ndarray]
     dt: float
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.fields) - 1
+    nodes: list[np.ndarray] | None = None  # each step's node x, y, when read from files
 
 
 def linear_solve_spd(A, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> np.ndarray:
@@ -115,12 +112,7 @@ def save_field(path, mesh: Mesh, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (mesh.n_nodes,):
         raise ValidationError(f"field shape {values.shape} does not match mesh ({mesh.n_nodes})")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["node_id", "x", "y", "T"])
-        for i in range(mesh.n_nodes):
-            w.writerow([i, repr(float(mesh.nodes[i, 0])), repr(float(mesh.nodes[i, 1])),
-                        repr(float(values[i]))])
+    write_csv(path, ["node_id", "x", "y", "T"], [range(mesh.n_nodes), *mesh.nodes.T, values])
 
 
 def load_field(path_or_file, mesh: Mesh | None = None) -> np.ndarray:
@@ -131,22 +123,33 @@ def load_field(path_or_file, mesh: Mesh | None = None) -> np.ndarray:
     coordinates (to 1e-12 of the mesh extent): the field was saved for
     another mesh.
     """
+    return _read_field(path_or_file, mesh)[0]
+
+
+def _read_field(path_or_file, mesh: Mesh | None):
+    """(T, x y) of a field CSV, checked as load_field describes."""
     columns = ["node_id", "x", "y", "T"]
     source, values, lines = read_nodal_csv(path_or_file, columns, None if mesh is None else mesh.n_nodes)
     bad = ~np.isfinite(values[:, 2])
     if bad.any():
         raise ValidationError(f"{source} line {lines[bad].min()}: T must be finite")
+    xy = values[:, :2]
     if mesh is not None:
-        tol = COORD_RTOL * np.abs(mesh.nodes).max(initial=0.0)
-        moved = ~(np.abs(values[:, :2] - mesh.nodes) <= tol).all(axis=1)
-        if moved.any():
-            e = np.flatnonzero(moved)[0]
+        e = moved_node(xy, mesh.nodes)
+        if e is not None:
             raise ValidationError(
-                f"{source} line {lines[e]}: node {e} lies at {tuple(values[e, :2].tolist())}, "
+                f"{source} line {lines[e]}: node {e} lies at {tuple(xy[e].tolist())}, "
                 f"the mesh has it at {tuple(mesh.nodes[e].tolist())}; "
                 f"was the field saved for another mesh?"
             )
-    return values[:, 2].copy()
+    return values[:, 2].copy(), xy
+
+
+def moved_node(xy: np.ndarray, nodes: np.ndarray) -> int | None:
+    """First node whose x, y differ from `nodes` by over COORD_RTOL of their extent, or None."""
+    tol = COORD_RTOL * np.abs(nodes).max(initial=0.0)
+    moved = np.flatnonzero(~(np.abs(xy - nodes) <= tol).all(axis=1))
+    return int(moved[0]) if moved.size else None
 
 
 def step_filename(i: int) -> str:
@@ -162,11 +165,11 @@ def save_trajectory(out_dir, mesh: Mesh, traj: Trajectory) -> None:
 
 def load_trajectory(in_dir, dt: float, mesh: Mesh | None = None) -> Trajectory:
     in_path = Path(in_dir)
-    fields = []
-    i = 0
-    while (in_path / step_filename(i)).exists():
-        fields.append(load_field(in_path / step_filename(i), mesh))
-        i += 1
+    fields, nodes = [], []
+    while (in_path / step_filename(len(fields))).exists():
+        t, xy = _read_field(in_path / step_filename(len(fields)), mesh)
+        fields.append(t)
+        nodes.append(xy)
     if not fields:
         raise ValidationError(f"no step_*.csv files found in {in_path}")
-    return Trajectory(fields, dt)
+    return Trajectory(fields, dt, nodes)

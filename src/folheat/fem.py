@@ -9,7 +9,6 @@ for the 2x2 rule (integrands are at most cubic per axis).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,14 +239,6 @@ def reduce_system(sys: SystemMatrices, dofs: DofMap, dt: float, alpha: float) ->
     b_ff = sp.csr_array(m_ff - ((1.0 - alpha) * dt) * k_ff)
     rhs_const = -dt * (k_fd @ dofs.constrained_values)
     return ReducedSystem(a_ff, b_ff, np.asarray(rhs_const), float(dt), float(alpha))
-
-
-def save_conductivity(path, k: ConductivityField) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["node_id", "k"])
-        for i, v in enumerate(k.values):
-            w.writerow([i, repr(float(v))])
 
 
 def load_conductivity(path_or_file, n_nodes: int | None = None) -> ConductivityField:

@@ -182,9 +182,14 @@ def save_sample_set(out_dir, ss: SampleSet, fp: FourierParams) -> None:
 
 
 def load_sample_set(in_dir) -> SampleSet:
+    """Read save_sample_set's output; a sidecar key it lacks is a ValidationError."""
     in_path = Path(in_dir)
     samples = np.load(in_path / "samples.npy")
-    meta = json.loads((in_path / "samples.json").read_text())
+    sidecar = in_path / "samples.json"
+    meta = json.loads(sidecar.read_text())
+    for key in ("n_samples", "n_free", "provenance", "seed", "fingerprint"):
+        if key not in meta:
+            raise ValidationError(f"{sidecar}: missing key {key!r}")
     if samples.shape != (meta["n_samples"], meta["n_free"]):
         raise ValidationError(
             f"samples.npy shape {samples.shape} disagrees with sidecar "

@@ -1,5 +1,5 @@
-"""Readers for the text formats: whitespace tokens (mesh, checkpoint) and
-nodal CSV tables (fields, conductivity).
+"""Readers and writers for the text formats: whitespace tokens (mesh,
+checkpoint) and CSV tables (fields, conductivity, errors, post-processing).
 
 Token comments run from ``#`` to end of line. Tokens may wrap across lines;
 the reader tracks line numbers so parse errors can point at the offending line.
@@ -68,6 +68,20 @@ def wrap_tokens(tokens, per_line: int = 8) -> str:
     for i in range(0, len(items), per_line):
         lines.append(" ".join(items[i : i + per_line]))
     return "\n".join(lines)
+
+
+def write_csv(path, header: list[str] | None, columns) -> None:
+    """Write 1-D columns of equal length as CSV, one row per index.
+
+    An optional header line comes first. Each value is written as the repr of
+    its Python scalar (shortest exact round trip; ints stay integers), and
+    every line ends with LF.
+    """
+    columns = [np.asarray(c).tolist() for c in columns]
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    head = "" if header is None else ",".join(header) + "\n"
+    text = head + "".join([row % values for values in zip(*columns)])
+    Path(path).write_text(text, newline="\n")  # no os.linesep translation
 
 
 def read_nodal_csv(path_or_file, columns: list[str], n_nodes: int | None = None):

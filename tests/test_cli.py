@@ -1,10 +1,19 @@
+import json
+import re
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from folheat.cli import main
 from folheat.config import load_run_config
-from folheat.evaluation import upsample_field
-from folheat.fe_solver import load_field
+from folheat.evaluation import canonical_test_fields, cross_section, heat_flux, upsample_field
+from folheat.fe_solver import load_field, solve_transient, step_filename
+from folheat.fem import assemble, reduce_system
+from folheat.mesh import build_dof_map
+
+REPO = Path(__file__).resolve().parent.parent
 
 SMOKE_CONFIG = """\
 [mesh]
@@ -102,6 +111,20 @@ class TestTrain:
         out = tmp_path / "run"
         assert run("train", "--config", smoke_cfg, "--samples", sdir,
                    "--out", out, "--log-every", 0) == 0
+
+    @pytest.mark.parametrize("key", ["fingerprint", "n_samples", "provenance"])
+    def test_sidecar_missing_key_is_validation_error(self, tmp_path, smoke_cfg, capsys, key):
+        sdir = tmp_path / "samples"
+        run("gen-samples", "--config", smoke_cfg, "--out", sdir)
+        meta = json.loads((sdir / "samples.json").read_text())
+        del meta[key]
+        (sdir / "samples.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert run("train", "--config", smoke_cfg, "--samples", sdir,
+                   "--out", tmp_path / "run", "--log-every", 0) == 1
+        err = capsys.readouterr().err
+        assert f"{sdir / 'samples.json'}: missing key {key!r}" in err
+        assert "Traceback" not in err
 
 
 class TestPredictAndSolve:
@@ -231,6 +254,21 @@ class TestEvaluate:
         assert run("evaluate", "--pred", bare[0], "--ref", bare[1], "--dt", 0.05,
                    "--out", tmp_path / "e.csv") == 0
 
+    def test_fields_of_different_meshes_refused(self, tmp_path, smoke_cfg, capsys):
+        wide = tmp_path / "wide.cfg"
+        wide.write_text(SMOKE_CONFIG.replace("ny = 3", "ny = 3\nwidth = 2.0"))
+        dirs = []
+        for cfg, tag in ((smoke_cfg, "unit"), (wide, "wide")):
+            dirs.append(tmp_path / tag)
+            assert run("solve-fem", "--config", cfg, "--init", "canonical:sin10y",
+                       "--steps", 2, "--out", dirs[-1]) == 0
+        capsys.readouterr()
+        assert run("evaluate", "--pred", dirs[0], "--ref", dirs[1],
+                   "--out", tmp_path / "e.csv") == 1
+        err = capsys.readouterr().err
+        assert str(dirs[0] / "step_0000.csv") in err and str(dirs[1] / "step_0000.csv") in err
+        assert not (tmp_path / "e.csv").exists()
+
     @pytest.mark.parametrize("dt", ["abc", "nan", "-1", "inf"])
     def test_bad_manifest_dt_is_validation_error(self, two_dirs, capsys, dt):
         tmp_path, ref = two_dirs
@@ -312,3 +350,78 @@ class TestDeterminismPipeline:
         for rel in ("run/model.folmodel", "run/loss_history.csv", "pred/step_0004.csv",
                     "ref/step_0004.csv", "errors.csv"):
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+class TestConfig:
+    @pytest.mark.parametrize("old, new, key", [
+        ("nx = 3", "nx = abc", "[mesh] nx"),
+        ("[run]", "[dirichlet]\nleft = abc\n\n[run]", "[dirichlet] left"),
+        ("epochs = 2", "epochs = 2.5", "[train] epochs"),
+        ("epochs = 2", "epochs = 2\ndt = fast", "[train] dt"),
+        ("epochs = 2", "epochs = 2\nhidden = 10 x", "[train] hidden"),
+        ("n_terms = 4", "n_terms = 4\noffset_ranges = 0:a", "[samples] offset_ranges"),
+        ("seed = 9", "seed = nine", "[run] seed"),
+    ])
+    def test_bad_value_names_file_and_key(self, tmp_path, capsys, old, new, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMOKE_CONFIG.replace(old, new))
+        assert run("train", "--config", cfg, "--out", tmp_path / "run", "--log-every", 0) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: {key}" in err
+        assert "Traceback" not in err
+
+    def test_readme_irregular_domain_recipe(self, tmp_path):
+        readme = (REPO / "README.md").read_text()
+        section = readme.split("## Irregular domains", 1)[1]
+        recipe = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+        assert "path = data/irregular.folmesh" in recipe
+        (tmp_path / "data").mkdir()
+        shutil.copy(REPO / "data" / "irregular.folmesh", tmp_path / "data")
+        cfg = tmp_path / "annulus.cfg"
+        cfg.write_text(recipe)
+        ref = tmp_path / "ref"
+        assert run("solve-fem", "--config", cfg, "--init", "canonical:sin10y",
+                   "--steps", 3, "--out", ref) == 0
+        assert run("evaluate", "--pred", ref, "--ref", ref, "--out", tmp_path / "e.csv") == 0
+        assert len((tmp_path / "e.csv").read_text().splitlines()) == 5
+
+
+class TestCsvOutputs:
+    def test_lf_only_and_exact_round_trip(self, tmp_path, smoke_cfg):
+        ref, post, train_dir = tmp_path / "ref", tmp_path / "post", tmp_path / "run"
+        assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:sin10y",
+                   "--steps", 2, "--out", ref) == 0
+        assert run("evaluate", "--pred", ref, "--ref", ref) == 0
+        assert run("train", "--config", smoke_cfg, "--out", train_dir, "--log-every", 0) == 0
+        assert run("postprocess", "--config", smoke_cfg, "--field", ref / "step_0002.csv",
+                   "--sections", "x=0.5,y=0.3", "--upsample", 9, "--out", post) == 0
+        written = sorted(tmp_path.rglob("*.csv"))
+        assert len(written) == 9
+        for path in written:
+            assert b"\r" not in path.read_bytes(), path
+
+        cfg = load_run_config(smoke_cfg)
+        mesh = cfg.build_mesh()
+        dofs = build_dof_map(mesh, cfg.dirichlet())
+        k = cfg.conductivity(mesh)
+        rs = reduce_system(assemble(mesh, k, cfg.material()), dofs, cfg.dt, 1.0)
+        fields = solve_transient(rs, dofs, canonical_test_fields(mesh, dofs)["sin10y"], 2).fields
+        for i, field in enumerate(fields):
+            assert np.array_equal(load_field(ref / step_filename(i), mesh), field)
+
+        def table(path):
+            return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+        ids = np.arange(mesh.n_nodes)
+        assert np.array_equal(table(ref / "errors.csv"),
+                              np.column_stack([np.arange(3), np.arange(3) * cfg.dt, np.zeros(3)]))
+        assert np.array_equal(table(post / "flux.csv"),
+                              np.column_stack([ids, mesh.nodes, heat_flux(mesh, k, fields[2])]))
+        for axis, value in (("x", 0.5), ("y", 0.3)):
+            assert np.array_equal(table(post / f"section_{axis}_{value}.csv"),
+                                  cross_section(mesh, fields[2], axis, value))
+        assert np.array_equal(np.loadtxt(post / "upsampled.csv", delimiter=","),
+                              upsample_field(mesh, fields[2], 9, 9))
+        manifest = (train_dir / "manifest.txt").read_text()
+        final_loss = float(re.search(r"^final_loss (\S+)$", manifest, re.M).group(1))
+        assert table(train_dir / "loss_history.csv")[-1, 1] == final_loss

@@ -30,7 +30,7 @@ class TestRollout:
         model = init_model("separated", mesh, dofs, seed=0)
         t0 = np.full(mesh.n_nodes, 0.5)
         res = rollout(model, dofs, t0, 0)
-        assert res.n_steps == 0
+        assert len(res.trajectory) == 1
         assert np.array_equal(res.trajectory[0], t0)
 
     def test_dirichlet_enforced_every_step(self, grid11):

@@ -13,12 +13,12 @@ from folheat.fem import (
     jacobian_det,
     load_conductivity,
     reduce_system,
-    save_conductivity,
     shape_gradients_ref,
     shape_values,
     split_blocks,
 )
 from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid, demo_irregular_mesh
+from folheat.textio import write_csv
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 RULE = gauss_rule_2x2()
@@ -347,14 +347,14 @@ class TestConductivity:
         m = build_structured_grid(3, 3, 1.0, 1.0)
         k = ConductivityField.inclusions(m, circles=((0.5, 0.5, 0.3),))
         path = tmp_path / "k.csv"
-        save_conductivity(path, k)
+        write_csv(path, ["node_id", "k"], [np.arange(m.n_nodes), k.values])
         k2 = load_conductivity(path, m.n_nodes)
         assert np.array_equal(k.values, k2.values)
 
     def test_csv_size_check(self, tmp_path):
         m = build_structured_grid(3, 3, 1.0, 1.0)
         path = tmp_path / "k.csv"
-        save_conductivity(path, ConductivityField.homogeneous(m))
+        write_csv(path, ["node_id", "k"], [np.arange(m.n_nodes), np.ones(m.n_nodes)])
         with pytest.raises(ValidationError):
             load_conductivity(path, 121)
 
