@@ -179,9 +179,13 @@ def cmd_gen_mesh(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .errors import ValidationError
     from .mesh import load_mesh
 
-    mesh = load_mesh(Path(args.mesh).read_text())
+    try:
+        mesh = load_mesh(Path(args.mesh).read_text())
+    except ValidationError as exc:
+        raise type(exc)(f"{args.mesh}: {exc}") from None
     print(f"{args.mesh}: valid ({mesh.n_nodes} nodes, {mesh.n_elems} elements, "
           f"tags {sorted(mesh.boundary_sets)})")
     return 0

@@ -9,6 +9,7 @@ it overrides.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,10 +107,14 @@ class RunConfig:
     source: str  # named in errors: the config file, or "default config"
 
     def _get(self, section: str, key: str, kind=str):
-        """[section] key read by kind; a ValueError from kind is a ValidationError."""
+        """[section] key read by kind; a ValueError from kind, or a float that is
+        not finite, is a ValidationError."""
         text = self.parser.get(section, key).strip()
         try:
-            return kind(text)
+            value = kind(text)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError("not a finite number")
+            return value
         except ValueError as exc:
             raise ValidationError(f"{self.source}: [{section}] {key} = {text!r}: {exc}") from None
 
@@ -124,7 +129,10 @@ class RunConfig:
             )
         if source == "file":
             path = self._resolve(self._get("mesh", "path"), "mesh.path")
-            return load_mesh(path.read_text())
+            try:
+                return load_mesh(path.read_text())
+            except ValidationError as exc:
+                raise type(exc)(f"{path}: {exc}") from None
         raise ValidationError(f"mesh.source must be 'structured' or 'file', got {source!r}")
 
     def dirichlet(self) -> DirichletSpec:
@@ -219,7 +227,9 @@ class RunConfig:
 
 
 def _parser(text: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # keys keep their case (boundary tags are case-sensitive); % is literal
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    parser.optionxform = str
     parser.read_string(text)
     return parser
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -124,8 +125,8 @@ def build_structured_grid(nx: int, ny: int, width: float, height: float) -> Mesh
     """
     if nx < 2 or ny < 2:
         raise ValidationError(f"grid needs at least 2 nodes per direction, got {nx}x{ny}")
-    if width <= 0 or height <= 0:
-        raise ValidationError(f"domain size must be positive, got {width} x {height}")
+    if not (np.isfinite([width, height]).all() and width > 0 and height > 0):
+        raise ValidationError(f"domain size must be positive and finite, got {width} x {height}")
     xs = np.linspace(0.0, width, nx)
     ys = np.linspace(0.0, height, ny)
     xx, yy = np.meshgrid(xs, ys, indexing="xy")  # row-major over y-rows
@@ -227,21 +228,18 @@ def _fingerprint(m: Mesh, constrained_nodes: np.ndarray, constrained_values: np.
     return h.hexdigest()[:16]
 
 
+def _rows(table: np.ndarray):
+    """Tokens of ``id value...`` rows, one row per table row."""
+    return chain.from_iterable(zip(range(len(table)), *table.T.tolist()))
+
+
 def serialize_mesh(m: Mesh) -> str:
     """Render a mesh in the versioned text format (see load_mesh)."""
-    out = [f"{MESH_FORMAT} {MESH_VERSION}"]
-    out.append(f"nodes {m.n_nodes}")
-    for i, (x, y) in enumerate(m.nodes):
-        out.append(f"{i} {float(x)!r} {float(y)!r}")
-    out.append(f"elems {m.n_elems}")
-    for e, conn in enumerate(m.elems):
-        out.append(f"{e} {conn[0]} {conn[1]} {conn[2]} {conn[3]}")
-    for tag in m.boundary_sets:
-        ids = m.boundary_sets[tag]
-        out.append(f"bset {tag} {ids.size}")
-        if ids.size:
-            out.append(wrap_tokens(ids.tolist(), per_line=16))
-    return "\n".join(out) + "\n"
+    out = [f"{MESH_FORMAT} {MESH_VERSION}\n", f"nodes {m.n_nodes}\n", wrap_tokens(_rows(m.nodes), 3),
+           f"elems {m.n_elems}\n", wrap_tokens(_rows(m.elems), 5)]
+    for tag, ids in m.boundary_sets.items():
+        out += [f"bset {tag} {ids.size}\n", wrap_tokens(ids.tolist(), 16)]
+    return "".join(out)
 
 
 def load_mesh(text: str) -> Mesh:
@@ -258,39 +256,20 @@ def load_mesh(text: str) -> Mesh:
     """
     r = TokenReader(text)
     r.expect(MESH_FORMAT)
-    version = r.next_int("format version")
+    version = r.next_token("format version", int)
     if version != MESH_VERSION:
         r.fail(f"unsupported {MESH_FORMAT} version {version}")
-
-    r.expect("nodes")
-    n_nodes = r.next_int("node count")
-    nodes = np.zeros((n_nodes, 2))
-    for i in range(n_nodes):
-        nid = r.next_int("node id")
-        if nid != i:
-            r.fail(f"node ids must be contiguous from 0, expected {i} got {nid}")
-        nodes[i, 0] = r.next_float("x coordinate")
-        nodes[i, 1] = r.next_float("y coordinate")
-
-    r.expect("elems")
-    n_elems = r.next_int("element count")
-    elems = np.zeros((n_elems, 4), dtype=np.int64)
-    for e in range(n_elems):
-        eid = r.next_int("element id")
-        if eid != e:
-            r.fail(f"element ids must be contiguous from 0, expected {e} got {eid}")
-        for j in range(4):
-            elems[e, j] = r.next_int("connectivity node id")
-
+    nodes = np.column_stack(r.next_rows("node", r.next_keyed("nodes", int),
+                                        ("x coordinate", float), ("y coordinate", float)))
+    connectivity = [("connectivity node id", int)] * 4
+    elems = np.column_stack(r.next_rows("element", r.next_keyed("elems", int), *connectivity))
     boundary_sets: dict[str, np.ndarray] = {}
     while not r.exhausted():
-        r.expect("bset")
-        tag = r.next_str("boundary tag")
+        tag = r.next_keyed("bset")
         if tag in boundary_sets:
             r.fail(f"duplicate boundary tag {tag!r}")
-        count = r.next_int("boundary node count")
-        boundary_sets[tag] = np.array([r.next_int("boundary node id") for _ in range(count)],
-                                      dtype=np.int64)
+        (boundary_sets[tag],) = r.next_block(r.next_token("boundary node count", int),
+                                             ("boundary node id", int))
 
     del r  # free the token list before validate_mesh allocates its batched arrays
     mesh = Mesh(nodes, elems, boundary_sets)

@@ -323,110 +323,95 @@ def backprop(m: ModelBundle, tape: ForwardTape, d_out: np.ndarray) -> np.ndarray
 
 def save_model(m: ModelBundle, path) -> None:
     """Write the versioned text checkpoint (exact decimal round trip)."""
-    lines = [f"{CHECKPOINT_FORMAT} {CHECKPOINT_VERSION}"]
-    lines.append(f"arch {m.arch}")
-    lines.append(f"activation {m.activation}")
-    lines.append(f"n_free {m.n_free}")
-    lines.append(f"fingerprint {m.grid_meta}")
-    lines.append(f"dt {float(m.dt)!r}")
-    lines.append(f"groups {len(m.groups)}")
+    out = [f"{CHECKPOINT_FORMAT} {CHECKPOINT_VERSION}\narch {m.arch}\nactivation {m.activation}\n"
+           f"n_free {m.n_free}\nfingerprint {m.grid_meta}\ndt {float(m.dt)!r}\n"
+           f"groups {len(m.groups)}\n"]
     for gi, g in enumerate(m.groups):
-        lines.append(f"group {gi} nets {g.n_nets} layers {g.n_layers}")
-        lines.append(f"outslots {g.out_slots.size}")
-        lines.append(wrap_tokens(g.out_slots.tolist(), per_line=16))
+        out += [f"group {gi} nets {g.n_nets} layers {g.n_layers}\noutslots {g.out_slots.size}\n",
+                wrap_tokens(g.out_slots.tolist(), 16)]
         if g.in_slots is None:
-            lines.append("input full")
+            out.append("input full\n")
         else:
-            lines.append(f"input {g.in_slots.shape[1]}")
-            lines.append(wrap_tokens(g.in_slots.ravel().tolist(), per_line=16))
-        for l in range(g.n_layers):
-            w, b = g.weights[l], g.biases[l]
-            lines.append(f"layer {l} out {w.shape[1]} in {w.shape[2]}")
-            lines.append("weights")
-            lines.append(wrap_tokens([repr(float(v)) for v in w.ravel()], per_line=6))
-            lines.append("biases")
-            lines.append(wrap_tokens([repr(float(v)) for v in b.ravel()], per_line=6))
-    lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n")
+            out += [f"input {g.in_slots.shape[1]}\n", wrap_tokens(g.in_slots.ravel().tolist(), 16)]
+        for l, (w, b) in enumerate(zip(g.weights, g.biases)):
+            out += [f"layer {l} out {w.shape[1]} in {w.shape[2]}\nweights\n",
+                    wrap_tokens(w.ravel().tolist(), 6), "biases\n", wrap_tokens(b.ravel().tolist(), 6)]
+    out.append("end\n")
+    Path(path).write_text("".join(out))
 
 
 def load_model(path_or_text, dofs: DofMap | None = None) -> ModelBundle:
     """Read a checkpoint; verifies the dof fingerprint when `dofs` is given."""
     if isinstance(path_or_text, str) and path_or_text.lstrip().startswith(CHECKPOINT_FORMAT):
-        text = path_or_text
+        text, source = path_or_text, "checkpoint"
     else:
-        text = Path(path_or_text).read_text()
-    r = TokenReader(text, error_cls=ValidationError)
-    r.expect(CHECKPOINT_FORMAT)
-    version = r.next_int("checkpoint version")
-    if version != CHECKPOINT_VERSION:
-        r.fail(f"unsupported {CHECKPOINT_FORMAT} version {version}")
-    r.expect("arch")
-    arch = r.next_str("architecture")
-    if arch not in ARCHITECTURES:
-        r.fail(f"unknown architecture {arch!r}")
-    r.expect("activation")
-    activation = r.next_str("activation")
-    if activation not in ACTIVATIONS:
-        r.fail(f"unknown activation {activation!r}")
-    r.expect("n_free")
-    n_free = r.next_int("n_free")
-    r.expect("fingerprint")
-    fingerprint = r.next_str("fingerprint")
-    r.expect("dt")
-    dt = r.next_float("dt")
-    r.expect("groups")
-    n_groups = r.next_int("group count")
+        text, source = Path(path_or_text).read_text(), str(path_or_text)
+    r = TokenReader(text, error_cls=ValidationError, source=source)
 
+    def positive(word):
+        if (value := r.next_keyed(word, int)) < 1:
+            r.fail(f"{word} must be positive, got {value}")
+        return value
+
+    r.expect(CHECKPOINT_FORMAT)
+    if (version := r.next_token("checkpoint version", int)) != CHECKPOINT_VERSION:
+        r.fail(f"unsupported {CHECKPOINT_FORMAT} version {version}")
+    if (arch := r.next_keyed("arch")) not in ARCHITECTURES:
+        r.fail(f"unknown architecture {arch!r}")
+    if (activation := r.next_keyed("activation")) not in ACTIVATIONS:
+        r.fail(f"unknown activation {activation!r}")
+    n_free, fingerprint, dt = positive("n_free"), r.next_keyed("fingerprint"), r.next_keyed("dt", float)
     groups = []
-    for gi in range(n_groups):
-        r.expect("group")
-        if r.next_int("group index") != gi:
+    for gi in range(positive("groups")):
+        if r.next_keyed("group", int) != gi:
             r.fail("group indices must be contiguous")
-        r.expect("nets")
-        n_nets = r.next_int("net count")
-        r.expect("layers")
-        n_layers = r.next_int("layer count")
-        r.expect("outslots")
-        n_slots = r.next_int("output slot count")
-        out_slots = np.array([r.next_int("output slot") for _ in range(n_slots)], dtype=np.int64)
-        r.expect("input")
-        tok = r.next_str("input spec")
-        if tok == "full":
-            in_slots = None
-        else:
-            try:
-                stencil = int(tok)
-            except ValueError:
-                r.fail(f"expected 'full' or a stencil size, got {tok!r}")
-            flat = [r.next_int("input slot") for _ in range(n_nets * stencil)]
-            in_slots = np.array(flat, dtype=np.int64).reshape(n_nets, stencil)
+        n_nets, n_layers = positive("nets"), positive("layers")
+        (out_slots,) = r.next_block(r.next_keyed("outslots", int), ("output slot", int))
+        in_slots = None
+        if (spec := r.next_keyed("input")) != "full":
+            stencil = int(spec) if spec.isdecimal() else 0
+            if stencil < 1:
+                r.fail(f"expected 'full' or a positive stencil size, got {spec!r}")
+            in_slots = r.next_block(n_nets * stencil, ("input slot", int))[0].reshape(n_nets, stencil)
         weights, biases = [], []
         for l in range(n_layers):
-            r.expect("layer")
-            if r.next_int("layer index") != l:
+            if r.next_keyed("layer", int) != l:
                 r.fail("layer indices must be contiguous")
-            r.expect("out")
-            d_out = r.next_int("layer out dim")
-            r.expect("in")
-            d_in = r.next_int("layer in dim")
+            d_out, d_in = positive("out"), positive("in")
             r.expect("weights")
-            w = np.array(
-                [r.next_float("weight") for _ in range(n_nets * d_out * d_in)]
-            ).reshape(n_nets, d_out, d_in)
+            (w,) = r.next_block(n_nets * d_out * d_in, ("weight", float))
             r.expect("biases")
-            b = np.array([r.next_float("bias") for _ in range(n_nets * d_out)]).reshape(
-                n_nets, d_out
-            )
-            weights.append(w)
-            biases.append(b)
+            (b,) = r.next_block(n_nets * d_out, ("bias", float))
+            weights.append(w.reshape(n_nets, d_out, d_in))
+            biases.append(b.reshape(n_nets, d_out))
         groups.append(NetGroup(out_slots, in_slots, weights, biases))
     r.expect("end")
 
     model = ModelBundle(arch, activation, n_free, groups, fingerprint, dt)
+    _check_wiring(model, source)
     if dofs is not None:
         check_fingerprint(model, dofs)
     return model
+
+
+def _check_wiring(m: ModelBundle, source: str) -> None:
+    """Refuse groups that do not map the free field onto every free slot once."""
+    slots = np.concatenate([g.out_slots for g in m.groups])
+    if slots.size != m.n_free or not np.array_equal(np.sort(slots), np.arange(m.n_free)):
+        raise ValidationError(f"{source}: output slots of all groups must be a "
+                              f"permutation of 0..{m.n_free - 1}")
+    for gi, g in enumerate(m.groups):
+        width = m.n_free if g.in_slots is None else g.in_slots.shape[1]
+        if g.in_slots is not None and (g.in_slots.min() < 0 or g.in_slots.max() >= m.n_free):
+            raise ValidationError(f"{source}: group {gi} input slots must lie in [0, {m.n_free})")
+        for l, w in enumerate(g.weights):
+            if w.shape[2] != width:
+                raise ValidationError(
+                    f"{source}: group {gi} layer {l} reads {w.shape[2]} inputs, expected {width}")
+            width = w.shape[1]
+        if g.n_nets * width != g.out_slots.size:
+            raise ValidationError(f"{source}: group {gi} has {g.n_nets} nets of {width} outputs "
+                                  f"for {g.out_slots.size} output slots")
 
 
 def check_fingerprint(m: ModelBundle, dofs: DofMap) -> None:

@@ -182,17 +182,24 @@ def save_sample_set(out_dir, ss: SampleSet, fp: FourierParams) -> None:
 
 
 def load_sample_set(in_dir) -> SampleSet:
-    """Read save_sample_set's output; a sidecar key it lacks is a ValidationError."""
+    """Read save_sample_set's output; a sidecar that is not a JSON object with
+    every key, or a sample that is not finite, is a ValidationError."""
     in_path = Path(in_dir)
     samples = np.load(in_path / "samples.npy")
     sidecar = in_path / "samples.json"
-    meta = json.loads(sidecar.read_text())
+    try:
+        meta = json.loads(sidecar.read_text())
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ValidationError(f"{sidecar}: not JSON: {exc}") from None
     for key in ("n_samples", "n_free", "provenance", "seed", "fingerprint"):
-        if key not in meta:
+        if not isinstance(meta, dict) or key not in meta:
             raise ValidationError(f"{sidecar}: missing key {key!r}")
     if samples.shape != (meta["n_samples"], meta["n_free"]):
         raise ValidationError(
             f"samples.npy shape {samples.shape} disagrees with sidecar "
             f"({meta['n_samples']}, {meta['n_free']})"
         )
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    if bad.size:
+        raise ValidationError(f"{in_path / 'samples.npy'}: sample {bad[0]} holds a non-finite value")
     return SampleSet(samples, meta["provenance"], meta["seed"], meta["fingerprint"])

@@ -2,72 +2,109 @@
 checkpoint) and CSV tables (fields, conductivity, errors, post-processing).
 
 Token comments run from ``#`` to end of line. Tokens may wrap across lines;
-the reader tracks line numbers so parse errors can point at the offending line.
+a parse error names the line of the offending token.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MeshFormatError, ValidationError
 
+_DTYPES = {int: np.int64, float: np.float64}
+
 
 class TokenReader:
-    def __init__(self, text: str, *, error_cls=MeshFormatError):
-        self._tokens: list[tuple[int, str]] = []
-        self._error_cls = error_cls
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0]
-            for tok in body.split():
-                self._tokens.append((lineno, tok))
-        self._pos = 0
+    """The whitespace tokens of a text, read front to back; numbers convert with
+    ``int`` or a finite ``float``. Errors name ``source`` and the token's line."""
 
-    def fail(self, message: str):
-        lineno = self._tokens[self._pos - 1][0] if self._tokens else 0
-        raise self._error_cls(f"line {lineno}: {message}")
+    def __init__(self, text: str, *, error_cls=MeshFormatError, source: str | None = None):
+        if "#" in text:
+            text = "\n".join([line.split("#", 1)[0] for line in text.splitlines()])
+        self._text = text
+        self._tokens = text.split()
+        self._pos = 0
+        self._error_cls = error_cls
+        self._source = f"{source}: " if source else ""
+
+    def fail(self, message: str, index: int | None = None):
+        """Raise an error at the token index, by default the last token read."""
+        line_ends = np.cumsum([len(line.split()) for line in self._text.splitlines()])
+        lineno = bisect_right(line_ends, self._pos - 1 if index is None else index) + 1
+        raise self._error_cls(f"{self._source}line {lineno}: {message}")
 
     def exhausted(self) -> bool:
         return self._pos >= len(self._tokens)
 
-    def next_str(self, what: str = "token") -> str:
-        if self.exhausted():
-            lineno = self._tokens[-1][0] if self._tokens else 0
-            raise self._error_cls(f"line {lineno}: unexpected end of file, expected {what}")
-        lineno, tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
+    def _take(self, n: int, what: str) -> list[str]:
+        if n < 0:
+            self.fail(f"negative {what} count {n}")
+        if self._pos + n > len(self._tokens):
+            self.fail(f"unexpected end of file, expected {what}", len(self._tokens) - 1)
+        self._pos += n
+        return self._tokens[self._pos - n : self._pos]
 
-    def next_int(self, what: str = "integer") -> int:
-        tok = self.next_str(what)
-        try:
-            return int(tok)
-        except ValueError:
-            self.fail(f"expected {what}, got {tok!r}")
+    def next_token(self, what: str, kind=str):
+        """The next token, as a str or converted by kind (int or float)."""
+        if kind is str:
+            return self._take(1, what)[0]
+        return self.next_block(1, (what, kind))[0].item()
 
-    def next_float(self, what: str = "number") -> float:
-        tok = self.next_str(what)
+    def next_keyed(self, word: str, kind=str):
+        """The value of a ``word value`` pair."""
+        self.expect(word)
+        return self.next_token(word, kind)
+
+    def next_block(self, n_rows: int, *columns) -> list[np.ndarray]:
+        """The next n_rows rows of one token per column, as one array per column.
+
+        Each column is a (what, kind) pair, kind int or float. An error names
+        the line of the first token that does not convert.
+        """
+        start, width = self._pos, len(columns)
+        tokens = self._take(n_rows * width, columns[0][0])
         try:
-            return float(tok)
-        except ValueError:
-            self.fail(f"expected {what}, got {tok!r}")
+            out = [np.fromiter(map(kind, tokens[j::width]), _DTYPES[kind], n_rows)
+                   for j, (_, kind) in enumerate(columns)]
+            if all(np.isfinite(a).all() for a in out):
+                return out
+        except (ValueError, OverflowError):
+            pass
+        for i, tok in enumerate(tokens):
+            what, kind = columns[i % width]
+            try:
+                ok = np.isfinite(_DTYPES[kind](kind(tok)))
+            except (ValueError, OverflowError):
+                ok = False
+            if not ok:
+                self.fail(f"expected {'finite ' * (kind is float)}{what}, got {tok!r}", start + i)
+
+    def next_rows(self, what: str, n_rows: int, *columns) -> list[np.ndarray]:
+        """The value columns of n_rows rows ``id value...``, ids 0..n_rows-1 in order."""
+        start = self._pos
+        ids, *values = self.next_block(n_rows, (f"{what} id", int), *columns)
+        wrong = np.flatnonzero(ids != np.arange(n_rows))
+        if wrong.size:
+            i = wrong[0]
+            self.fail(f"{what} ids must be contiguous from 0, expected {i} got {ids[i]}",
+                      start + i * (1 + len(columns)))
+        return values
 
     def expect(self, word: str):
-        tok = self.next_str(repr(word))
+        tok = self.next_token(repr(word))
         if tok != word:
             self.fail(f"expected {word!r}, got {tok!r}")
 
 
-def wrap_tokens(tokens, per_line: int = 8) -> str:
-    """Render tokens as text wrapped to ``per_line`` items per line."""
-    items = [str(t) for t in tokens]
-    lines = []
-    for i in range(0, len(items), per_line):
-        lines.append(" ".join(items[i : i + per_line]))
-    return "\n".join(lines)
+def wrap_tokens(tokens, per_line: int) -> str:
+    """Tokens as text, ``per_line`` to a line, each line ending in LF."""
+    items = list(map(str, tokens))
+    return "".join([" ".join(items[i : i + per_line]) + "\n" for i in range(0, len(items), per_line)])
 
 
 def write_csv(path, header: list[str] | None, columns) -> None:

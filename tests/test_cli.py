@@ -61,6 +61,26 @@ class TestGenMesh:
         bad.write_text("folmesh 1\nnodes 1\n0 0.0\n")  # truncated node line
         assert run("validate", "--mesh", bad) == 1
 
+    def test_non_finite_width_is_validation_error(self, tmp_path, capsys):
+        assert run("gen-mesh", "--nx", 3, "--ny", 3, "--width", "nan", "--out", tmp_path / "m") == 1
+        assert "positive and finite, got nan x 1.0" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_validate_rejects_non_finite_coordinate(self, tmp_path, capsys):
+        mesh = tmp_path / "m.folmesh"
+        run("gen-mesh", "--nx", 3, "--ny", 3, "--out", mesh)
+        mesh.write_text(mesh.read_text().replace("4 0.5 0.5", "4 nan 0.5"))
+        capsys.readouterr()
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("[mesh]\nsource = file\npath = m.folmesh\n")
+        for args in (["validate", "--mesh", mesh],
+                     ["solve-fem", "--config", cfg, "--init", "canonical:const05", "--steps", 1,
+                      "--out", tmp_path / "ref"]):
+            assert run(*args) == 1
+            err = capsys.readouterr().err
+            assert f"{mesh}: line 7: expected finite x coordinate, got 'nan'" in err
+            assert "Traceback" not in err
+
     def test_unknown_flag_is_validation_error(self, tmp_path):
         assert run("gen-mesh", "--nx", 3, "--ny", 3, "--frobnicate", 1,
                    "--out", tmp_path / "m") == 1
@@ -125,6 +145,29 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"{sdir / 'samples.json'}: missing key {key!r}" in err
         assert "Traceback" not in err
+
+    def test_sidecar_not_json_is_validation_error(self, tmp_path, smoke_cfg, capsys):
+        sdir = tmp_path / "samples"
+        run("gen-samples", "--config", smoke_cfg, "--out", sdir)
+        (sdir / "samples.json").write_text("{\n")
+        capsys.readouterr()
+        assert run("train", "--config", smoke_cfg, "--samples", sdir,
+                   "--out", tmp_path / "run", "--log-every", 0) == 1
+        err = capsys.readouterr().err
+        assert f"{sdir / 'samples.json'}: not JSON" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_sample_is_validation_error(self, tmp_path, smoke_cfg, capsys):
+        sdir = tmp_path / "samples"
+        run("gen-samples", "--config", smoke_cfg, "--out", sdir)
+        samples = np.load(sdir / "samples.npy")
+        samples[4, 1] = np.nan
+        np.save(sdir / "samples.npy", samples)
+        capsys.readouterr()
+        assert run("train", "--config", smoke_cfg, "--samples", sdir,
+                   "--out", tmp_path / "run", "--log-every", 0) == 1
+        err = capsys.readouterr().err
+        assert f"{sdir / 'samples.npy'}: sample 4 holds a non-finite value" in err
 
 
 class TestPredictAndSolve:
@@ -361,6 +404,9 @@ class TestConfig:
         ("epochs = 2", "epochs = 2\nhidden = 10 x", "[train] hidden"),
         ("n_terms = 4", "n_terms = 4\noffset_ranges = 0:a", "[samples] offset_ranges"),
         ("seed = 9", "seed = nine", "[run] seed"),
+        ("nx = 3", "nx = 5%", "[mesh] nx"),
+        ("nx = 3", "nx = 3\nwidth = nan", "[mesh] width"),
+        ("nx = 3", "nx = 3\nheight = -inf", "[mesh] height"),
     ])
     def test_bad_value_names_file_and_key(self, tmp_path, capsys, old, new, key):
         cfg = tmp_path / "bad.cfg"
@@ -384,6 +430,14 @@ class TestConfig:
                    "--steps", 3, "--out", ref) == 0
         assert run("evaluate", "--pred", ref, "--ref", ref, "--out", tmp_path / "e.csv") == 0
         assert len((tmp_path / "e.csv").read_text().splitlines()) == 5
+
+    def test_dirichlet_key_keeps_its_case(self, tmp_path):
+        mesh = (REPO / "data" / "irregular.folmesh").read_text()
+        (tmp_path / "ring.folmesh").write_text(mesh.replace("bset inner", "bset Inner"))
+        cfg = tmp_path / "ring.cfg"
+        cfg.write_text("[mesh]\nsource = file\npath = ring.folmesh\n[dirichlet]\nInner = 1.0\n")
+        assert run("solve-fem", "--config", cfg, "--init", "canonical:const05",
+                   "--steps", 1, "--out", tmp_path / "ref") == 0
 
 
 class TestCsvOutputs:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,11 @@ class TestStructuredGrid:
             build_structured_grid(1, 5, 1.0, 1.0)
         with pytest.raises(ValidationError):
             build_structured_grid(3, 3, 0.0, 1.0)
+        for size in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="positive and finite"):
+                build_structured_grid(3, 3, size, 1.0)
+            with pytest.raises(ValidationError, match="positive and finite"):
+                build_structured_grid(3, 3, 1.0, size)
 
     def test_corner_nodes_in_both_tags(self):
         m = build_structured_grid(4, 4, 1.0, 1.0)
@@ -129,6 +136,24 @@ class TestMeshFile:
         text = "folmesh 1\nnodes 2\n0 0.0 zero\n1 1.0 0.0\nelems 0\n"
         with pytest.raises(MeshFormatError, match="line 3"):
             load_mesh(text)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("2 1.0 0.0", "2 1.0 zero", "line 5: expected finite y coordinate, got 'zero'"),
+        ("2 1.0 0.0", "2 nan 0.0", "line 5: expected finite x coordinate, got 'nan'"),
+        ("2 1.0 0.0", "2 1.0 -1e999", "line 5: expected finite y coordinate, got '-1e999'"),
+        ("2 1.0 0.0", "7 1.0 0.0", "line 5: node ids must be contiguous from 0, expected 2 got 7"),
+        ("0 0 1 4 3", "0 0 1 4.0 3", "line 13: expected connectivity node id, got '4.0'"),
+        ("0 0 1 4 3", "x 0 1 4 3", "line 13: expected element id, got 'x'"),
+        ("0 3 6", "0 3 six", "line 19: expected boundary node id, got 'six'"),
+        ("bset left 3", "bset left -3", "line 18: negative boundary node id count -3"),
+        ("bset top 3", "bset top 4", "line 25: unexpected end of file, expected boundary node id"),
+    ])
+    def test_bad_token_names_its_line(self, old, new, message):
+        text = serialize_mesh(build_structured_grid(3, 3, 1.0, 1.0))
+        text = text.replace("bset left", "bset empty 0\nbset left")  # an empty set first
+        assert old in text
+        with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$"):
+            load_mesh(text.replace(old, new, 1))
 
     def test_bad_header(self):
         with pytest.raises(MeshFormatError):

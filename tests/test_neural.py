@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,60 @@ class TestCheckpoint:
         )
         with pytest.raises(FingerprintError):
             load_model(path, other)
+
+
+class TestCheckpointRefusals:
+    """Edits to a 3x3 elementwise checkpoint (hidden (2,)): group 0 has stencil
+    2 (slots 0, 2) on lines 8-23, group 1 stencil 3 (slot 1) on lines 24-38."""
+
+    @pytest.fixture()
+    def edit(self, tmp_path, grid3):
+        mesh, dofs = grid3
+        path = tmp_path / "m.folmodel"
+        save_model(init_model("elementwise", mesh, dofs, hidden_spec=(2,), seed=0), path)
+        lines = path.read_text().splitlines()
+        assert lines[10:12] == ["input 2", "0 1 1 2"] and lines[33] == "layer 1 out 1 in 2"
+
+        def apply(changes):
+            """changes: {line number: new line, or (token index, new token)}."""
+            edited = list(lines)
+            for lineno, change in changes.items():
+                if isinstance(change, tuple):
+                    tokens = edited[lineno - 1].split()
+                    tokens[change[0]] = change[1]
+                    change = " ".join(tokens)
+                edited[lineno - 1] = change
+            path.write_text("\n".join(edited) + "\n")
+            return path
+
+        return apply
+
+    @pytest.mark.parametrize("lineno, index, token, message", [
+        (6, 1, "nan", "expected finite dt, got 'nan'"),
+        (10, 1, "two", "expected output slot, got 'two'"),
+        (12, 2, "x", "expected input slot, got 'x'"),
+        (16, 1, "nan", "expected finite weight, got 'nan'"),
+        (18, 1, "inf", "expected finite bias, got 'inf'"),
+        (23, 1, "-", "expected finite bias, got '-'"),
+    ])
+    def test_bad_token_names_file_and_line(self, edit, lineno, index, token, message):
+        path = edit({lineno: (index, token)})
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: line {lineno}: {message}")):
+            load_model(path)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({10: "0 7"}, "output slots of all groups must be a permutation of 0..2"),
+        ({10: "0 1"}, "output slots of all groups must be a permutation of 0..2"),
+        ({12: "0 1 1 3"}, "group 0 input slots must lie in [0, 3)"),
+        ({11: "input 1", 12: "0 2"}, "group 0 layer 0 reads 2 inputs, expected 1"),
+        ({34: "layer 1 out 2 in 1", 38: "0.0 0.0"}, "group 1 layer 1 reads 1 inputs, expected 2"),
+        ({34: "layer 1 out 2 in 2", 36: "0.5 0.5 0.5 0.5", 38: "0.0 0.0"},
+         "group 1 has 1 nets of 2 outputs for 1 output slots"),
+    ])
+    def test_inconsistent_wiring_refused(self, edit, changes, message):
+        path = edit(changes)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
 
 
 class TestIntrospection:
