@@ -125,7 +125,7 @@ def cross_section(mesh: Mesh, field: np.ndarray, axis: str, value: float) -> np.
     fixed = 0 if axis == "x" else 1
     moving = 1 - fixed
     coords = mesh.nodes[:, fixed]
-    if value < coords.min() - LINE_TOL or value > coords.max() + LINE_TOL:
+    if not coords.min() - LINE_TOL <= value <= coords.max() + LINE_TOL:  # NaN included
         raise ValidationError(
             f"{axis}={value} lies outside the domain range [{coords.min()}, {coords.max()}]"
         )
@@ -135,19 +135,18 @@ def cross_section(mesh: Mesh, field: np.ndarray, axis: str, value: float) -> np.
         pts = np.column_stack([mesh.nodes[on_line, moving], field[on_line]])
         return pts[np.argsort(pts[:, 0])]
 
-    seen = {}
-    for conn in mesh.elems:
-        for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
-            na, nb = conn[a], conn[b]
-            ca, cb = coords[na], coords[nb]
-            if (ca - value) * (cb - value) > 0 or ca == cb:
-                continue
-            t_param = (value - ca) / (cb - ca)
-            pos = mesh.nodes[na, moving] + t_param * (mesh.nodes[nb, moving] - mesh.nodes[na, moving])
-            val = field[na] + t_param * (field[nb] - field[na])
-            seen[round(pos / LINE_TOL)] = (pos, val)
-    pts = np.array(sorted(seen.values()), dtype=np.float64)
-    return pts.reshape(-1, 2)
+    # element edges in element order, each (0,1), (1,2), (2,3), (3,0)
+    na, nb = mesh.elems.ravel(), np.roll(mesh.elems, -1, axis=1).ravel()
+    ca, cb = coords[na], coords[nb]
+    crosses = ~((ca - value) * (cb - value) > 0) & (ca != cb)
+    na, nb, ca, cb = na[crosses], nb[crosses], ca[crosses], cb[crosses]
+    t_param = (value - ca) / (cb - ca)
+    pos = mesh.nodes[na, moving] + t_param * (mesh.nodes[nb, moving] - mesh.nodes[na, moving])
+    val = field[na] + t_param * (field[nb] - field[na])
+    # one point per round(pos / LINE_TOL), the last edge's; the key orders by pos
+    _, last = np.unique(np.round(pos / LINE_TOL)[::-1], return_index=True)
+    last = pos.size - 1 - last
+    return np.column_stack([pos[last], val[last]])
 
 
 def _expand(counts: np.ndarray):

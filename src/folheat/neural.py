@@ -17,6 +17,7 @@ outside [0, 1] are allowed and diagnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -205,6 +206,8 @@ def init_model(
     hidden = tuple(int(h) for h in (hidden_spec or DEFAULT_HIDDEN[arch]))
     if not hidden or min(hidden) < 1:
         raise ValidationError(f"hidden_spec must list positive widths, got {hidden}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError(f"dt must be positive and finite, got {dt}")
     n_free = dofs.n_free
     if n_free < 1:
         raise ValidationError("model needs at least one free dof")
@@ -361,6 +364,8 @@ def load_model(path_or_text, dofs: DofMap | None = None) -> ModelBundle:
     if (activation := r.next_keyed("activation")) not in ACTIVATIONS:
         r.fail(f"unknown activation {activation!r}")
     n_free, fingerprint, dt = positive("n_free"), r.next_keyed("fingerprint"), r.next_keyed("dt", float)
+    if dt <= 0:
+        r.fail(f"dt must be positive, got {dt}")
     groups = []
     for gi in range(positive("groups")):
         if r.next_keyed("group", int) != gi:

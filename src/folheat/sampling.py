@@ -5,11 +5,19 @@ Every generator min-max normalizes into [0, 1]; a field whose raw span is
 below 1e-12 collapses to the mid-range constant 0.5 instead of dividing by
 zero. Each sample draws from its own RNG stream derived from (seed, sample
 index), so generation is reproducible and order-independent.
+
+build_sample_set makes no scalar draw per term: it reads each trigonometric
+row's draws from the raw PCG64 words that the scalar draws would consume,
+and evaluates blocks of rows together, term by term in the scalar order. The
+corpus bits are those of gen_fourier row by row. A row where Lemire's integer
+bound could have rejected a draw takes the scalar draws, and so does every
+row of a call whose row 0 the raw words do not reproduce (numpy changed).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +27,8 @@ from .errors import ValidationError
 from .mesh import DofMap, Mesh
 
 DEGENERATE_SPAN = 1e-12
+# build_sample_set evaluates Fourier rows in blocks of about this many values
+BLOCK_VALUES = 1 << 16
 
 # interval menus the per-term parameters are drawn from: first pick an
 # interval uniformly, then a value uniformly within it
@@ -39,6 +49,8 @@ def _check_ranges(name, ranges):
     if not ranges:
         raise ValidationError(f"{name} must list at least one interval")
     for lo, hi in ranges:
+        if not (math.isfinite(lo) and math.isfinite(hi - lo)):
+            raise ValidationError(f"{name} interval ({lo}, {hi}) is not finite")
         if lo > hi:
             raise ValidationError(f"{name} interval ({lo}, {hi}) is not ordered")
 
@@ -81,17 +93,52 @@ class SampleSet:
         return self.samples.shape[0]
 
 
-def _minmax(values: np.ndarray) -> np.ndarray:
-    lo = values.min()
-    span = values.max() - lo
-    if span < DEGENERATE_SPAN:
-        return np.full(values.shape, 0.5)
-    return (values - lo) / span
+def _minmax_rows(values: np.ndarray) -> np.ndarray:
+    """Min-max normalize each row; a row spanning under DEGENERATE_SPAN becomes 0.5."""
+    lo = values.min(axis=1, keepdims=True)
+    span = values.max(axis=1, keepdims=True) - lo
+    flat = span < DEGENERATE_SPAN
+    out = (values - lo) / np.where(flat, 1.0, span)
+    out[flat[:, 0]] = 0.5
+    return out
+
+
+def _menus(fp: FourierParams) -> tuple:
+    """The five interval menus in the order each term draws from them."""
+    return (fp.offset_ranges, fp.amp_x_ranges, fp.amp_y_ranges, fp.freq_x_ranges, fp.freq_y_ranges)
 
 
 def _draw(ranges, rng) -> float:
     lo, hi = ranges[rng.integers(len(ranges))]
     return float(rng.uniform(lo, hi))
+
+
+def _scalar_draws(fp: FourierParams, rng: np.random.Generator) -> np.ndarray:
+    """(n_terms, 5) term parameters (offset, amp_x, amp_y, freq_x, freq_y) from rng."""
+    menus = _menus(fp)
+    return np.array([[_draw(menu, rng) for menu in menus] for _ in range(fp.n_terms)])
+
+
+def _distinct(values: np.ndarray):
+    """(distinct values, inverse index); -0.0 and 0.0 count as distinct."""
+    _, first, inverse = np.unique(values.view(np.uint64), return_index=True, return_inverse=True)
+    return values[first], inverse
+
+
+def _fourier_rows(draws: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Normalized trigonometric series for each row of draws (rows, n_terms, 5)
+    at the points (x, y); terms are added in order, as a scalar loop would.
+
+    Sines and cosines are taken once per distinct coordinate and gathered.
+    """
+    (ux, ix), (uy, iy) = _distinct(x), _distinct(y)
+    total = np.zeros((draws.shape[0], x.size))
+    for offset, amp_x, amp_y, freq_x, freq_y in draws.transpose(1, 2, 0)[..., None]:
+        fx, fy = freq_x * ux, freq_y * uy
+        a, b = (amp_x * np.sin(fx))[:, ix], (amp_y * np.cos(fx))[:, ix]  # amp_x * sx, amp_y * cx
+        sy, cy = np.sin(fy)[:, iy], np.cos(fy)[:, iy]
+        total += offset + a * cy + b * sy + a * sy + b * cy
+    return _minmax_rows(total)
 
 
 def gen_fourier(fp: FourierParams, mesh: Mesh, dofs: DofMap, rng: np.random.Generator) -> np.ndarray:
@@ -101,23 +148,12 @@ def gen_fourier(fp: FourierParams, mesh: Mesh, dofs: DofMap, rng: np.random.Gene
     interval menus; evaluate at the free-node coordinates; normalize.
     """
     xy = mesh.nodes[dofs.free]
-    x, y = xy[:, 0], xy[:, 1]
-    total = np.zeros(dofs.n_free)
-    for _ in range(fp.n_terms):
-        offset = _draw(fp.offset_ranges, rng)
-        amp_x = _draw(fp.amp_x_ranges, rng)
-        amp_y = _draw(fp.amp_y_ranges, rng)
-        freq_x = _draw(fp.freq_x_ranges, rng)
-        freq_y = _draw(fp.freq_y_ranges, rng)
-        sx, cx = np.sin(freq_x * x), np.cos(freq_x * x)
-        sy, cy = np.sin(freq_y * y), np.cos(freq_y * y)
-        total += offset + amp_x * sx * cy + amp_y * cx * sy + amp_x * sx * sy + amp_y * cx * cy
-    return _minmax(total)
+    return _fourier_rows(_scalar_draws(fp, rng)[None], xy[:, 0], xy[:, 1])[0]
 
 
 def gen_gaussian(mesh: Mesh, dofs: DofMap, rng: np.random.Generator) -> np.ndarray:
     """One white-noise field: i.i.d. standard normals per free node, normalized."""
-    return _minmax(rng.standard_normal(dofs.n_free))
+    return _minmax_rows(rng.standard_normal((1, dofs.n_free)))[0]
 
 
 def gen_constant(dofs: DofMap, rng: np.random.Generator) -> np.ndarray:
@@ -129,6 +165,73 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
+class _RawReplica:
+    """Reads a Fourier row's term draws from the raw PCG64 words that
+    _scalar_draws would consume from the same fresh generator.
+
+    numpy draws no integer for a menu of one interval. Other integer draws
+    take 32-bit halves, two consecutive draws sharing one word, low half
+    first; the index is (half * k) >> 32 (Lemire's bound). Each uniform draw
+    takes a whole word: lo + (hi - lo) * ((w >> 11) * 2**-53).
+    """
+
+    def __init__(self, fp: FourierParams):
+        menus = _menus(fp)
+        slots = [([], [], []) for _ in menus]  # per menu: integer words, their shifts, uniform words
+        n_words = n_ints = 0
+        for _ in range(fp.n_terms):
+            for menu, (int_words, shifts, uni_words) in zip(menus, slots):
+                if len(menu) > 1:
+                    if n_ints % 2 == 0:
+                        pending, n_words = n_words, n_words + 1
+                    int_words.append(pending)
+                    shifts.append(32 * (n_ints % 2))
+                    n_ints += 1
+                uni_words.append(n_words)
+                n_words += 1
+        self.fp, self.n_words = fp, n_words
+        self.plan = []
+        for menu, (int_words, shifts, uni_words) in zip(menus, slots):
+            lo, hi = np.array(menu, dtype=np.float64).T
+            self.plan.append((len(menu), lo, hi - lo, np.array(int_words, dtype=np.intp),
+                              np.array(shifts, dtype=np.uint64), np.array(uni_words, dtype=np.intp)))
+
+    def raw(self, seed: int, rows) -> np.ndarray:
+        """(rows, n_words) raw words of each row's fresh generator."""
+        return np.stack([_sample_rng(seed, row).bit_generator.random_raw(self.n_words) for row in rows])
+
+    def draws(self, raw: np.ndarray):
+        """(draws (rows, n_terms, 5), risky): a risky row is one where the
+        rejection step of Lemire's bound could have fired and consumed more."""
+        out = np.empty((raw.shape[0], self.fp.n_terms, len(self.plan)))
+        risky = np.zeros(raw.shape[0], dtype=bool)
+        for p, (k, lo, span, int_words, shifts, uni_words) in enumerate(self.plan):
+            idx = 0
+            if k > 1:
+                scaled = ((raw[:, int_words] >> shifts) & 0xFFFFFFFF) * np.uint64(k)
+                idx = (scaled >> 32).astype(np.intp)
+                risky |= ((scaled & 0xFFFFFFFF) < k).any(axis=1)
+            unit = (raw[:, uni_words] >> 11).astype(np.float64) * 2.0**-53
+            out[:, :, p] = lo[idx] + span[idx] * unit
+        return out, risky
+
+    def matches_scalar(self, seed: int) -> bool:
+        """Whether Fourier row 0's replica draws equal its scalar draws."""
+        draws, _ = self.draws(self.raw(seed, [0]))
+        return np.array_equal(draws[0], _scalar_draws(self.fp, _sample_rng(seed, 0)))
+
+
+def _fourier_draws(fp: FourierParams, replica: _RawReplica | None, seed: int, rows: range) -> np.ndarray:
+    """(rows, n_terms, 5) draws of the given Fourier rows; rows the replica
+    cannot vouch for, or every row without a replica, take the scalar path."""
+    if replica is None:
+        return np.stack([_scalar_draws(fp, _sample_rng(seed, row)) for row in rows])
+    draws, risky = replica.draws(replica.raw(seed, rows))
+    for i in np.flatnonzero(risky):
+        draws[i] = _scalar_draws(fp, _sample_rng(seed, rows[i]))
+    return draws
+
+
 def build_sample_set(
     counts: tuple[int, int, int],
     fp: FourierParams,
@@ -136,7 +239,11 @@ def build_sample_set(
     dofs: DofMap,
     seed: int,
 ) -> SampleSet:
-    """Generate (n_fourier, n_gaussian, n_constant) samples, in that order."""
+    """Generate (n_fourier, n_gaussian, n_constant) samples, in that order.
+
+    Fourier rows are built BLOCK_VALUES values at a time, from raw draws;
+    they equal gen_fourier with _sample_rng(seed, row) bitwise.
+    """
     n_fourier, n_gaussian, n_constant = counts
     if min(counts) < 0:
         raise ValidationError(f"sample counts must be >= 0, got {counts}")
@@ -144,10 +251,15 @@ def build_sample_set(
         raise ValidationError(f"seed must be >= 0, got {seed}")
     n_total = n_fourier + n_gaussian + n_constant
     samples = np.zeros((n_total, dofs.n_free))
-    row = 0
-    for _ in range(n_fourier):
-        samples[row] = gen_fourier(fp, mesh, dofs, _sample_rng(seed, row))
-        row += 1
+    xy = mesh.nodes[dofs.free]
+    replica = _RawReplica(fp)
+    if n_fourier and not replica.matches_scalar(seed):
+        replica = None  # numpy no longer draws as the replica assumes
+    block = max(1, BLOCK_VALUES // dofs.n_free)
+    for start in range(0, n_fourier, block):
+        rows = range(start, min(start + block, n_fourier))
+        samples[start:rows.stop] = _fourier_rows(_fourier_draws(fp, replica, seed, rows), xy[:, 0], xy[:, 1])
+    row = n_fourier
     for _ in range(n_gaussian):
         samples[row] = gen_gaussian(mesh, dofs, _sample_rng(seed, row))
         row += 1
@@ -182,10 +294,14 @@ def save_sample_set(out_dir, ss: SampleSet, fp: FourierParams) -> None:
 
 
 def load_sample_set(in_dir) -> SampleSet:
-    """Read save_sample_set's output; a sidecar that is not a JSON object with
-    every key, or a sample that is not finite, is a ValidationError."""
+    """Read save_sample_set's output; a samples.npy that does not load, a
+    sidecar that is not a JSON object with every key, or a sample that is not
+    finite, is a ValidationError."""
     in_path = Path(in_dir)
-    samples = np.load(in_path / "samples.npy")
+    try:
+        samples = np.load(in_path / "samples.npy")
+    except (ValueError, EOFError) as exc:  # truncated or not an .npy array
+        raise ValidationError(f"{in_path / 'samples.npy'}: not a readable .npy array: {exc}") from None
     sidecar = in_path / "samples.json"
     try:
         meta = json.loads(sidecar.read_text())

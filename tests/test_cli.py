@@ -157,6 +157,18 @@ class TestTrain:
         assert f"{sdir / 'samples.json'}: not JSON" in err
         assert "Traceback" not in err
 
+    def test_truncated_samples_file_is_validation_error(self, tmp_path, smoke_cfg, capsys):
+        sdir = tmp_path / "samples"
+        run("gen-samples", "--config", smoke_cfg, "--out", sdir)
+        npy = sdir / "samples.npy"
+        npy.write_bytes(npy.read_bytes()[:100])
+        capsys.readouterr()
+        assert run("train", "--config", smoke_cfg, "--samples", sdir,
+                   "--out", tmp_path / "run", "--log-every", 0) == 1
+        err = capsys.readouterr().err
+        assert f"{npy}: not a readable .npy array" in err
+        assert "Traceback" not in err
+
     def test_non_finite_sample_is_validation_error(self, tmp_path, smoke_cfg, capsys):
         sdir = tmp_path / "samples"
         run("gen-samples", "--config", smoke_cfg, "--out", sdir)
@@ -192,6 +204,14 @@ class TestPredictAndSolve:
     def test_unknown_canonical_name(self, tmp_path, smoke_cfg, trained):
         assert run("predict", "--config", smoke_cfg, "--checkpoint", trained,
                    "--init", "canonical:nope", "--steps", 1, "--out", tmp_path / "x") == 1
+
+    def test_negative_dt_checkpoint_refused(self, tmp_path, smoke_cfg, trained, capsys):
+        bad = tmp_path / "bad.folmodel"
+        bad.write_text(re.sub(r"(?m)^dt .*$", "dt -0.05", trained.read_text(), count=1))
+        capsys.readouterr()
+        assert run("predict", "--config", smoke_cfg, "--checkpoint", bad,
+                   "--init", "canonical:const05", "--steps", 1, "--out", tmp_path / "x") == 1
+        assert f"{bad}: line 6: dt must be positive, got -0.05" in capsys.readouterr().err
 
     def test_mismatched_grid_checkpoint(self, tmp_path, smoke_cfg, trained):
         big = tmp_path / "big.cfg"

@@ -164,6 +164,8 @@ class TestCrossSection:
         mesh, _ = grid11
         with pytest.raises(ValidationError, match="outside"):
             cross_section(mesh, mesh.nodes[:, 0], "x", 1.5)
+        with pytest.raises(ValidationError, match="outside"):
+            cross_section(mesh, mesh.nodes[:, 0], "y", float("nan"))
 
     def test_irregular_mesh_section(self):
         mesh = demo_irregular_mesh()
@@ -171,6 +173,48 @@ class TestCrossSection:
         sec = cross_section(mesh, field, "y", 0.6)
         assert sec.shape[0] > 2
         assert np.abs(sec[:, 1] - sec[:, 0]).max() < 1e-9  # field is x itself
+
+
+def loop_cross_section(mesh, field, axis, value, tol=1e-9):
+    """The per-edge loop cross_section replaced: the last edge wins a key."""
+    fixed = 0 if axis == "x" else 1
+    moving = 1 - fixed
+    coords = mesh.nodes[:, fixed]
+    on_line = np.flatnonzero(np.abs(coords - value) <= tol)
+    if on_line.size:
+        pts = np.column_stack([mesh.nodes[on_line, moving], field[on_line]])
+        return pts[np.argsort(pts[:, 0])]
+    seen = {}
+    for conn in mesh.elems:
+        for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
+            na, nb = conn[a], conn[b]
+            ca, cb = coords[na], coords[nb]
+            if (ca - value) * (cb - value) > 0 or ca == cb:
+                continue
+            t_param = (value - ca) / (cb - ca)
+            pos = mesh.nodes[na, moving] + t_param * (mesh.nodes[nb, moving] - mesh.nodes[na, moving])
+            seen[round(pos / tol)] = (pos, field[na] + t_param * (field[nb] - field[na]))
+    return np.array(sorted(seen.values()), dtype=np.float64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("mesh_name", ["inclusions", "irregular"])
+def test_cross_section_matches_edge_loop_bitwise(mesh_name):
+    if mesh_name == "inclusions":
+        mesh = build_structured_grid(41, 41, 1.0, 1.0)
+        fields = [ConductivityField.inclusions(mesh).values]
+    else:
+        mesh = demo_irregular_mesh()
+        fields = []
+    # a rough field: edges shared by two elements interpolate it in opposite
+    # directions, so duplicate points can differ in their last bits
+    fields.append(np.random.default_rng(11).uniform(-1.0, 1.0, mesh.n_nodes))
+    for field in fields:
+        for axis, fixed in (("x", 0), ("y", 1)):
+            lo, hi = mesh.nodes[:, fixed].min(), mesh.nodes[:, fixed].max()
+            for value in [*np.linspace(lo, hi, 23), lo + 0.3337 * (hi - lo), 0.5 * (lo + hi)]:
+                got = cross_section(mesh, field, axis, value)
+                want = loop_cross_section(mesh, field, axis, value)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (axis, value)
 
 
 class TestUpsample:

@@ -110,6 +110,7 @@ def test_model_mutants_parse_or_refuse(model_texts, work, data):
         model = load_model(path)
     except ValidationError:
         return
+    assert np.isfinite(model.dt) and model.dt > 0  # mutants reach dt with "0", "-1", "-0"
     x = np.random.default_rng(0).uniform(0.0, 1.0, (2, model.n_free))
     out = forward_batch(model, x)
     assert out.shape == x.shape and np.isfinite(out).all()

@@ -99,6 +99,12 @@ class TestInitAndCounts:
         with pytest.raises(ValidationError):
             init_model("separated", mesh, dofs, activation="gelu")
 
+    @pytest.mark.parametrize("dt", [-0.05, 0.0, float("nan"), float("inf")])
+    def test_bad_dt_refused(self, grid3, dt):
+        mesh, dofs = grid3
+        with pytest.raises(ValidationError, match="dt must be positive and finite"):
+            init_model("separated", mesh, dofs, dt=dt)
+
 
 class TestForward:
     def test_zero_params_zero_output(self, grid3):
@@ -234,6 +240,8 @@ class TestCheckpointRefusals:
 
     @pytest.mark.parametrize("lineno, index, token, message", [
         (6, 1, "nan", "expected finite dt, got 'nan'"),
+        (6, 1, "-0.05", "dt must be positive, got -0.05"),
+        (6, 1, "0", "dt must be positive, got 0.0"),
         (10, 1, "two", "expected output slot, got 'two'"),
         (12, 2, "x", "expected input slot, got 'x'"),
         (16, 1, "nan", "expected finite weight, got 'nan'"),

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from folheat import sampling
 from folheat.errors import ValidationError
+from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid, demo_irregular_mesh
 from folheat.sampling import (
     FourierParams,
     build_sample_set,
@@ -15,6 +19,42 @@ from folheat.sampling import (
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def row_rng(seed, row):
+    """The generator each corpus row draws from."""
+    return np.random.default_rng(np.random.SeedSequence((seed, row)))
+
+
+def reference_fourier(fp, mesh, dofs, rng):
+    """Scalar draws and a per-term loop over one field: the generator's
+    definition, independent of the batched evaluator."""
+    xy = mesh.nodes[dofs.free]
+    x, y = xy[:, 0], xy[:, 1]
+    total = np.zeros(dofs.n_free)
+    for _ in range(fp.n_terms):
+        params = []
+        for ranges in (fp.offset_ranges, fp.amp_x_ranges, fp.amp_y_ranges, fp.freq_x_ranges, fp.freq_y_ranges):
+            lo, hi = ranges[rng.integers(len(ranges))]
+            params.append(float(rng.uniform(lo, hi)))
+        offset, amp_x, amp_y, freq_x, freq_y = params
+        sx, cx = np.sin(freq_x * x), np.cos(freq_x * x)
+        sy, cy = np.sin(freq_y * y), np.cos(freq_y * y)
+        total += offset + amp_x * sx * cy + amp_y * cx * sy + amp_x * sx * sy + amp_y * cx * cy
+    span = total.max() - total.min()
+    return np.full(total.shape, 0.5) if span < 1e-12 else (total - total.min()) / span
+
+
+def reference_corpus(counts, fp, mesh, dofs, seed, fourier=gen_fourier):
+    rows = [fourier(fp, mesh, dofs, row_rng(seed, r)) for r in range(counts[0])]
+    rows += [gen_gaussian(mesh, dofs, row_rng(seed, r)) for r in range(counts[0], sum(counts[:2]))]
+    rows += [gen_constant(dofs, row_rng(seed, r)) for r in range(sum(counts[:2]), sum(counts))]
+    return np.array(rows).reshape(sum(counts), dofs.n_free)
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
 
 
 class TestFourier:
@@ -58,6 +98,17 @@ class TestFourier:
             FourierParams(offset_ranges=((1.0, 0.5),))
         with pytest.raises(ValidationError):
             FourierParams(amp_x_ranges=())
+
+    @pytest.mark.parametrize("interval", [(0.0, np.inf), (np.nan, 1.0), (-np.inf, 0.0), (-1e308, 1e308)])
+    def test_non_finite_ranges_rejected(self, interval):
+        with pytest.raises(ValidationError, match="not finite"):
+            FourierParams(freq_x_ranges=(interval,))
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_matches_scalar_reference(self, grid11, seed):
+        mesh, dofs = grid11
+        assert_bitwise(gen_fourier(FourierParams(), mesh, dofs, rng(seed)),
+                       reference_fourier(FourierParams(), mesh, dofs, rng(seed)))
 
 
 class TestGaussian:
@@ -140,3 +191,88 @@ class TestSampleSet:
         assert back.provenance == ss.provenance
         assert back.seed == ss.seed
         assert back.fingerprint == ss.fingerprint
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_desk_corpus_matches_row_by_row_generators(grid11, seed):
+    mesh, dofs = grid11
+    counts, fp = (1200, 1500, 300), FourierParams()
+    assert_bitwise(build_sample_set(counts, fp, mesh, dofs, seed).samples,
+                   reference_corpus(counts, fp, mesh, dofs, seed))
+
+
+MESHES = {}
+
+
+def small_problem(kind):
+    if kind not in MESHES:
+        if kind == "structured":
+            mesh = build_structured_grid(5, 4, 1.0, 0.7)
+            MESHES[kind] = mesh, build_dof_map(mesh, DirichletSpec({"left": 1.0}))
+        else:
+            mesh = demo_irregular_mesh(nr=3, narc=5)
+            MESHES[kind] = mesh, build_dof_map(mesh, DirichletSpec({"inner": 1.0, "outer": 0.0}))
+    return MESHES[kind]
+
+
+interval = st.tuples(st.floats(-3.0, 3.0), st.sampled_from([0.0, 0.0, 0.5, 4.0])).map(
+    lambda lw: (lw[0], lw[0] + lw[1]))
+menu = st.lists(interval, min_size=1, max_size=4).map(tuple)
+small_params = st.builds(FourierParams, n_terms=st.integers(1, 6), offset_ranges=menu,
+                         amp_x_ranges=menu, amp_y_ranges=menu, freq_x_ranges=menu, freq_y_ranges=menu)
+
+
+@settings(database=None, derandomize=True, max_examples=60, deadline=None)
+@given(fp=small_params, seed=st.integers(0, 2**32), n_fourier=st.integers(1, 9),
+       kind=st.sampled_from(["structured", "irregular"]), block_values=st.integers(1, 200))
+def test_batched_fourier_rows_match_scalar_reference(fp, seed, n_fourier, kind, block_values):
+    mesh, dofs = small_problem(kind)
+    assert sampling._RawReplica(fp).matches_scalar(seed)  # else every row took the scalar path
+    saved, sampling.BLOCK_VALUES = sampling.BLOCK_VALUES, block_values
+    try:
+        got = build_sample_set((n_fourier, 1, 1), fp, mesh, dofs, seed).samples
+    finally:
+        sampling.BLOCK_VALUES = saved
+    assert_bitwise(got, reference_corpus((n_fourier, 1, 1), fp, mesh, dofs, seed, reference_fourier))
+
+
+class TestRawReplica:
+    def test_reads_the_scalar_draws(self):
+        fp = FourierParams(n_terms=7)
+        replica = sampling._RawReplica(fp)
+        draws, risky = replica.draws(replica.raw(4, range(30)))
+        assert not risky.any()
+        for row in range(30):
+            assert_bitwise(draws[row], sampling._scalar_draws(fp, row_rng(4, row)))
+
+    def test_flags_a_half_word_lemire_could_reject(self):
+        replica = sampling._RawReplica(FourierParams(n_terms=2))
+        raw = replica.raw(0, range(3))
+        raw[1, 0] &= np.uint64(0xFFFFFFFF00000000)  # first integer draw: low half 0, (0 * k) mod 2**32 < k
+        raw[2, 0] |= np.uint64(0xFFFFFFFF)  # low half 2**32 - 1: (half * k) mod 2**32 = 2**32 - k
+        _, risky = replica.draws(raw)
+        assert risky.tolist() == [False, True, False]
+
+    def test_fallback_rows_match_reference(self, grid11, monkeypatch):
+        mesh, dofs = grid11
+        read = sampling._RawReplica.draws
+
+        def flag_odd_rows(self, raw):
+            draws, risky = read(self, raw)
+            odd = np.arange(len(risky)) % 2 == 1
+            draws[odd] = np.nan  # the fallback must overwrite these
+            return draws, risky | odd
+
+        monkeypatch.setattr(sampling._RawReplica, "draws", flag_odd_rows)
+        counts, fp = (9, 2, 1), FourierParams(n_terms=5)
+        assert_bitwise(build_sample_set(counts, fp, mesh, dofs, 3).samples,
+                       reference_corpus(counts, fp, mesh, dofs, 3, reference_fourier))
+
+    def test_replica_that_disagrees_is_not_used(self, grid11, monkeypatch):
+        mesh, dofs = grid11
+        read = sampling._RawReplica.draws
+        monkeypatch.setattr(sampling._RawReplica, "draws",
+                            lambda self, raw: (read(self, raw)[0] + 1.0, np.zeros(len(raw), dtype=bool)))
+        counts, fp = (6, 0, 0), FourierParams(n_terms=5)
+        assert_bitwise(build_sample_set(counts, fp, mesh, dofs, 8).samples,
+                       reference_corpus(counts, fp, mesh, dofs, 8, reference_fourier))
