@@ -8,13 +8,13 @@ orderings (and therefore checkpoints) are reproducible.
 from __future__ import annotations
 
 import hashlib
+import io
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import ValidationError
-from .textio import TokenReader, wrap_tokens
+from .textio import TokenReader, write_block
 
 MESH_FORMAT = "folmesh"
 MESH_VERSION = 1
@@ -228,18 +228,17 @@ def _fingerprint(m: Mesh, constrained_nodes: np.ndarray, constrained_values: np.
     return h.hexdigest()[:16]
 
 
-def _rows(table: np.ndarray):
-    """Tokens of ``id value...`` rows, one row per table row."""
-    return chain.from_iterable(zip(range(len(table)), *table.T.tolist()))
-
-
 def serialize_mesh(m: Mesh) -> str:
     """Render a mesh in the versioned text format (see load_mesh)."""
-    out = [f"{MESH_FORMAT} {MESH_VERSION}\n", f"nodes {m.n_nodes}\n", wrap_tokens(_rows(m.nodes), 3),
-           f"elems {m.n_elems}\n", wrap_tokens(_rows(m.elems), 5)]
+    f = io.StringIO()
+    f.write(f"{MESH_FORMAT} {MESH_VERSION}\nnodes {m.n_nodes}\n")
+    write_block(f, 3, np.arange(m.n_nodes), *m.nodes.T)
+    f.write(f"elems {m.n_elems}\n")
+    write_block(f, 5, np.arange(m.n_elems), *m.elems.T)
     for tag, ids in m.boundary_sets.items():
-        out += [f"bset {tag} {ids.size}\n", wrap_tokens(ids.tolist(), 16)]
-    return "".join(out)
+        f.write(f"bset {tag} {ids.size}\n")
+        write_block(f, 16, ids)
+    return f.getvalue()
 
 
 def load_mesh(text: str) -> Mesh:
@@ -271,7 +270,6 @@ def load_mesh(text: str) -> Mesh:
         (boundary_sets[tag],) = r.next_block(r.next_token("boundary node count", int),
                                              ("boundary node id", int))
 
-    del r  # free the token list before validate_mesh allocates its batched arrays
     mesh = Mesh(nodes, elems, boundary_sets)
     diags = validate_mesh(mesh)
     if diags:

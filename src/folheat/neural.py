@@ -26,7 +26,7 @@ from scipy.special import expit
 
 from .errors import FingerprintError, ValidationError
 from .mesh import DofMap, Mesh
-from .textio import TokenReader, wrap_tokens
+from .textio import TokenReader, write_block
 
 CHECKPOINT_FORMAT = "folmodel"
 CHECKPOINT_VERSION = 1
@@ -169,20 +169,21 @@ def _stacked_group(rng, out_slots, in_slots, n_nets, in_dim, hidden, out_dim) ->
     return NetGroup(np.asarray(out_slots, dtype=np.int64), in_slots, weights, biases)
 
 
-def _elementwise_stencils(mesh: Mesh, dofs: DofMap) -> list[np.ndarray]:
-    """Per free node: free slots of all nodes sharing an element with it."""
-    neighbors: list[set[int]] = [set() for _ in range(mesh.n_nodes)]
-    for conn in mesh.elems:
-        ids = conn.tolist()
-        for nid in ids:
-            neighbors[nid].update(ids)
-    stencils = []
-    for node in dofs.free:
-        slots = sorted(
-            int(dofs.node_to_slot[nb]) for nb in neighbors[node] if dofs.node_to_slot[nb] >= 0
-        )
-        stencils.append(np.array(slots, dtype=np.int64))
-    return stencils
+def _elementwise_stencils(mesh: Mesh, dofs: DofMap) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The free slots of all nodes sharing an element with each free node, by
+    stencil size ascending: size -> (slots, (len(slots), size) stencils)."""
+    n = dofs.n_free
+    slots = dofs.node_to_slot[mesh.elems]  # (E, 4); the 16 node pairs of each element follow
+    rows, cols = np.repeat(slots, 4, axis=1).ravel(), np.tile(slots, 4).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols = np.divmod(np.unique(rows[keep] * n + cols[keep]), n)  # sorted by row, then column
+    counts = np.bincount(rows, minlength=n)
+    starts = np.cumsum(counts) - counts
+    by_size = {}
+    for size in np.unique(counts).tolist():
+        members = np.flatnonzero(counts == size)
+        by_size[size] = members, cols[starts[members, None] + np.arange(size)]
+    return by_size
 
 
 def init_model(
@@ -221,13 +222,7 @@ def init_model(
     elif arch == "separated":
         groups.append(_stacked_group(rng, np.arange(n_free), None, n_free, n_free, hidden, 1))
     else:  # elementwise
-        stencils = _elementwise_stencils(mesh, dofs)
-        by_size: dict[int, list[int]] = {}
-        for slot, st in enumerate(stencils):
-            by_size.setdefault(st.size, []).append(slot)
-        for size in sorted(by_size):
-            slots = np.array(by_size[size], dtype=np.int64)
-            in_slots = np.stack([stencils[s] for s in slots])
+        for size, (slots, in_slots) in _elementwise_stencils(mesh, dofs).items():
             groups.append(_stacked_group(rng, slots, in_slots, slots.size, size, hidden, 1))
 
     return ModelBundle(arch, activation, n_free, groups, dofs.fingerprint, float(dt))
@@ -326,21 +321,24 @@ def backprop(m: ModelBundle, tape: ForwardTape, d_out: np.ndarray) -> np.ndarray
 
 def save_model(m: ModelBundle, path) -> None:
     """Write the versioned text checkpoint (exact decimal round trip)."""
-    out = [f"{CHECKPOINT_FORMAT} {CHECKPOINT_VERSION}\narch {m.arch}\nactivation {m.activation}\n"
-           f"n_free {m.n_free}\nfingerprint {m.grid_meta}\ndt {float(m.dt)!r}\n"
-           f"groups {len(m.groups)}\n"]
-    for gi, g in enumerate(m.groups):
-        out += [f"group {gi} nets {g.n_nets} layers {g.n_layers}\noutslots {g.out_slots.size}\n",
-                wrap_tokens(g.out_slots.tolist(), 16)]
-        if g.in_slots is None:
-            out.append("input full\n")
-        else:
-            out += [f"input {g.in_slots.shape[1]}\n", wrap_tokens(g.in_slots.ravel().tolist(), 16)]
-        for l, (w, b) in enumerate(zip(g.weights, g.biases)):
-            out += [f"layer {l} out {w.shape[1]} in {w.shape[2]}\nweights\n",
-                    wrap_tokens(w.ravel().tolist(), 6), "biases\n", wrap_tokens(b.ravel().tolist(), 6)]
-    out.append("end\n")
-    Path(path).write_text("".join(out))
+    with Path(path).open("w") as f:
+        f.write(f"{CHECKPOINT_FORMAT} {CHECKPOINT_VERSION}\narch {m.arch}\nactivation {m.activation}\n"
+                f"n_free {m.n_free}\nfingerprint {m.grid_meta}\ndt {float(m.dt)!r}\n"
+                f"groups {len(m.groups)}\n")
+        for gi, g in enumerate(m.groups):
+            f.write(f"group {gi} nets {g.n_nets} layers {g.n_layers}\noutslots {g.out_slots.size}\n")
+            write_block(f, 16, g.out_slots)
+            if g.in_slots is None:
+                f.write("input full\n")
+            else:
+                f.write(f"input {g.in_slots.shape[1]}\n")
+                write_block(f, 16, g.in_slots.ravel())
+            for l, (w, b) in enumerate(zip(g.weights, g.biases)):
+                f.write(f"layer {l} out {w.shape[1]} in {w.shape[2]}\nweights\n")
+                write_block(f, 6, w.ravel())
+                f.write("biases\n")
+                write_block(f, 6, b.ravel())
+        f.write("end\n")
 
 
 def load_model(path_or_text, dofs: DofMap | None = None) -> ModelBundle:

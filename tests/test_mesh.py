@@ -147,13 +147,15 @@ class TestMeshFile:
         ("0 3 6", "0 3 six", "line 19: expected boundary node id, got 'six'"),
         ("bset left 3", "bset left -3", "line 18: negative boundary node id count -3"),
         ("bset top 3", "bset top 4", "line 25: unexpected end of file, expected boundary node id"),
+        ("nodes 9", "nodes 999999999999", "line 25: unexpected end of file, expected node id"),
     ])
-    def test_bad_token_names_its_line(self, old, new, message):
+    def test_bad_token_names_its_line(self, old, new, message, windows):
         text = serialize_mesh(build_structured_grid(3, 3, 1.0, 1.0))
         text = text.replace("bset left", "bset empty 0\nbset left")  # an empty set first
         assert old in text
-        with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$"):
-            load_mesh(text.replace(old, new, 1))
+        for _ in windows:
+            with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$"):
+                load_mesh(text.replace(old, new, 1))
 
     def test_bad_header(self):
         with pytest.raises(MeshFormatError):

@@ -1,16 +1,20 @@
+import hashlib
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from folheat.errors import FingerprintError, ValidationError
-from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid
+from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid, load_mesh
 from folheat.neural import (
     ACTIVATIONS,
     ModelBundle,
     NetGroup,
     _act_forward,
     _act_grad_cached,
+    _elementwise_stencils,
     count_params,
     forward_batch,
     forward_with_tape,
@@ -18,6 +22,10 @@ from folheat.neural import (
     load_model,
     save_model,
 )
+
+
+DATA_MESH = Path(__file__).resolve().parent.parent / "data" / "irregular.folmesh"
+LEFT_RIGHT = DirichletSpec({"left": 1.0, "right": 0.0})
 
 
 def act(kind, x):
@@ -91,6 +99,31 @@ class TestInitAndCounts:
         model = init_model("elementwise", mesh, dofs, seed=0)
         sizes = sorted({g.in_slots.shape[1] for g in model.groups})
         assert sizes == [4, 6, 9]  # near both boundaries, near one, interior
+
+    @pytest.mark.parametrize("grid", [21, 81, None], ids=["21x21", "81x81", "irregular"])
+    def test_elementwise_stencils_match_node_set_loop(self, grid):
+        if grid is None:
+            mesh = load_mesh(DATA_MESH.read_text())
+            dofs = build_dof_map(mesh, DirichletSpec({"inner": 1.0, "outer": 0.0}))
+        else:
+            mesh = build_structured_grid(grid, grid, 1.0, 1.0)
+            dofs = build_dof_map(mesh, LEFT_RIGHT)
+        neighbors = [set() for _ in range(mesh.n_nodes)]  # the set-per-node reference
+        for conn in mesh.elems:
+            ids = conn.tolist()
+            for nid in ids:
+                neighbors[nid].update(ids)
+        expected = [np.array(sorted(int(dofs.node_to_slot[nb]) for nb in neighbors[node]
+                                    if dofs.node_to_slot[nb] >= 0), dtype=np.int64)
+                    for node in dofs.free]
+        stencils = [None] * dofs.n_free
+        by_size = _elementwise_stencils(mesh, dofs)
+        assert list(by_size) == sorted({st.size for st in expected})
+        for size, (slots, rows) in by_size.items():
+            assert slots.dtype == rows.dtype == np.int64 and rows.shape == (slots.size, size)
+            for slot, row in zip(slots.tolist(), rows):
+                stencils[slot] = row
+        assert all(np.array_equal(a, b) for a, b in zip(stencils, expected))
 
     def test_unknown_arch_and_activation(self, grid3):
         mesh, dofs = grid3
@@ -212,6 +245,74 @@ class TestCheckpoint:
             load_model(path, other)
 
 
+# sha256 of the 21x21 seed-1 checkpoints (dt 0.05, left 1 / right 0): the
+# written bytes do not depend on how the writer chunks its output
+CHECKPOINT_SHA256 = {
+    "fully_connected": "5da8071ff6ec04df3c51a5bbfe4cbfe65a107b8426a505510db8b3d6f29bf3c9",
+    "elementwise": "e15a9ccee1869a01e149ea4397912fcf76ce51bf70aeed55b603334fe5c64385",
+    "separated": "532edbd8183ecd7bba2f17005627d8e6ee8d149b957b4eeb92ed3cf8e2b4fb19",
+}
+
+
+def traced(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def separated21(tmp_path_factory):
+    """The 21x21 seed-1 separated model (1.64M parameters) and its 33.9 MB
+    checkpoint, written under tracemalloc: (model, dofs, path, save peak)."""
+    mesh = build_structured_grid(21, 21, 1.0, 1.0)
+    dofs = build_dof_map(mesh, LEFT_RIGHT)
+    model = init_model("separated", mesh, dofs, seed=1)
+    path = tmp_path_factory.mktemp("separated21") / "separated.folmodel"
+    _, peak = traced(save_model, model, path)
+    return model, dofs, path, peak
+
+
+class TestCheckpointStreaming:
+    """save_model and load_model stream the text in bounded windows: neither
+    holds a Python object per value of the checkpoint."""
+
+    def test_save_and_load_peak_memory(self, separated21):
+        model, dofs, path, save_peak = separated21
+        size = path.stat().st_size
+        assert save_peak <= 1.0 * size
+        back, load_peak = traced(load_model, path, dofs)
+        assert load_peak <= 2.5 * size  # the text, read_text's bytes of it, then the arrays
+        assert back.params_flat().tobytes() == model.params_flat().tobytes()
+
+    def test_commented_checkpoint_loads_the_same(self, separated21, tmp_path):
+        model, dofs, path, _ = separated21
+        lines = path.read_text().splitlines(keepends=True)
+        for i in range(0, len(lines), 777):
+            lines[i] = lines[i].replace("\n", "  # trailing note\n")
+        for i in reversed(range(0, len(lines), 1000)):
+            lines.insert(i, "# note\n")
+        commented = tmp_path / "commented.folmodel"
+        commented.write_text("".join(lines) + "# the end\n#\n")
+        del lines
+        back, peak = traced(load_model, commented, dofs)
+        assert peak <= 2.5 * commented.stat().st_size
+        assert back.params_flat().tobytes() == model.params_flat().tobytes()
+
+    @pytest.mark.parametrize("arch", sorted(CHECKPOINT_SHA256))
+    def test_written_bytes_pinned(self, arch, separated21, tmp_path):
+        if arch == "separated":
+            path = separated21[2]
+        else:
+            _, dofs, _, _ = separated21
+            model = init_model(arch, build_structured_grid(21, 21, 1.0, 1.0), dofs, seed=1)
+            path = tmp_path / f"{arch}.folmodel"
+            save_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256[arch]
+
+
 class TestCheckpointRefusals:
     """Edits to a 3x3 elementwise checkpoint (hidden (2,)): group 0 has stencil
     2 (slots 0, 2) on lines 8-23, group 1 stencil 3 (slot 1) on lines 24-38."""
@@ -248,10 +349,24 @@ class TestCheckpointRefusals:
         (18, 1, "inf", "expected finite bias, got 'inf'"),
         (23, 1, "-", "expected finite bias, got '-'"),
     ])
-    def test_bad_token_names_file_and_line(self, edit, lineno, index, token, message):
+    def test_bad_token_names_file_and_line(self, edit, lineno, index, token, message, windows):
         path = edit({lineno: (index, token)})
-        with pytest.raises(ValidationError, match=re.escape(f"{path}: line {lineno}: {message}")):
-            load_model(path)
+        for _ in windows:
+            with pytest.raises(ValidationError, match=re.escape(f"{path}: line {lineno}: {message}")):
+                load_model(path)
+
+    @pytest.mark.parametrize("lineno, token, what", [
+        (34, "99999999999", "weight"), (11, "99999999999", "input slot"),
+        (9, "999999999999", "output slot"),
+    ])
+    def test_huge_count_is_end_of_file(self, edit, lineno, token, what, windows):
+        """A count far beyond the file's tokens is refused before any array of
+        that size is allocated, at the line of the file's last token."""
+        path = edit({lineno: (-1, token)})
+        for _ in windows:
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"{path}: line 39: unexpected end of file, expected {what}")):
+                load_model(path)
 
     @pytest.mark.parametrize("changes, message", [
         ({10: "0 7"}, "output slots of all groups must be a permutation of 0..2"),
@@ -262,10 +377,11 @@ class TestCheckpointRefusals:
         ({34: "layer 1 out 2 in 2", 36: "0.5 0.5 0.5 0.5", 38: "0.0 0.0"},
          "group 1 has 1 nets of 2 outputs for 1 output slots"),
     ])
-    def test_inconsistent_wiring_refused(self, edit, changes, message):
+    def test_inconsistent_wiring_refused(self, edit, changes, message, windows):
         path = edit(changes)
-        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
-            load_model(path)
+        for _ in windows:
+            with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+                load_model(path)
 
 
 class TestIntrospection:

@@ -1,0 +1,124 @@
+"""The token reader at window boundaries: block windows of 1, 7 and 64
+characters cut every block of the mesh and checkpoint files, and the result
+must not depend on where the cuts fall."""
+
+import re
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from folheat import textio
+from folheat.cli import main
+from folheat.errors import ValidationError
+from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid, load_mesh
+from folheat.neural import init_model, load_model, save_model
+from folheat.textio import TokenReader
+
+DATA_MESH = Path(__file__).resolve().parent.parent / "data" / "irregular.folmesh"
+
+
+def mesh_arrays(mesh):
+    return [mesh.nodes, mesh.elems, *(mesh.boundary_sets[tag] for tag in sorted(mesh.boundary_sets))]
+
+
+def model_arrays(model):
+    arrays = [model.params_flat()]
+    for g in model.groups:
+        arrays += [g.out_slots] + ([] if g.in_slots is None else [g.in_slots])
+    return arrays
+
+
+def assert_bitwise_equal(arrays, expected):
+    assert len(arrays) == len(expected)
+    for a, b in zip(arrays, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_checkpoints_load_the_same_at_every_window(tmp_path, windows):
+    mesh = build_structured_grid(6, 5, 1.0, 2.0)
+    dofs = build_dof_map(mesh, DirichletSpec({"left": 1.0, "right": 0.0}))
+    models = {arch: init_model(arch, mesh, dofs, hidden_spec=hidden, seed=1)
+              for arch, hidden in [("separated", None), ("elementwise", None),
+                                   ("fully_connected", (12, 9))]}
+    for arch, model in models.items():
+        save_model(model, tmp_path / arch)
+    for _ in windows:
+        for arch, model in models.items():
+            assert_bitwise_equal(model_arrays(load_model(tmp_path / arch, dofs)), model_arrays(model))
+
+
+def test_meshes_load_the_same_at_every_window(tmp_path, windows):
+    out = tmp_path / "m81.folmesh"
+    assert main(["gen-mesh", "--nx", "81", "--ny", "81", "--out", str(out)]) == 0
+    texts = [out.read_text(), DATA_MESH.read_text()]
+    expected = [mesh_arrays(build_structured_grid(81, 81, 1.0, 1.0)), mesh_arrays(load_mesh(texts[1]))]
+    for _ in windows:
+        for text, arrays in zip(texts, expected):
+            assert_bitwise_equal(mesh_arrays(load_mesh(text)), arrays)
+
+
+def test_block_edges(windows):
+    """A block stops at its count, the cursor at its last token: the next
+    block may follow at once, and an error after it names its last line."""
+    for _ in windows:
+        reader = TokenReader("-0 +.5 1\n2 3 1e-300\n\n\n\n", error_cls=ValidationError)
+        assert [reader.next_block(3, ("weight", float))[0].tolist() for _ in range(2)] == [
+            [-0.0, 0.5, 1.0], [2.0, 3.0, 1e-300]]
+        with pytest.raises(ValidationError, match="^line 2: unexpected end of file, expected 'end'$"):
+            reader.expect("end")
+        reader = TokenReader("count 2\n\n\n", error_cls=ValidationError)
+        with pytest.raises(ValidationError, match="^line 1: unexpected end of file, expected bias$"):
+            reader.next_block(reader.next_keyed("count", int), ("bias", float))
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+TOKENS = st.one_of(
+    FLOATS.map(repr),
+    FLOATS.map(lambda x: "%.17g" % x),
+    st.sampled_from(["+.5", "1e-300", "-0", "1_0", "0x10", "1e999", "nan"]),
+)
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\n", " \n\n", " # a note\n", "# 1 2\n"])
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(tokens=st.lists(TOKENS, min_size=1, max_size=40), tail=st.sampled_from(["end", "0.5 end", ""]),
+       missing=st.sampled_from([0, 2]), window=st.sampled_from(sorted({1, 7, 64, textio.WINDOW})),
+       data=st.data())
+def test_float_block_reads_as_float_per_token(tokens, tail, missing, window, data):
+    """A float block of len(tokens) + missing values, wrapped and commented at
+    random and followed by tail, reads as float() of each token. Otherwise it
+    fails at the end of the file, or else at the first token that float()
+    refuses or makes non-finite, naming its line."""
+    text, lines, words = "", [], tokens + tail.split()
+    for word in words:
+        text += word
+        lines.append(text.count("\n") + 1)
+        text += data.draw(SEPARATORS)
+    n = len(tokens) + missing
+    values, message = [], None
+    if len(words) < n:
+        message = f"line {lines[-1]}: unexpected end of file, expected weight"
+    for word, lineno in zip(words[:n], lines):
+        try:
+            value = float(word)
+        except ValueError:
+            value = None
+        if message is None and (value is None or not np.isfinite(value)):
+            message = f"line {lineno}: expected finite weight, got {word!r}"
+        values.append(value)
+    with mock.patch.object(textio, "WINDOW", window):
+        reader = TokenReader(text, error_cls=ValidationError, source="block")
+        if message is not None:
+            with pytest.raises(ValidationError, match=f"^block: {re.escape(message)}$"):
+                reader.next_block(n, ("weight", float))
+            return
+        (block,) = reader.next_block(n, ("weight", float))
+        assert block.tobytes() == np.array(values, dtype=np.float64).tobytes()
+        assert [reader.next_token("tail") for _ in words[n:]] == words[n:]
+        assert reader.exhausted()
+        with pytest.raises(ValidationError, match=f"^block: line {lines[-1]}: unexpected end of file"):
+            reader.expect("end")
