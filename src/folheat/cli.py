@@ -8,6 +8,7 @@ numpy loads, which is why all heavy imports live inside the subcommands.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import subprocess
@@ -20,6 +21,16 @@ class _Parser(argparse.ArgumentParser):
         from .errors import ValidationError
 
         raise ValidationError(message)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of a float option that must be positive and finite."""
+    try:
+        if 0 < (value := float(text)) < math.inf:  # NaN fails both comparisons
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
 
 
 def _build_parser() -> _Parser:
@@ -66,15 +77,15 @@ def _build_parser() -> _Parser:
     q.add_argument("--init", required=True)
     q.add_argument("--steps", type=int, required=True)
     q.add_argument("--alpha", type=float, default=1.0)
-    q.add_argument("--dt", type=float, default=None, help="override config dt")
+    q.add_argument("--dt", type=_positive_float, default=None, help="override config dt")
     q.add_argument("--out", required=True)
 
     q = sub.add_parser("evaluate", help="per-step relative L2 error of pred vs ref")
     q.add_argument("--pred", required=True)
     q.add_argument("--ref", required=True)
-    q.add_argument("--dt", type=float, default=None)
+    q.add_argument("--dt", type=_positive_float, default=None)
     q.add_argument("--out", default=None, help="error CSV path (default: <pred>/errors.csv)")
-    q.add_argument("--assert-below", type=float, default=None,
+    q.add_argument("--assert-below", type=_positive_float, default=None,
                    help="exit 2 unless every step's E_rr is below this")
 
     q = sub.add_parser("benchmark", help="time model inference vs FE solve")
@@ -94,17 +105,14 @@ def _build_parser() -> _Parser:
     return p
 
 
+@functools.cache  # the code a process runs does not change while it runs
 def _git_hash() -> str:
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, cwd=Path(__file__).parent, timeout=5,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
+        out = subprocess.run(["git", "rev-parse", "--short", "HEAD"], capture_output=True,
+                             text=True, cwd=Path(__file__).parent, timeout=5)
+    except (OSError, subprocess.SubprocessError):  # no git, or it hung
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
 def _write_manifest(out_dir: Path, command: str, cfg, extra: dict | None = None) -> None:
@@ -113,11 +121,8 @@ def _write_manifest(out_dir: Path, command: str, cfg, extra: dict | None = None)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["folheat run manifest", f"version {__version__}", f"build {_git_hash()}",
              f"command {command}"]
-    for key, value in (extra or {}).items():
-        lines.append(f"{key} {value}")
-    lines.append("config:")
-    for cfg_line in cfg.raw_text.splitlines():
-        lines.append("  " + cfg_line)
+    lines += [f"{key} {value}" for key, value in (extra or {}).items()]
+    lines += ["config:", *("  " + cfg_line for cfg_line in cfg.raw_text.splitlines())]
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -132,12 +137,9 @@ def _manifest_dt(dir_path: Path) -> float | None:
         parts = line.split()
         if len(parts) == 2 and parts[0] == "dt":
             try:
-                dt = float(parts[1])
-            except ValueError:
-                dt = math.nan
-            if not (math.isfinite(dt) and dt > 0):
-                raise ValidationError(f"{mf}: dt must be a positive finite number, got {parts[1]!r}")
-            return dt
+                return _positive_float(parts[1])
+            except argparse.ArgumentTypeError as exc:
+                raise ValidationError(f"{mf}: dt {exc}") from None
     return None
 
 
@@ -327,7 +329,7 @@ def cmd_evaluate(args) -> int:
     marching = errors[1:] if errors.size > 1 else errors
     print(f"wrote {out}: mean E_rr {np.mean(marching):.6f}, "
           f"max {np.max(marching):.6f}, final {errors[-1]:.6f}")
-    if args.assert_below is not None and np.max(marching) >= args.assert_below:
+    if args.assert_below is not None and not np.max(marching) < args.assert_below:
         raise NumericalError(
             f"max E_rr {np.max(marching):.6f} is not below {args.assert_below}"
         )

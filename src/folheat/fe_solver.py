@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .fem import ReducedSystem, SystemMatrices, split_blocks
 from .mesh import DofMap, Mesh
-from .textio import read_nodal_csv, write_csv
+from .textio import read_nodal_csv, write_csv_series
 
 DEFAULT_TOL = 1e-12
 # field CSV coordinates must match the mesh (or the field compared with) to this
@@ -47,12 +47,14 @@ def linear_solve_spd(A, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int |
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros(n)
+    if not np.isfinite(norm_b):
+        raise NumericalError(f"right-hand side norm is {norm_b}; the system cannot be solved")
     if max_iter is None:
         max_iter = 10 * n
 
     diag = A.diagonal() if sp.issparse(A) else np.diagonal(np.asarray(A))
-    if np.any(diag <= 0):
-        raise NumericalError("matrix diagonal has non-positive entries; not SPD")
+    if not np.all(diag > 0):
+        raise NumericalError("matrix diagonal has entries that are not positive; not SPD")
 
     x = np.zeros(n)
     r = b.copy()
@@ -63,7 +65,7 @@ def linear_solve_spd(A, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int |
     for _ in range(max_iter):
         ap = A @ p
         pap = float(p @ ap)
-        if pap <= 0:
+        if not pap > 0:  # NaN trips it too
             raise NumericalError("conjugate gradient broke down; matrix not SPD?")
         step = rz / pap
         x += step * p
@@ -108,13 +110,6 @@ def steady_state(sys: SystemMatrices, dofs: DofMap) -> np.ndarray:
     return dofs.merge(t_free)
 
 
-def save_field(path, mesh: Mesh, values: np.ndarray) -> None:
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (mesh.n_nodes,):
-        raise ValidationError(f"field shape {values.shape} does not match mesh ({mesh.n_nodes})")
-    write_csv(path, ["node_id", "x", "y", "T"], [range(mesh.n_nodes), *mesh.nodes.T, values])
-
-
 def load_field(path_or_file, mesh: Mesh | None = None) -> np.ndarray:
     """Read a `node_id,x,y,T` CSV back into a nodal array.
 
@@ -157,10 +152,15 @@ def step_filename(i: int) -> str:
 
 
 def save_trajectory(out_dir, mesh: Mesh, traj: Trajectory) -> None:
+    """Write field i of traj as out_dir/step_<i>.csv, in `node_id,x,y,T` rows."""
+    fields = [np.asarray(values, dtype=np.float64) for values in traj.fields]
+    for values in fields:
+        if values.shape != (mesh.n_nodes,):
+            raise ValidationError(f"field shape {values.shape} does not match mesh ({mesh.n_nodes})")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for i, field in enumerate(traj.fields):
-        save_field(out / step_filename(i), mesh, field)
+    write_csv_series([out / step_filename(i) for i in range(len(fields))], ["node_id", "x", "y", "T"],
+                     [range(mesh.n_nodes), *mesh.nodes.T], fields)
 
 
 def load_trajectory(in_dir, dt: float, mesh: Mesh | None = None) -> Trajectory:

@@ -229,8 +229,8 @@ def split_blocks(mat: sp.csr_array, dofs: DofMap):
 
 def reduce_system(sys: SystemMatrices, dofs: DofMap, dt: float, alpha: float) -> ReducedSystem:
     """Eliminate Dirichlet dofs from the one-step update for given dt, alpha."""
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValidationError(f"dt must be positive and finite, got {dt}")
     if alpha not in VALID_ALPHAS:
         raise ValidationError(f"alpha must be one of {VALID_ALPHAS}, got {alpha}")
     m_ff, _ = split_blocks(sys.M, dofs)

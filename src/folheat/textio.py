@@ -187,17 +187,23 @@ def write_block(f, per_line: int, *columns) -> None:
 
 
 def write_csv(path, header: list[str] | None, columns) -> None:
-    """Write 1-D columns of equal length as CSV, one row per index.
+    """Write 1-D columns of equal length as CSV, one row per index."""
+    write_csv_series([path], header, columns[:-1], columns[-1:])
 
-    An optional header line comes first. Each value is written as the repr of
-    its Python scalar (shortest exact round trip; ints stay integers), and
-    every line ends with LF.
-    """
-    columns = [np.asarray(c).tolist() for c in columns]
-    row = ",".join(["%r"] * len(columns)) + "\n"
+
+def write_csv_series(paths, header: list[str] | None, shared, varying) -> None:
+    """Write one CSV per path: an optional header line, then a row per index of
+    the shared columns and the path's own column of ``varying``. A value is the
+    repr of its Python scalar (exact round trip; ints stay ints); lines end in
+    LF. The shared text is formatted once, as a template each file fills in."""
+    lead = [np.asarray(c).tolist() for c in shared]
+    row = "%r," * len(lead) + "%%r\n"  # the shared values, then the file's own slot
+    rows = zip(*lead) if lead else [()] * len(varying[0])
     head = "" if header is None else ",".join(header) + "\n"
-    text = head + "".join([row % values for values in zip(*columns)])
-    Path(path).write_text(text, newline="\n")  # no os.linesep translation
+    template = "".join([row % values for values in rows])
+    for path, column in zip(paths, varying):
+        text = head + template % tuple(np.asarray(column).tolist())
+        Path(path).write_text(text, newline="\n")  # no os.linesep translation
 
 
 def read_nodal_csv(path_or_file, columns: list[str], n_nodes: int | None = None):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from folheat import cli, fem
 from folheat.cli import main
 from folheat.config import load_run_config
 from folheat.evaluation import canonical_test_fields, cross_section, heat_flux, upsample_field
@@ -238,6 +239,29 @@ class TestPredictAndSolve:
         assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:const05",
                    "--steps", 1, "--alpha", alpha, "--out", out) == 0
 
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_solve_fem_non_finite_dt_refused_before_assembly(self, tmp_path, smoke_cfg, capsys,
+                                                             monkeypatch, dt):
+        def assemble(*args):
+            raise AssertionError("assembled before dt was checked")
+
+        monkeypatch.setattr(fem, "assemble", assemble)
+        capsys.readouterr()
+        assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:const05",
+                   "--steps", 1, "--dt", dt, "--out", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert f"argument --dt: must be a positive finite number, got '{dt}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_solve_fem_overflowing_dt_fails_at_once(self, tmp_path, smoke_cfg, capsys):
+        capsys.readouterr()
+        with np.errstate(over="ignore"):
+            assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:const05",
+                       "--steps", 1, "--dt", "1e308", "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert "right-hand side norm is inf" in err and "did not converge" not in err
+
     def test_init_from_field_file(self, tmp_path, smoke_cfg, trained):
         ref = tmp_path / "ref"
         run("solve-fem", "--config", smoke_cfg, "--init", "canonical:sin10y",
@@ -302,6 +326,19 @@ class TestEvaluate:
                 out.append(f"{nid},{x},{y},{float(t) * 2.0!r}")
             (pred / step.name).write_text("\n".join(out) + "\n")
         assert run("evaluate", "--pred", pred, "--ref", ref, "--assert-below", 0.1) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--dt", "nan"), ("--dt", "-1"), ("--dt", "inf"), ("--dt", "0"),
+        ("--assert-below", "nan"), ("--assert-below", "inf"), ("--assert-below", "-0.1"),
+    ])
+    def test_bad_float_option_is_validation_error(self, two_dirs, capsys, flag, value):
+        tmp_path, ref = two_dirs
+        capsys.readouterr()
+        assert run("evaluate", "--pred", ref, "--ref", ref, flag, value,
+                   "--out", tmp_path / "e.csv") == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive finite number, got '{value}'" in err
+        assert not (tmp_path / "e.csv").exists()
 
     def test_no_dt_anywhere_is_validation_error(self, two_dirs, capsys):
         tmp_path, ref = two_dirs
@@ -413,6 +450,27 @@ class TestDeterminismPipeline:
         for rel in ("run/model.folmodel", "run/loss_history.csv", "pred/step_0004.csv",
                     "ref/step_0004.csv", "errors.csv"):
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+class TestManifest:
+    def test_git_runs_once_per_process(self, tmp_path, smoke_cfg, monkeypatch):
+        calls = []
+        real_run = cli.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(cli.subprocess, "run", counting_run)
+        cli._git_hash.cache_clear()
+        for name in ("a", "b"):
+            assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:const05",
+                       "--steps", 1, "--out", tmp_path / name) == 0
+        assert len(calls) == 1
+        builds = [line for name in ("a", "b")
+                  for line in (tmp_path / name / "manifest.txt").read_text().splitlines()
+                  if line.startswith("build ")]
+        assert len(builds) == 2 and builds[0] == builds[1]
 
 
 class TestConfig:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,14 +7,15 @@ from scipy.sparse.linalg import spsolve
 
 from folheat.errors import ConvergenceError, NumericalError, ValidationError
 from folheat.fe_solver import (
+    Trajectory,
     linear_solve_spd,
     load_field,
     load_trajectory,
-    save_field,
     save_trajectory,
     solve_transient,
     steady_state,
     step_fe,
+    step_filename,
 )
 from folheat.fem import (
     ConductivityField,
@@ -21,7 +24,19 @@ from folheat.fem import (
     reduce_system,
     split_blocks,
 )
-from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid
+from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid, load_mesh
+
+DATA_MESH = Path(__file__).resolve().parent.parent / "data" / "irregular.folmesh"
+
+
+class CountingCSR(sp.csr_array):
+    """A CSR matrix that counts its matrix-vector products."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
 
 
 class TestLinearSolve:
@@ -54,6 +69,27 @@ class TestLinearSolve:
         a = sp.csr_array(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(NumericalError, match="SPD"):
             linear_solve_spd(a, np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_rhs_fails_at_once(self, reduced11, bad):
+        _, _, _, rs = reduced11
+        a = CountingCSR(rs.A_ff)
+        b = np.ones(rs.n_free)
+        b[3] = bad  # 1e200 is finite, but the norm of b overflows
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="right-hand side"):
+            linear_solve_spd(a, b)
+        assert a.products == 0
+
+    def test_nan_curvature_fails_at_once(self):
+        a = CountingCSR(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(NumericalError, match="broke down"):
+            linear_solve_spd(a, np.array([1.0, 1.0]))
+        assert a.products == 1
+
+    def test_nan_diagonal_refused(self):
+        a = sp.csr_array(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NumericalError, match="not SPD"):
+            linear_solve_spd(a, np.array([1.0, 1.0]))
 
     def test_non_convergence_reports_residual(self, reduced11):
         _, _, _, rs = reduced11
@@ -191,15 +227,15 @@ class TestFieldIO:
         mesh, _ = grid11
         rng = np.random.default_rng(9)
         values = rng.uniform(-1, 2, mesh.n_nodes)
-        path = tmp_path / "field.csv"
-        save_field(path, mesh, values)
+        path = tmp_path / step_filename(0)
+        save_trajectory(tmp_path, mesh, Trajectory([values], 0.05))
         assert np.array_equal(load_field(path, mesh), values)
 
     def test_field_of_another_mesh_refused(self, tmp_path, grid11):
         mesh, _ = grid11
         wide = build_structured_grid(11, 11, 2.0, 1.0)  # same node count, other coordinates
-        path = tmp_path / "field.csv"
-        save_field(path, wide, np.zeros(wide.n_nodes))
+        path = tmp_path / step_filename(0)
+        save_trajectory(tmp_path, wide, Trajectory([np.zeros(wide.n_nodes)], 0.05))
         assert load_field(path).shape == (mesh.n_nodes,)
         with pytest.raises(ValidationError, match=f"{path} line 3: node 1 lies at"):
             load_field(path, mesh)
@@ -216,3 +252,75 @@ class TestFieldIO:
     def test_missing_dir(self, tmp_path):
         with pytest.raises(ValidationError):
             load_trajectory(tmp_path / "nope", 0.05)
+
+
+def rowwise_save_trajectory(out_dir, mesh, traj):
+    """The writer save_trajectory replaced, kept as the byte reference: every
+    step file formats every row, node_id,x,y included, one value at a time."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for i, field in enumerate(traj.fields):
+        columns = [range(mesh.n_nodes), *mesh.nodes.T, np.asarray(field, dtype=np.float64)]
+        columns = [np.asarray(c).tolist() for c in columns]
+        row = ",".join(["%r"] * len(columns)) + "\n"
+        text = "node_id,x,y,T\n" + "".join([row % values for values in zip(*columns)])
+        (out / step_filename(i)).write_text(text, newline="\n")
+
+
+def march(mesh, dirichlet, k, n_steps, t0=0.5):
+    dofs = build_dof_map(mesh, DirichletSpec(dirichlet))
+    rs = reduce_system(assemble(mesh, k, MaterialParams()), dofs, 0.05, 1.0)
+    return solve_transient(rs, dofs, np.full(mesh.n_nodes, t0), n_steps)
+
+
+class TestTrajectoryBytes:
+    """save_trajectory formats the node columns once per trajectory; its files
+    must equal, byte for byte, those of the row-by-row reference."""
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, mesh, traj):
+        save_trajectory(tmp_path / "new", mesh, traj)
+        rowwise_save_trajectory(tmp_path / "ref", mesh, traj)
+        names = sorted(p.name for p in (tmp_path / "ref").iterdir())
+        assert sorted(p.name for p in (tmp_path / "new").iterdir()) == names
+        assert len(names) == len(traj.fields)
+        for name in names:
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+
+    def test_grid_11(self, tmp_path, reduced11):
+        mesh, dofs, _, rs = reduced11
+        self.assert_same_bytes(tmp_path, mesh, solve_transient(rs, dofs, np.full(mesh.n_nodes, 0.5), 10))
+
+    def test_grid_81_with_inclusions(self, tmp_path):
+        mesh = build_structured_grid(81, 81, 1.0, 1.0)
+        traj = march(mesh, {"left": 1.0, "right": 0.0}, ConductivityField.inclusions(mesh), 3)
+        self.assert_same_bytes(tmp_path, mesh, traj)
+
+    def test_irregular_mesh(self, tmp_path):
+        mesh = load_mesh(DATA_MESH.read_text())
+        traj = march(mesh, {"inner": 1.0, "outer": 0.0}, ConductivityField.homogeneous(mesh), 3)
+        self.assert_same_bytes(tmp_path, mesh, traj)
+
+    def test_awkward_values(self, tmp_path, grid11):
+        mesh, _ = grid11
+        values = [-0.0, 0.0, 1e-300, 5e-324, 2.2250738585072014e-309, 1.0, -3.0, 1e16, 2.0**60,
+                  0.1 + 0.2, 1 / 3, -1e300]
+        fields = [np.resize(np.roll(values, shift), mesh.n_nodes) for shift in range(3)]
+        fields.append(np.arange(mesh.n_nodes))  # integers are written as floats
+        self.assert_same_bytes(tmp_path, mesh, Trajectory(fields, 0.05))
+        text = (tmp_path / "new" / step_filename(0)).read_text().splitlines()
+        assert text[1:5] == ["0,0.0,0.0,-0.0", "1,0.1,0.0,0.0", "2,0.2,0.0,1e-300",
+                             "3,0.30000000000000004,0.0,5e-324"]
+        assert (tmp_path / "new" / step_filename(3)).read_text().splitlines()[2] == "1,0.1,0.0,1.0"
+
+    def test_empty_trajectory_writes_no_file(self, tmp_path, grid11):
+        mesh, _ = grid11
+        save_trajectory(tmp_path / "t", mesh, Trajectory([], 0.05))
+        assert list((tmp_path / "t").iterdir()) == []
+
+    def test_wrong_shape_refused_before_writing(self, tmp_path, grid11):
+        mesh, _ = grid11
+        traj = Trajectory([np.zeros(mesh.n_nodes), np.zeros(3)], 0.05)
+        with pytest.raises(ValidationError, match=r"field shape \(3,\) does not match mesh \(121\)"):
+            save_trajectory(tmp_path / "t", mesh, traj)
+        assert not (tmp_path / "t").exists()

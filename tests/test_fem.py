@@ -318,6 +318,12 @@ class TestReduceSystem:
         with pytest.raises(ValidationError):
             reduce_system(sys_mats, dofs, 0.05, 0.7)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0])
+    def test_dt_not_positive_and_finite_refused(self, system11, dt):
+        _, dofs, sys_mats = system11
+        with pytest.raises(ValidationError, match="dt must be positive and finite"):
+            reduce_system(sys_mats, dofs, dt, 1.0)
+
     def test_all_dirichlet_mesh_gives_empty_system(self):
         m = build_structured_grid(2, 2, 1.0, 1.0)
         dofs = build_dof_map(

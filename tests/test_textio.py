@@ -122,3 +122,13 @@ def test_float_block_reads_as_float_per_token(tokens, tail, missing, window, dat
         assert reader.exhausted()
         with pytest.raises(ValidationError, match=f"^block: line {lines[-1]}: unexpected end of file"):
             reader.expect("end")
+
+
+@pytest.mark.parametrize("header, columns, text", [
+    (["k"], [np.array([1.5, -0.0])], "k\n1.5\n-0.0\n"),
+    (None, [range(2), np.array([0.1 + 0.2, 1e-300])], "0,0.30000000000000004\n1,1e-300\n"),
+    (["a%", "b"], np.array([[1.0, 2.0], [3.0, 4.0]]), "a%,b\n1.0,3.0\n2.0,4.0\n"),
+])
+def test_write_csv(tmp_path, header, columns, text):
+    textio.write_csv(tmp_path / "t.csv", header, columns)
+    assert (tmp_path / "t.csv").read_bytes() == text.encode()
