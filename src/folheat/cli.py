@@ -33,6 +33,18 @@ def _positive_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
 
 
+def _alpha(text: str) -> float:
+    """argparse type of --alpha: one of the theta-scheme weights reduce_system takes."""
+    from .fem import VALID_ALPHAS
+
+    try:
+        if (value := float(text)) in VALID_ALPHAS:  # NaN and inf match none of them
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be one of {VALID_ALPHAS}, got {text!r}")
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="folheat", description=__doc__)
     p.add_argument("--threads", type=int, default=None,
@@ -76,7 +88,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--config", default=None)
     q.add_argument("--init", required=True)
     q.add_argument("--steps", type=int, required=True)
-    q.add_argument("--alpha", type=float, default=1.0)
+    q.add_argument("--alpha", type=_alpha, default=1.0)
     q.add_argument("--dt", type=_positive_float, default=None, help="override config dt")
     q.add_argument("--out", required=True)
 

@@ -44,7 +44,8 @@ def linear_solve_spd(A, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int |
     n = b.shape[0]
     if n == 0:
         return np.zeros(0)
-    norm_b = np.linalg.norm(b)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros(n)
     if not np.isfinite(norm_b):

@@ -235,10 +235,14 @@ def reduce_system(sys: SystemMatrices, dofs: DofMap, dt: float, alpha: float) ->
         raise ValidationError(f"alpha must be one of {VALID_ALPHAS}, got {alpha}")
     m_ff, _ = split_blocks(sys.M, dofs)
     k_ff, k_fd = split_blocks(sys.K, dofs)
-    a_ff = sp.csr_array(m_ff + (alpha * dt) * k_ff)
-    b_ff = sp.csr_array(m_ff - ((1.0 - alpha) * dt) * k_ff)
-    rhs_const = -dt * (k_fd @ dofs.constrained_values)
-    return ReducedSystem(a_ff, b_ff, np.asarray(rhs_const), float(dt), float(alpha))
+    with np.errstate(over="ignore"):  # a dt that overflows is refused below, by name
+        a_ff = sp.csr_array(m_ff + (alpha * dt) * k_ff)
+        b_ff = sp.csr_array(m_ff - ((1.0 - alpha) * dt) * k_ff)
+        rhs_const = np.asarray(-dt * (k_fd @ dofs.constrained_values))
+    for name, values in (("A_ff", a_ff.data), ("B_ff", b_ff.data), ("rhs_const", rhs_const)):
+        if not np.isfinite(values).all():
+            raise NumericalError(f"dt {dt!r} makes {name} of the reduced system non-finite")
+    return ReducedSystem(a_ff, b_ff, rhs_const, float(dt), float(alpha))
 
 
 def load_conductivity(path_or_file, n_nodes: int | None = None) -> ConductivityField:

@@ -41,32 +41,41 @@ DEFAULT_HIDDEN = {
 }
 
 
-def _act_forward(kind: str, z):
+def _act_forward(kind: str, z, out=None, s=None):
     """(activation(z), cached transcendental) so the reverse pass can skip
     recomputing expit/tanh; the cache is expit(z) for swish/sigmoid, tanh(z)
-    for tanh, None for relu."""
+    for tanh, None for relu. The activation is written into `out` (which may
+    be z) and swish's expit into `s`; None allocates."""
     if kind == "swish":
-        s = expit(z)
-        return z * s, s
+        s = expit(z, out=s)
+        return np.multiply(z, s, out=out), s
     if kind == "tanh":
-        t = np.tanh(z)
+        t = np.tanh(z, out=out)
         return t, t
     if kind == "sigmoid":
-        s = expit(z)
+        s = expit(z, out=out)
         return s, s
-    return np.maximum(z, 0.0), None
+    return np.maximum(z, 0.0, out=out), None
 
 
-def _act_grad_cached(kind: str, z, aux):
+def _act_grad_cached(kind: str, z, aux, out):
     """Exact derivative of the activation at z from the forward cache `aux`
-    (relu uses subgradient 0 at 0)."""
-    if kind == "swish":
-        return aux * (1.0 + z * (1.0 - aux))
-    if kind == "tanh":
-        return 1.0 - aux * aux
-    if kind == "sigmoid":
-        return aux * (1.0 - aux)
-    return np.where(z > 0, 1.0, 0.0)
+    (relu uses subgradient 0 at 0), written into `out` one operation at a
+    time."""
+    if kind == "swish":  # aux * (1 + z * (1 - aux))
+        np.subtract(1.0, aux, out=out)
+        out *= z
+        out += 1.0
+        out *= aux
+    elif kind == "tanh":  # 1 - aux * aux
+        np.multiply(aux, aux, out=out)
+        np.subtract(1.0, out, out=out)
+    elif kind == "sigmoid":  # aux * (1 - aux)
+        np.subtract(1.0, aux, out=out)
+        out *= aux
+    else:
+        np.greater(z, 0.0, out=out)
+    return out
 
 
 @dataclass
@@ -232,88 +241,190 @@ def init_model(
 class GroupTape:
     x_full: np.ndarray | None  # (batch, n_free) view when the group reads the full field
     x_gath: np.ndarray | None  # (n_nets, batch, stencil) gathered inputs otherwise
-    preacts: list[np.ndarray]  # z per layer, (n_nets, batch, out); last is the output
-    acts: list[np.ndarray]  # activation(z) for hidden layers
-    act_aux: list  # cached transcendentals for the reverse pass
+    preacts: list[np.ndarray]  # empty: no z is taped (kept for readers of the tape's arrays)
+    acts: list[np.ndarray]  # activation a per hidden layer, (n_nets, batch, width)
+    act_aux: list[np.ndarray]  # its derivative g = activation'(z) per hidden layer
 
 
 @dataclass
 class ForwardTape:
     group_tapes: list[GroupTape]
     out: np.ndarray  # (batch, n_free)
+    scratch: tuple[np.ndarray, np.ndarray]  # the workspace's scratch, for the reverse pass
 
 
-def _group_forward(group: NetGroup, X: np.ndarray, activation: str) -> GroupTape:
-    n_nets, out0, in0 = group.weights[0].shape
-    if group.in_slots is None:
-        x_gath = None
-        z = (X @ group.weights[0].reshape(n_nets * out0, in0).T).reshape(
-            X.shape[0], n_nets, out0
-        ).transpose(1, 0, 2)
-    else:
-        x_gath = np.ascontiguousarray(X[:, group.in_slots].transpose(1, 0, 2))
-        z = x_gath @ group.weights[0].transpose(0, 2, 1)
-    z = z + group.biases[0][:, None, :]
-    preacts = [z]
-    acts = []
-    act_aux = []
-    for l in range(1, group.n_layers):
-        a, aux = _act_forward(activation, z)
-        acts.append(a)
-        act_aux.append(aux)
-        z = a @ group.weights[l].transpose(0, 2, 1) + group.biases[l][:, None, :]
-        preacts.append(z)
-    return GroupTape(X if group.in_slots is None else None, x_gath, preacts, acts, act_aux)
+def _shaped(flat: np.ndarray, shape, batch_major: bool = False) -> np.ndarray:
+    """(n_nets, batch, width) view of the front of `flat`; batch-major storage
+    puts each sample's nets side by side."""
+    n_nets, batch, width = shape
+    front = flat[: n_nets * batch * width]
+    if batch_major:
+        return front.reshape(batch, n_nets, width).transpose(1, 0, 2)
+    return front.reshape(shape)
 
 
-def forward_batch(m: ModelBundle, X: np.ndarray) -> np.ndarray:
-    """Evaluate a batch of free fields, shape (batch, n_free) -> same shape."""
-    return forward_with_tape(m, X)[0]
+class Workspace:
+    """Buffers reused by taped passes: the tape, and two scratch buffers.
+
+    Forward, the scratch buffers hold the first-layer product, z and expit(z);
+    in reverse, dz @ W and the first layer's batch-major dz. The buffers grow
+    to the largest batch seen and a smaller batch uses their front, so one
+    workspace serves every batch of a training run. Each taped pass through a
+    workspace overwrites the tape of the pass before.
+    """
+
+    def __init__(self):
+        self.tape = np.empty(0)
+        self.scratch = (np.empty(0), np.empty(0))
+        self._pos = 0
+
+    def reserve(self, m: ModelBundle, batch: int) -> None:
+        """Make room for one taped pass of `m` over `batch` samples."""
+        tape = scratch = 0
+        for g in m.groups:
+            stencil = 0 if g.in_slots is None else g.in_slots.shape[1]
+            hidden = [w.shape[1] for w in g.weights[:-1]]
+            tape += g.n_nets * (stencil + 2 * sum(hidden))
+            # the gathered inputs and every layer's z pass through scratch
+            scratch = max(scratch, g.n_nets * max(stencil, *(w.shape[1] for w in g.weights)))
+        if self.tape.size < batch * tape:
+            self.tape = np.empty(batch * tape)
+        if self.scratch[0].size < batch * scratch:
+            self.scratch = (np.empty(batch * scratch), np.empty(batch * scratch))
+        self._pos = 0
+
+    def take(self, shape, batch_major: bool = False) -> np.ndarray:
+        """The next unused piece of the tape, shaped as _shaped does."""
+        view = _shaped(self.tape[self._pos :], shape, batch_major)
+        self._pos += view.size
+        return view
 
 
-def forward_with_tape(m: ModelBundle, X: np.ndarray):
-    """forward_batch plus the intermediates needed for an exact reverse pass."""
+def _as_batch(m: ModelBundle, X):
+    """X as a float64 (batch, n_free) array, and whether one field was given."""
     X = np.asarray(X, dtype=np.float64)
     squeeze = X.ndim == 1
     if squeeze:
         X = X[None, :]
     if X.ndim != 2 or X.shape[1] != m.n_free:
         raise ValidationError(f"input shape {X.shape} does not match n_free={m.n_free}")
-    out = np.empty((X.shape[0], m.n_free))
-    tapes = []
+    return X, squeeze
+
+
+def _first_layer(group: NetGroup, X: np.ndarray, x_gath, z: np.ndarray) -> np.ndarray:
+    """z = W0 x + b0 written into `z`, (n_nets, batch, out0). A full-field
+    group's `z` is batch-major, so one matmul over all nets fills it."""
+    if x_gath is None:
+        n_nets, out0, in0 = group.weights[0].shape
+        np.matmul(X, group.weights[0].reshape(n_nets * out0, in0).T,
+                  out=z.transpose(1, 0, 2).reshape(X.shape[0], n_nets * out0))
+    else:
+        np.matmul(x_gath, group.weights[0].transpose(0, 2, 1), out=z)
+    z += group.biases[0][:, None, :]
+    return z
+
+
+def forward_batch(m: ModelBundle, X: np.ndarray) -> np.ndarray:
+    """Evaluate a batch of free fields, shape (batch, n_free) -> same shape.
+
+    Inference only: each layer overwrites the last, no tape is kept and no
+    derivative computed.
+    """
+    X, squeeze = _as_batch(m, X)
+    batch = X.shape[0]
+    out = np.empty((batch, m.n_free))
     for g in m.groups:
-        gt = _group_forward(g, X, m.activation)
-        z = gt.preacts[-1]  # (n_nets, batch, out_dim)
-        out[:, g.out_slots] = z.transpose(1, 0, 2).reshape(X.shape[0], -1)
-        tapes.append(gt)
-    if squeeze:
-        return out[0], ForwardTape(tapes, out)
-    return out, ForwardTape(tapes, out)
+        n_nets, out0, _ = g.weights[0].shape
+        x_gath = None
+        if g.in_slots is not None:
+            x_gath = np.ascontiguousarray(X[:, g.in_slots].transpose(1, 0, 2))
+        z = _shaped(np.empty(n_nets * batch * out0), (n_nets, batch, out0), x_gath is None)
+        z = _first_layer(g, X, x_gath, z)
+        for w, b in zip(g.weights[1:], g.biases[1:]):
+            _act_forward(m.activation, z, z)
+            z = z @ w.transpose(0, 2, 1)
+            z += b[:, None, :]
+        out[:, g.out_slots] = z.transpose(1, 0, 2).reshape(batch, -1)
+    return out[0] if squeeze else out
+
+
+def _group_forward(group: NetGroup, X: np.ndarray, activation: str, ws: Workspace,
+                   out: np.ndarray) -> GroupTape:
+    """Taped pass of one group, writing its outputs into their slots of `out`."""
+    n_nets, out0, _ = group.weights[0].shape
+    batch = X.shape[0]
+    z_buf, s_buf = ws.scratch
+    full = group.in_slots is None
+    x_gath = None
+    if not full:
+        stencil = group.in_slots.shape[1]
+        # in_slots are checked when a model is built or loaded, so "clip" never
+        # clips; unlike the default "raise", it writes `out` without a buffered copy
+        gathered = np.take(X, group.in_slots, axis=1, mode="clip",
+                           out=_shaped(s_buf, (batch, n_nets, stencil)))
+        x_gath = ws.take((n_nets, batch, stencil))
+        np.copyto(x_gath, gathered.transpose(1, 0, 2))
+    z = _first_layer(group, X, x_gath, _shaped(z_buf, (n_nets, batch, out0), full))
+    acts, grads = [], []
+    for l in range(1, group.n_layers):
+        # a and g keep z's storage order, which the reverse pass's sums and
+        # matmuls see: batch-major for a full-field group's first layer
+        batch_major = full and l == 1
+        a, g = ws.take(z.shape, batch_major), ws.take(z.shape, batch_major)
+        _, aux = _act_forward(activation, z, a, _shaped(s_buf, z.shape, batch_major))
+        acts.append(a)
+        grads.append(_act_grad_cached(activation, z, aux, g))
+        shape = (n_nets, batch, group.weights[l].shape[1])
+        z = np.matmul(a, group.weights[l].transpose(0, 2, 1), out=_shaped(z_buf, shape))
+        z += group.biases[l][:, None, :]
+    out[:, group.out_slots] = z.transpose(1, 0, 2).reshape(batch, -1)
+    return GroupTape(X if full else None, x_gath, [], acts, grads)
+
+
+def forward_with_tape(m: ModelBundle, X: np.ndarray, workspace: Workspace | None = None):
+    """forward_batch plus the tape an exact reverse pass needs: per hidden
+    layer the activation a and its derivative g. The tape lives in
+    `workspace` (a fresh one when None)."""
+    X, squeeze = _as_batch(m, X)
+    ws = Workspace() if workspace is None else workspace
+    ws.reserve(m, X.shape[0])
+    out = np.empty((X.shape[0], m.n_free))
+    tapes = [_group_forward(g, X, m.activation, ws, out) for g in m.groups]
+    tape = ForwardTape(tapes, out, ws.scratch)
+    return (out[0] if squeeze else out), tape
 
 
 def backprop(m: ModelBundle, tape: ForwardTape, d_out: np.ndarray) -> np.ndarray:
     """Exact parameter gradients given d(loss)/d(output), shape (batch, n_free).
 
     Returns a fresh flat vector in params_flat order; each layer's dW and db
-    are written straight into their views of it.
+    are written straight into their views of it. Layer by layer,
+    dz = (dz @ W_l) * g runs in the tape's scratch buffers.
     """
     d_out = np.asarray(d_out, dtype=np.float64)
     grad = np.empty(count_params(m))
     batch = d_out.shape[0]
     for g, gt, (d_ws, d_bs) in zip(m.groups, tape.group_tapes, _flat_views(m.groups, grad)):
+        # rows of d_out.T, so a net with one output needs a single gathered copy
         dz = np.ascontiguousarray(
-            d_out[:, g.out_slots].reshape(batch, g.n_nets, -1).transpose(1, 0, 2)
+            d_out.T[g.out_slots].reshape(g.n_nets, -1, batch).transpose(0, 2, 1)
         )
         for l in range(g.n_layers - 1, 0, -1):
             np.matmul(dz.transpose(0, 2, 1), gt.acts[l - 1], out=d_ws[l])
             dz.sum(axis=1, out=d_bs[l])
-            da = dz @ g.weights[l]
-            dz = da * _act_grad_cached(m.activation, gt.preacts[l - 1], gt.act_aux[l - 1])
+            # into the scratch buffer dz is not in; layer 1 ends in scratch[1]
+            dz = np.matmul(dz, g.weights[l], out=_shaped(tape.scratch[l % 2], gt.acts[l - 1].shape))
+            dz *= gt.act_aux[l - 1]
         dz.sum(axis=1, out=d_bs[0])
-        if g.in_slots is None:
+        if g.in_slots is None:  # one matmul over all nets: dW0 = dz0.T @ x, dz0 (batch, n_nets * out0)
             n_nets, _, out0 = dz.shape
-            dz0 = dz.transpose(1, 0, 2).reshape(batch, n_nets * out0)
-            np.matmul(dz0.T, gt.x_full, out=d_ws[0].reshape(n_nets * out0, -1))
+            if out0 == 1:  # dz's storage is dz0.T already; a copy would make BLAS read it transposed
+                dz0_t = dz.reshape(n_nets, batch)
+            else:
+                dz0 = _shaped(tape.scratch[0], dz.shape, batch_major=True)
+                np.copyto(dz0, dz)
+                dz0_t = dz0.transpose(1, 0, 2).reshape(batch, n_nets * out0).T
+            np.matmul(dz0_t, gt.x_full, out=d_ws[0].reshape(n_nets * out0, -1))
         else:
             np.matmul(dz.transpose(0, 2, 1), gt.x_gath, out=d_ws[0])
     return grad

@@ -9,6 +9,7 @@ the taped forward evaluation - no numerical differentiation anywhere.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -38,8 +39,8 @@ class TrainConfig:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ValidationError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:  # NaN fails both comparisons
+            raise ValidationError(f"lr must be positive and finite, got {self.lr}")
         if self.optimizer not in ("adam", "lbfgs"):
             raise ValidationError(f"optimizer must be 'adam' or 'lbfgs', got {self.optimizer!r}")
         if self.seed < 0:
@@ -73,7 +74,7 @@ def residual_loss(rs: ReducedSystem, dofs: DofMap, t_n: np.ndarray, t_hat: np.nd
 
 
 def _loss_and_grad(rs: ReducedSystem, dofs: DofMap, batch: np.ndarray, model: ModelBundle,
-                   want_grad: bool):
+                   want_grad: bool, workspace: neural.Workspace | None = None):
     _require_loss_system(rs)
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != dofs.n_free:
@@ -83,14 +84,16 @@ def _loss_and_grad(rs: ReducedSystem, dofs: DofMap, batch: np.ndarray, model: Mo
     if batch.shape[0] == 0:
         raise ValidationError("batch must be non-empty")
     n_s = batch.shape[0]
-    t_hat, tape = neural.forward_with_tape(model, batch)
+    t_hat, tape = neural.forward_with_tape(model, batch, workspace)
     r = _residual_matrix(rs, batch, t_hat)  # (n_free, n_s)
     loss = float(np.sum(r * r)) / n_s
     if not want_grad:
         return loss, None
-    # d(loss)/d(t_hat) = (2/n_s) A_ff^T r; A_ff is symmetric, so no transpose
-    d_out = (2.0 / n_s) * (rs.A_ff @ r).T
-    return loss, neural.backprop(model, tape, d_out)
+    # d(loss)/d(t_hat) = (2/n_s) A_ff^T r; A_ff is symmetric, so no transpose.
+    # Rebinding r frees the residual before the reverse pass.
+    r = rs.A_ff @ r
+    r *= 2.0 / n_s
+    return loss, neural.backprop(model, tape, r.T)
 
 
 def batch_loss(rs: ReducedSystem, dofs: DofMap, batch: np.ndarray, model: ModelBundle) -> float:
@@ -242,6 +245,7 @@ def train(
 
     # parameters live in one flat buffer; the model's arrays are views
     neural_params = model.rebind_params_flat()
+    workspace = neural.Workspace()  # one tape and scratch for every batch and evaluation
     if cfg.optimizer == "adam":
         state = AdamState.zeros(neural_params.size)
         scratch = np.empty_like(neural_params)
@@ -251,7 +255,7 @@ def train(
             losses = []
             for lo in range(0, n_samples, cfg.batch_size):
                 batch = data[order[lo : lo + cfg.batch_size]]
-                loss, grads = _loss_and_grad(rs, dofs, batch, model, want_grad=True)
+                loss, grads = _loss_and_grad(rs, dofs, batch, model, True, workspace)
                 if not np.isfinite(loss):
                     raise NumericalError(
                         f"loss diverged at epoch {epoch} (value {loss}); try a smaller lr"
@@ -268,7 +272,7 @@ def train(
 
         def f_and_g(p):
             np.copyto(neural_params, p)
-            return _loss_and_grad(rs, dofs, data, model, want_grad=True)
+            return _loss_and_grad(rs, dofs, data, model, True, workspace)
 
         for epoch in range(cfg.epochs):
             point, state = lbfgs_step(point, f_and_g, state)

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -254,13 +257,41 @@ class TestPredictAndSolve:
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0.7"])
+    def test_solve_fem_bad_alpha_refused_before_assembly(self, tmp_path, smoke_cfg, capsys,
+                                                         monkeypatch, alpha):
+        def assemble(*args):
+            raise AssertionError("assembled before alpha was checked")
+
+        monkeypatch.setattr(fem, "assemble", assemble)
+        capsys.readouterr()
+        assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:const05",
+                   "--steps", 1, "--alpha", alpha, "--out", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert f"argument --alpha: must be one of (0.0, 0.5, 1.0), got '{alpha}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_solve_fem_overflowing_dt_fails_at_once(self, tmp_path, smoke_cfg, capsys):
         capsys.readouterr()
-        with np.errstate(over="ignore"):
-            assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:const05",
-                       "--steps", 1, "--dt", "1e308", "--out", tmp_path / "x") == 2
+        assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:const05",
+                   "--steps", 1, "--dt", "1e308", "--out", tmp_path / "x") == 2
         err = capsys.readouterr().err
-        assert "right-hand side norm is inf" in err and "did not converge" not in err
+        assert "dt 1e+308 makes A_ff of the reduced system non-finite" in err
+        assert "did not converge" not in err
+
+    @pytest.mark.parametrize("dt", ["1e200", "1e308"])
+    def test_solve_fem_huge_dt_prints_one_error_line(self, tmp_path, smoke_cfg, dt):
+        # a child process: pytest would catch numpy's RuntimeWarnings before stderr
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "folheat.cli", "solve-fem", "--config", str(smoke_cfg),
+             "--init", "canonical:const05", "--steps", "1", "--dt", dt,
+             "--out", str(tmp_path / "x")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("numerical failure: ")
 
     def test_init_from_field_file(self, tmp_path, smoke_cfg, trained):
         ref = tmp_path / "ref"

@@ -46,7 +46,7 @@ class TestActivations:
         for x in points:
             fd = (act(kind, x + h) - act(kind, x - h)) / (2 * h)
             z = np.float64(x)
-            grad = _act_grad_cached(kind, z, _act_forward(kind, z)[1])
+            grad = _act_grad_cached(kind, z, _act_forward(kind, z)[1], np.empty(()))
             assert grad == pytest.approx(fd, abs=1e-8)
 
     def test_unknown_kind(self, tmp_path, grid3):
@@ -206,7 +206,20 @@ class TestTape:
         out_plain = forward_batch(model, x)
         out_tape, tape = forward_with_tape(model, x)
         assert np.array_equal(out_plain, out_tape)
-        assert len(tape.group_tapes[0].preacts) == 3  # two hidden + linear output
+        gt = tape.group_tapes[0]
+        # a and its derivative g per hidden layer; no z is taped
+        assert gt.preacts == [] and len(gt.acts) == len(gt.act_aux) == 2
+        assert gt.acts[0].shape == gt.act_aux[0].shape == (dofs.n_free, 4, 10)
+
+    def test_inference_keeps_no_tape(self, grid11):
+        # one tape array of (99 nets, 3000 samples, 10) is 23.8 MB; the taped
+        # pass keeps four, inference at most z and expit(z) of one layer
+        mesh, dofs = grid11
+        model = init_model("separated", mesh, dofs, seed=5)
+        x = np.random.default_rng(5).uniform(0, 1, (3000, dofs.n_free))
+        out, peak = traced(forward_batch, model, x)
+        assert peak <= 2.5 * 99 * 3000 * 10 * 8, peak
+        assert np.array_equal(out, forward_with_tape(model, x)[0])
 
 
 class TestCheckpoint:

@@ -1,3 +1,7 @@
+import hashlib
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,15 @@ from folheat.errors import FingerprintError, NumericalError, ValidationError
 from folheat.fe_solver import steady_state, step_fe
 from folheat.fem import ConductivityField, MaterialParams, assemble, reduce_system
 from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid
-from folheat.neural import count_params, forward_batch, init_model, load_model, save_model
+from folheat.neural import (
+    ACTIVATIONS,
+    ARCHITECTURES,
+    count_params,
+    forward_batch,
+    init_model,
+    load_model,
+    save_model,
+)
 from folheat.sampling import FourierParams, build_sample_set
 from folheat.training import (
     AdamState,
@@ -330,3 +342,86 @@ class TestTrain:
             TrainConfig(epochs=1, batch_size=1, lr=-1.0)
         with pytest.raises(ValidationError):
             TrainConfig(epochs=1, batch_size=1, optimizer="sgd")
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    def test_non_finite_lr_refused(self, lr):
+        with pytest.raises(ValidationError, match="lr must be positive and finite"):
+            TrainConfig(epochs=1, batch_size=1, lr=lr)
+
+
+def _problem(n):
+    mesh = build_structured_grid(n, n, 1.0, 1.0)
+    dofs = build_dof_map(mesh, DirichletSpec({"left": 1.0, "right": 0.0}))
+    sys_mats = assemble(mesh, ConductivityField.homogeneous(mesh), MaterialParams())
+    return mesh, dofs, reduce_system(sys_mats, dofs, 0.05, 1.0)
+
+
+def _trained_sha256(model, rs, dofs, samples, adam_epochs, lbfgs_epochs, batch_size, seed):
+    """sha256 of the parameters after Adam then L-BFGS, and of both loss records."""
+    h = hashlib.sha256()
+    _, adam = train(model, rs, dofs, samples, TrainConfig(adam_epochs, batch_size, seed=seed))
+    _, lbfgs = train(model, rs, dofs, samples,
+                     TrainConfig(lbfgs_epochs, batch_size, optimizer="lbfgs", seed=seed))
+    for values in (model.params_flat(), adam, lbfgs):
+        h.update(values.tobytes())
+    return h.hexdigest()
+
+
+# Training's exact bits on this numpy/OpenBLAS build at 1 BLAS thread, recorded
+# from the taped pass that kept z, a and the expit/tanh cache per hidden layer.
+# A refactor of neural or training must reproduce them.
+SMALL_SHA256 = {
+    ("separated", "swish"): "ee01a571c0e8e3e61611853d578cff9a0a91b29e32ff413409c75014c419f13a",
+    ("separated", "tanh"): "69820152e7de308537e3d0ee748a3c796c6260e408c91afa7f876f466ba3bf8c",
+    ("separated", "sigmoid"): "31abc112bfbf91f3b37e6b8bcc846a49ef76fc6fd522692f565dc382d8827790",
+    ("separated", "relu"): "9e503d92c4ffddafceb255202cf53c8bf19b0eca6ab7e9e85841a0b5c2bf54b9",
+    ("elementwise", "swish"): "3014e02e9f334c8ca4a9c384b396b131ae55b41183b4f2eeec49f1906eab1137",
+    ("elementwise", "tanh"): "ec01d979d6c537e5a2d7bdb0d67f863b03cf84c822f8509690245d2507741f30",
+    ("elementwise", "sigmoid"): "f285bfd4a2233f2589616d14c5c6aea3d56f83cb59fb481c79c79fa75ef49756",
+    ("elementwise", "relu"): "a212f0f22d22a32405fed26bf07abfcadc33db1dfd8bd12439bb8e1ff743fe50",
+    ("fully_connected", "swish"): "ec8138e2d4965659ae3c1d94ad954c633a9547e341a5c1272f972f8c382fc3d0",
+    ("fully_connected", "tanh"): "6a8a51e30ed7b79ddd034d2a384ec9078a45fb0848e69487d8004b82f6007966",
+    ("fully_connected", "sigmoid"): "084ae636860cc8b9d1ce4b53430a95279f4ffe28a860fc6c2aae973829bacc39",
+    ("fully_connected", "relu"): "37144c70ecfa5aaea2b6a90d5adef9032c59bf5ad4c9e48c17dd67f2c38470e7",
+}
+DESK_SHA256 = "0daf76b1dfb511530443fdd52076a38ee7719c0403f9aa78d55cdad9ef7bd67c"
+
+
+@pytest.fixture(scope="module")
+def desk():
+    """The desk recipe's 11x11 problem and its 3000-sample corpus (seed 0)."""
+    mesh, dofs, rs = _problem(11)
+    samples = build_sample_set((1200, 1500, 300), FourierParams(), mesh, dofs, seed=0)
+    return mesh, dofs, rs, samples
+
+
+class TestTrainingBits:
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_small_grid(self, arch, activation):
+        # 20 samples in batches of 6 end in a short batch of 2
+        mesh, dofs, rs = _problem(5)
+        samples = build_sample_set((8, 8, 4), FourierParams(), mesh, dofs, seed=3)
+        model = init_model(arch, mesh, dofs, activation=activation, seed=4)
+        assert _trained_sha256(model, rs, dofs, samples, 3, 3, 6, 5) == SMALL_SHA256[arch, activation]
+
+    def test_desk_recipe(self, desk):
+        mesh, dofs, rs, samples = desk
+        model = init_model("separated", mesh, dofs, activation="swish", seed=0)
+        assert _trained_sha256(model, rs, dofs, samples, 5, 8, 60, 0) == DESK_SHA256
+
+
+def test_full_batch_gradient_memory(desk):
+    """The taped pass keeps a and g per hidden layer and reuses two scratch
+    buffers: one full-batch desk gradient peaks under 6.5 arrays of
+    (99 nets, 3000 samples, 10) float64."""
+    mesh, dofs, rs, samples = desk
+    model = init_model("separated", mesh, dofs, seed=0)
+    unit = 99 * 3000 * 10 * 8
+    tracemalloc.start()
+    try:
+        loss_gradient(rs, dofs, samples.samples, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * unit, peak / unit
