@@ -141,11 +141,12 @@ def _write_manifest(out_dir: Path, command: str, cfg, extra: dict | None = None)
 def _manifest_dt(dir_path: Path) -> float | None:
     """The `dt` recorded in dir_path/manifest.txt, or None when there is none."""
     from .errors import ValidationError
+    from .textio import read_text
 
     mf = dir_path / "manifest.txt"
     if not mf.exists():
         return None
-    for line in mf.read_text().splitlines():
+    for line in read_text(mf).splitlines():
         parts = line.split()
         if len(parts) == 2 and parts[0] == "dt":
             try:
@@ -195,9 +196,11 @@ def cmd_gen_mesh(args) -> int:
 def cmd_validate(args) -> int:
     from .errors import ValidationError
     from .mesh import load_mesh
+    from .textio import read_text
 
+    text = read_text(args.mesh)
     try:
-        mesh = load_mesh(Path(args.mesh).read_text())
+        mesh = load_mesh(text)
     except ValidationError as exc:
         raise type(exc)(f"{args.mesh}: {exc}") from None
     print(f"{args.mesh}: valid ({mesh.n_nodes} nodes, {mesh.n_elems} elements, "

@@ -17,6 +17,7 @@ from .errors import ValidationError
 from .fem import ConductivityField, MaterialParams, load_conductivity
 from .mesh import DirichletSpec, Mesh, build_structured_grid, load_mesh
 from .sampling import FourierParams
+from .textio import read_text
 
 DEFAULT_CONFIG = """\
 [mesh]
@@ -129,8 +130,9 @@ class RunConfig:
             )
         if source == "file":
             path = self._resolve(self._get("mesh", "path"), "mesh.path")
+            text = read_text(path)
             try:
-                return load_mesh(path.read_text())
+                return load_mesh(text)
             except ValidationError as exc:
                 raise type(exc)(f"{path}: {exc}") from None
         raise ValidationError(f"mesh.source must be 'structured' or 'file', got {source!r}")
@@ -243,7 +245,7 @@ def load_run_config(path=None) -> RunConfig:
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"config file not found: {p}")
-    text = p.read_text()
+    text = read_text(p)
     try:
         if _parser(text).has_section("dirichlet"):
             parser.remove_section("dirichlet")

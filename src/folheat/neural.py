@@ -26,7 +26,7 @@ from scipy.special import expit
 
 from .errors import FingerprintError, ValidationError
 from .mesh import DofMap, Mesh
-from .textio import TokenReader, write_block
+from .textio import TokenReader, decoding, write_block
 
 CHECKPOINT_FORMAT = "folmodel"
 CHECKPOINT_VERSION = 1
@@ -452,13 +452,21 @@ def save_model(m: ModelBundle, path) -> None:
         f.write("end\n")
 
 
-def load_model(path_or_text, dofs: DofMap | None = None) -> ModelBundle:
-    """Read a checkpoint; verifies the dof fingerprint when `dofs` is given."""
-    if isinstance(path_or_text, str) and path_or_text.lstrip().startswith(CHECKPOINT_FORMAT):
-        text, source = path_or_text, "checkpoint"
-    else:
-        text, source = Path(path_or_text).read_text(), str(path_or_text)
-    r = TokenReader(text, error_cls=ValidationError, source=source)
+def load_model(path, dofs: DofMap | None = None) -> ModelBundle:
+    """Read the checkpoint file at path; verifies the dof fingerprint when
+    `dofs` is given. The file is parsed from the open stream (decoded and
+    newline-translated as ``read_text`` would), a window at a time."""
+    source = str(path)
+    with decoding(source), Path(path).open() as f:
+        model = _read_model(TokenReader(f, error_cls=ValidationError, source=source))
+    _check_wiring(model, source)
+    if dofs is not None:
+        check_fingerprint(model, dofs)
+    return model
+
+
+def _read_model(r: TokenReader) -> ModelBundle:
+    """The checkpoint's fields and arrays, read from r."""
 
     def positive(word):
         if (value := r.next_keyed(word, int)) < 1:
@@ -500,12 +508,7 @@ def load_model(path_or_text, dofs: DofMap | None = None) -> ModelBundle:
             biases.append(b.reshape(n_nets, d_out))
         groups.append(NetGroup(out_slots, in_slots, weights, biases))
     r.expect("end")
-
-    model = ModelBundle(arch, activation, n_free, groups, fingerprint, dt)
-    _check_wiring(model, source)
-    if dofs is not None:
-        check_fingerprint(model, dofs)
-    return model
+    return ModelBundle(arch, activation, n_free, groups, fingerprint, dt)
 
 
 def _check_wiring(m: ModelBundle, source: str) -> None:

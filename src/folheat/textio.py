@@ -4,12 +4,14 @@ checkpoint) and CSV tables (fields, conductivity, errors, post-processing).
 Token comments run from ``#`` to end of line. Tokens may wrap across lines;
 a parse error names the line of the offending token.
 
-``TokenReader`` keeps the text and a character cursor; no Python object per
-token outlives one window. A single token is one regex search. A block is
-converted a window of about ``WINDOW`` characters at a time, cut at
-whitespace (at a line end if the text has comments, which are blanked per
-window), by ``int``/``float`` per token into preallocated arrays. An error
-re-reads the block to name the line a whole-text parse would.
+``TokenReader`` reads an open text stream front to back and keeps only the
+current window of it: at most ``WINDOW`` characters cut at whitespace, plus
+the partial token or comment carried into the next window. No Python object
+per token outlives one window. A single token is one regex search. A block
+is converted a window at a time, cut at whitespace outside a comment
+(comments are blanked per window), by ``int``/``float`` per token into
+preallocated arrays. An error re-reads the stream from its start, a window
+at a time, to name the line a whole-text parse would.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+from contextlib import contextmanager
 from itertools import chain, islice
 from pathlib import Path
 
@@ -26,7 +29,7 @@ from .errors import MeshFormatError, ValidationError
 
 _DTYPES = {int: np.int64, float: np.float64}
 
-WINDOW = 1 << 18  # characters of a token block converted at a time
+WINDOW = 1 << 18  # characters of a token stream read and converted at a time
 TOKEN_CHARS = 32  # window characters at most per token the block still needs
 CHUNK = 1 << 16  # tokens formatted per write
 
@@ -35,7 +38,22 @@ _BREAKS = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
 _LINE_BREAK = re.compile(rf"\r\n|[{_BREAKS}]")
 _COMMENT = re.compile(rf"#[^{_BREAKS}]*")
 _LEX = re.compile(rf"[^\s#]+|{_COMMENT.pattern}")  # a token or a comment
-_SPACE, _NEWLINE = re.compile(r"\s"), re.compile(r"\n")
+_SPACE = re.compile(r"\s")
+
+
+@contextmanager
+def decoding(source):
+    """Raise a UnicodeDecodeError of the block as a ValidationError naming source."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{source}: not valid {exc.encoding} text ({exc.reason})") from None
+
+
+def read_text(path) -> str:
+    """``Path(path).read_text()``; bytes that do not decode are a ValidationError."""
+    with decoding(path):
+        return Path(path).read_text()
 
 
 def _converts(tok: str, kind) -> bool:
@@ -62,38 +80,94 @@ def _fill(out: list[np.ndarray], columns, tokens: list[str], done: int) -> bool:
 
 
 class TokenReader:
-    """The whitespace tokens of a text, read front to back; numbers convert with
-    ``int`` or a finite ``float``. Errors name ``source`` and the token's line."""
+    """The whitespace tokens of a seekable text stream (a str reads through
+    ``io.StringIO``), read front to back; numbers convert with ``int`` or a
+    finite ``float``. Errors name ``source`` and the token's line."""
 
-    def __init__(self, text: str, *, error_cls=MeshFormatError, source: str | None = None):
-        self._text = text
-        self._comments = "#" in text
-        self._pos = 0  # the cursor, at the end of the last token read
+    def __init__(self, stream, *, error_cls=MeshFormatError, source: str | None = None):
+        self._stream = io.StringIO(stream) if isinstance(stream, str) else stream
+        # characters at most still to come: a text file seeks to its size in bytes
+        self._size = self._stream.seek(0, io.SEEK_END)
+        self._rewind()
+        self._pos = 0  # the offset of the end of the last token read
         self._error_cls = error_cls
         self._source = f"{source}: " if source else ""
 
     def fail(self, message: str, offset: int | None = None):
         """Raise an error at the line of a character offset, by default that of
         the last token read."""
-        at = self._pos if offset is None else offset
-        lineno = 1 + sum(1 for _ in _LINE_BREAK.finditer(self._text, 0, at))
+        left, lineno, last = self._pos if offset is None else offset, 1, ""
+        self._stream.seek(0)
+        while left > 0 and (chunk := self._stream.read(min(WINDOW, left))):
+            left -= len(chunk)
+            lineno += sum(1 for _ in _LINE_BREAK.finditer(chunk)) - (last + chunk[0] == "\r\n")
+            last = chunk[-1]
         raise self._error_cls(f"{self._source}line {lineno}: {message}")
 
-    def _tokens(self, pos: int):
-        """The token matches from offset pos on, comments skipped."""
-        return (m for m in _LEX.finditer(self._text, pos) if m[0][0] != "#")
+    def _rewind(self):
+        """Put the cursor at the start of the stream, the buffer empty."""
+        self._stream.seek(0)
+        self._buf, self._base, self._at, self._eof = "", 0, 0, False  # _buf starts at offset _base
+
+    def _more(self):
+        """Drop the buffer before the cursor and read the next window onto the rest."""
+        chunk = self._stream.read(WINDOW)
+        self._base += self._at
+        self._buf, self._at, self._eof = self._buf[self._at :] + chunk, 0, not chunk
+
+    def _match(self):
+        """The next token's match in the buffer, comments passed over; None at
+        the end of the stream."""
+        while True:
+            for m in _LEX.finditer(self._buf, self._at):
+                if m.end() == len(self._buf) and not self._eof:
+                    break  # it may go on in the next window
+                if m[0][0] != "#":
+                    return m
+                self._at = m.end()
+            else:
+                if self._eof:
+                    return None
+                self._at = len(self._buf)
+            self._more()
+
+    def _replay(self, start: int):
+        """(token, start, end offset) of the tokens from offset start on, the
+        stream re-read from its start."""
+        self._rewind()
+        while start - self._base > len(self._buf) and not self._eof:
+            self._at = len(self._buf)
+            self._more()
+        self._at = start - self._base
+        while (m := self._match()) is not None:
+            self._at = m.end()
+            yield m[0], self._base + m.start(), self._base + m.end()
+
+    def _window(self, limit: int) -> str:
+        """The text from the cursor to the first whitespace outside a comment
+        at least limit characters on (or to the end), the cursor moved there."""
+        while True:
+            buf, at = self._buf, self._at
+            m = _SPACE.search(buf, at + limit)
+            cut = m.start() if m else len(buf)
+            if (hash_at := buf.rfind("#", at, cut)) >= 0:  # a cut in a comment moves to its end
+                cut = max(cut, _COMMENT.match(buf, hash_at).end())
+            if cut < len(buf) or self._eof:
+                self._at = cut
+                return buf[at:cut]
+            self._more()
 
     def exhausted(self) -> bool:
-        return next(self._tokens(self._pos), None) is None
+        return self._match() is None
 
     def next_token(self, what: str, kind=str):
         """The next token, as a str or converted by kind (int or float)."""
         if kind is not str:
             return self.next_block(1, (what, kind))[0].item()
-        m = next(self._tokens(self._pos), None)
+        m = self._match()
         if m is None:
             self.fail(f"unexpected end of file, expected {what}")
-        self._pos = m.end()
+        self._at, self._pos = m.end(), self._base + m.end()
         return m[0]
 
     def next_keyed(self, word: str, kind=str):
@@ -107,29 +181,26 @@ class TokenReader:
         Each column is a (what, kind) pair, kind int or float. An error names
         the line of the first token that does not convert.
         """
-        width, text = len(columns), self._text
+        width = len(columns)
         n = n_rows * width
         start, done = self._pos, 0
         if n < 0:
             self.fail(f"negative {columns[0][0]} count {n}")
-        if 2 * n - 1 > len(text) - start:  # too few characters for n tokens and their gaps
+        if 2 * n - 1 > self._size - start:  # too few characters for n tokens and their gaps
             self._refuse(start, n, columns)
         out = [np.empty(n_rows, _DTYPES[kind]) for _, kind in columns]
-        cut = _NEWLINE if self._comments else _SPACE  # no comment spans two windows
         while done < n:
-            pos = self._pos
-            if pos >= len(text):
+            window = self._window(min(WINDOW, TOKEN_CHARS * (n - done)))
+            if not window:
                 self._refuse(start, n, columns)
-            m = cut.search(text, pos + min(WINDOW, TOKEN_CHARS * (n - done)))
-            self._pos = m.start() if m else len(text)
-            window = text[pos : self._pos]
-            if self._comments:
+            if "#" in window:
                 window = _COMMENT.sub(lambda c: " " * len(c[0]), window)
             tokens = window.split()
             if len(tokens) >= n - done:  # the block ends in this window
                 drop = len(tokens) - (n - done)
                 del tokens[n - done :]
-                self._pos = pos + len(window.rsplit(None, drop)[0])
+                self._at -= len(window) - len(window.rsplit(None, drop)[0])
+                self._pos = self._base + self._at
             if not _fill(out, columns, tokens, done):
                 self._refuse(start, n, columns)
             done += len(tokens)
@@ -140,16 +211,15 @@ class TokenReader:
     def _refuse(self, start: int, n: int, columns):
         """Raise the error of the block of n tokens from offset start: the end of
         the file if the block is short, else its first token that does not convert."""
-        width, count, bad, self._pos = len(columns), 0, None, start
-        for count, m in enumerate(islice(self._tokens(start), n), 1):
-            self._pos = m.end()
+        width, count, end, bad = len(columns), 0, start, None
+        for count, (tok, at, end) in enumerate(islice(self._replay(start), n), 1):
             what, kind = columns[(count - 1) % width]
-            if bad is None and not _converts(m[0], kind):
-                bad = m, what, kind
+            if bad is None and not _converts(tok, kind):
+                bad = tok, at, what, kind
         if count < n:
-            self.fail(f"unexpected end of file, expected {columns[0][0]}")
-        m, what, kind = bad
-        self.fail(f"expected {'finite ' * (kind is float)}{what}, got {m[0]!r}", m.start())
+            self.fail(f"unexpected end of file, expected {columns[0][0]}", end)
+        tok, at, what, kind = bad
+        self.fail(f"expected {'finite ' * (kind is float)}{what}, got {tok!r}", at)
 
     def next_rows(self, what: str, n_rows: int, *columns) -> list[np.ndarray]:
         """The value columns of n_rows rows ``id value...``, ids 0..n_rows-1 in order."""
@@ -158,9 +228,8 @@ class TokenReader:
         wrong = np.flatnonzero(ids != np.arange(n_rows))
         if wrong.size:
             i = wrong[0]
-            row = next(islice(self._tokens(start), i * (1 + len(columns)), None))
-            self.fail(f"{what} ids must be contiguous from 0, expected {i} got {ids[i]}",
-                      row.start())
+            _, at, _ = next(islice(self._replay(start), i * (1 + len(columns)), None))
+            self.fail(f"{what} ids must be contiguous from 0, expected {i} got {ids[i]}", at)
         return values
 
     def expect(self, word: str):
@@ -216,9 +285,11 @@ def read_nodal_csv(path_or_file, columns: list[str], n_nodes: int | None = None)
     ValidationError naming the source and, for a row, its line.
     """
     if hasattr(path_or_file, "read"):
-        source, text = getattr(path_or_file, "name", "CSV stream"), path_or_file.read()
+        source = getattr(path_or_file, "name", "CSV stream")
+        with decoding(source):
+            text = path_or_file.read()
     else:
-        source, text = str(path_or_file), Path(path_or_file).read_text()
+        source, text = str(path_or_file), read_text(path_or_file)
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header[: len(columns)]] != columns:

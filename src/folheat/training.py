@@ -84,7 +84,10 @@ def _loss_and_grad(rs: ReducedSystem, dofs: DofMap, batch: np.ndarray, model: Mo
     if batch.shape[0] == 0:
         raise ValidationError("batch must be non-empty")
     n_s = batch.shape[0]
-    t_hat, tape = neural.forward_with_tape(model, batch, workspace)
+    if want_grad:
+        t_hat, tape = neural.forward_with_tape(model, batch, workspace)
+    else:
+        t_hat = neural.forward_batch(model, batch)  # the same bits, without a tape
     r = _residual_matrix(rs, batch, t_hat)  # (n_free, n_s)
     loss = float(np.sum(r * r)) / n_s
     if not want_grad:

@@ -223,6 +223,15 @@ class TestPredictAndSolve:
         assert run("predict", "--config", big, "--checkpoint", trained,
                    "--init", "canonical:const05", "--steps", 1, "--out", tmp_path / "x") == 1
 
+    def test_checkpoint_path_starting_with_format_word(self, tmp_path, smoke_cfg, trained,
+                                                       monkeypatch):
+        # a relative path that starts like checkpoint text is still a path
+        (tmp_path / "folmodel_runs").mkdir()
+        shutil.copy(trained, tmp_path / "folmodel_runs" / "model.folmodel")
+        monkeypatch.chdir(tmp_path)
+        assert run("predict", "--config", smoke_cfg, "--checkpoint", "folmodel_runs/model.folmodel",
+                   "--init", "canonical:const05", "--steps", 1, "--out", tmp_path / "pred") == 0
+
     def test_solve_fem_layout_matches_predict(self, tmp_path, smoke_cfg, trained):
         pred, ref = tmp_path / "pred", tmp_path / "ref"
         run("predict", "--config", smoke_cfg, "--checkpoint", trained,
@@ -588,3 +597,54 @@ class TestCsvOutputs:
         manifest = (train_dir / "manifest.txt").read_text()
         final_loss = float(re.search(r"^final_loss (\S+)$", manifest, re.M).group(1))
         assert table(train_dir / "loss_history.csv")[-1, 1] == final_loss
+
+
+class TestUndecodableInput:
+    """A file that is not valid text is a ValidationError naming it: exit 1
+    with one stderr line, not a UnicodeDecodeError traceback."""
+
+    @staticmethod
+    def refused(capsys, path, *args):
+        capsys.readouterr()
+        assert run(*args) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: not valid "), lines
+
+    def test_checkpoint(self, tmp_path, smoke_cfg, capsys):
+        npy = tmp_path / "model.npy"
+        np.save(npy, np.arange(3.0))
+        self.refused(capsys, npy, "predict", "--config", smoke_cfg, "--checkpoint", npy,
+                     "--init", "canonical:const05", "--steps", 1, "--out", tmp_path / "x")
+
+    def test_mesh(self, tmp_path, capsys):
+        mesh = tmp_path / "m.folmesh"
+        assert run("gen-mesh", "--nx", 3, "--ny", 3, "--out", mesh) == 0
+        mesh.write_bytes(mesh.read_bytes().replace(b"\nelems", b"\n# \xff\nelems"))
+        self.refused(capsys, mesh, "validate", "--mesh", mesh)
+        cfg = tmp_path / "file.cfg"
+        cfg.write_text(SMOKE_CONFIG.replace("nx = 3\nny = 3", f"source = file\npath = {mesh}"))
+        self.refused(capsys, mesh, "solve-fem", "--config", cfg, "--init", "canonical:const05",
+                     "--steps", 1, "--out", tmp_path / "x")
+
+    def test_field_csv(self, tmp_path, smoke_cfg, capsys):
+        ref = tmp_path / "ref"
+        assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:sin10y",
+                   "--steps", 0, "--out", ref) == 0
+        field = tmp_path / "bad.csv"
+        field.write_bytes((ref / "step_0000.csv").read_bytes() + b"\xff\n")
+        self.refused(capsys, field, "solve-fem", "--config", smoke_cfg, "--init", field,
+                     "--steps", 1, "--out", tmp_path / "x")
+        self.refused(capsys, field, "postprocess", "--config", smoke_cfg, "--field", field,
+                     "--out", tmp_path / "post", "--upsample", 9)
+
+    def test_config_and_manifest(self, tmp_path, smoke_cfg, capsys):
+        for tag in ("a", "b"):
+            assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:const05",
+                       "--steps", 1, "--out", tmp_path / tag) == 0
+        manifest = tmp_path / "a" / "manifest.txt"
+        manifest.write_bytes(manifest.read_bytes() + b"# \xff\n")
+        self.refused(capsys, manifest, "evaluate", "--pred", tmp_path / "a", "--ref", tmp_path / "b")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(smoke_cfg.read_bytes() + b"# \xff\n")
+        self.refused(capsys, cfg, "solve-fem", "--config", cfg, "--init", "canonical:const05",
+                     "--steps", 1, "--out", tmp_path / "x")

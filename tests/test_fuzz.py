@@ -4,12 +4,14 @@ token, or truncates the text; it must either parse or raise ValidationError,
 and what parses must be usable."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folheat import textio
 from folheat.config import load_run_config
 from folheat.errors import ValidationError
 from folheat.mesh import build_structured_grid, load_mesh, serialize_mesh
@@ -104,11 +106,21 @@ def model_texts(grid3, work):
 @FUZZ
 @given(data=st.data())
 def test_model_mutants_parse_or_refuse(model_texts, work, data):
-    path = work / "m.folmodel"  # a file: a text without the folmodel header reads as a path
+    """At the default window and at 64 characters, where mutated blocks
+    straddle window ends, a mutant loads the same or fails the same."""
+    path = work / "m.folmodel"
     path.write_text(data.draw(st.sampled_from(model_texts).flatmap(mutants)))
-    try:
-        model = load_model(path)
-    except ValidationError:
+    outcomes = []
+    for window in (textio.WINDOW, 64):
+        with mock.patch.object(textio, "WINDOW", window):
+            try:
+                model = load_model(path)
+            except ValidationError as exc:
+                outcomes.append(str(exc))
+                continue
+        outcomes.append((model.dt, model.params_flat().tobytes()))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], str):
         return
     assert np.isfinite(model.dt) and model.dt > 0  # mutants reach dt with "0", "-1", "-0"
     x = np.random.default_rng(0).uniform(0.0, 1.0, (2, model.n_free))

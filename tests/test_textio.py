@@ -1,6 +1,6 @@
-"""The token reader at window boundaries: block windows of 1, 7 and 64
-characters cut every block of the mesh and checkpoint files, and the result
-must not depend on where the cuts fall."""
+"""The token reader at window boundaries: windows of 1, 7 and 64 characters
+cut every block of the mesh and checkpoint files, and the result must not
+depend on where the cuts fall, nor on whether the text is a str or a file."""
 
 import re
 from pathlib import Path
@@ -61,18 +61,42 @@ def test_meshes_load_the_same_at_every_window(tmp_path, windows):
             assert_bitwise_equal(mesh_arrays(load_mesh(text)), arrays)
 
 
-def test_block_edges(windows):
+def readers(text, directory, **kwargs):
+    """A TokenReader of text as a str, then one of a file on disk holding it."""
+    yield TokenReader(text, **kwargs)
+    path = directory / "tokens.txt"
+    path.write_text(text)
+    with path.open() as f:
+        yield TokenReader(f, **kwargs)
+
+
+def test_block_edges(windows, tmp_path):
     """A block stops at its count, the cursor at its last token: the next
     block may follow at once, and an error after it names its last line."""
     for _ in windows:
-        reader = TokenReader("-0 +.5 1\n2 3 1e-300\n\n\n\n", error_cls=ValidationError)
-        assert [reader.next_block(3, ("weight", float))[0].tolist() for _ in range(2)] == [
-            [-0.0, 0.5, 1.0], [2.0, 3.0, 1e-300]]
-        with pytest.raises(ValidationError, match="^line 2: unexpected end of file, expected 'end'$"):
-            reader.expect("end")
-        reader = TokenReader("count 2\n\n\n", error_cls=ValidationError)
-        with pytest.raises(ValidationError, match="^line 1: unexpected end of file, expected bias$"):
-            reader.next_block(reader.next_keyed("count", int), ("bias", float))
+        for reader in readers("-0 +.5 1\n2 3 1e-300\n\n\n\n", tmp_path, error_cls=ValidationError):
+            assert [reader.next_block(3, ("weight", float))[0].tolist() for _ in range(2)] == [
+                [-0.0, 0.5, 1.0], [2.0, 3.0, 1e-300]]
+            with pytest.raises(ValidationError, match="^line 2: unexpected end of file, expected 'end'$"):
+                reader.expect("end")
+        for reader in readers("count 2\n\n\n", tmp_path, error_cls=ValidationError):
+            with pytest.raises(ValidationError, match="^line 1: unexpected end of file, expected bias$"):
+                reader.next_block(reader.next_keyed("count", int), ("bias", float))
+
+
+def test_crlf_is_one_line_break(windows, tmp_path):
+    """An error's line counts "\\r\\n" as one break and a lone "\\r" as one,
+    also where a window ends between the "\\r" and the "\\n"."""
+    for _ in windows:
+        for reader in readers("a\r\nb\r\r\n\nc x", tmp_path, error_cls=ValidationError):
+            assert [reader.next_token("word") for _ in range(3)] == ["a", "b", "c"]
+            with pytest.raises(ValidationError, match="^line 5: expected finite value, got 'x'$"):
+                reader.next_token("value", float)
+
+
+@pytest.fixture(scope="module")
+def token_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tokens")
 
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -88,7 +112,7 @@ SEPARATORS = st.sampled_from([" ", "  ", "\t", "\n", " \n\n", " # a note\n", "# 
 @given(tokens=st.lists(TOKENS, min_size=1, max_size=40), tail=st.sampled_from(["end", "0.5 end", ""]),
        missing=st.sampled_from([0, 2]), window=st.sampled_from(sorted({1, 7, 64, textio.WINDOW})),
        data=st.data())
-def test_float_block_reads_as_float_per_token(tokens, tail, missing, window, data):
+def test_float_block_reads_as_float_per_token(token_dir, tokens, tail, missing, window, data):
     """A float block of len(tokens) + missing values, wrapped and commented at
     random and followed by tail, reads as float() of each token. Otherwise it
     fails at the end of the file, or else at the first token that float()
@@ -111,17 +135,17 @@ def test_float_block_reads_as_float_per_token(tokens, tail, missing, window, dat
             message = f"line {lineno}: expected finite weight, got {word!r}"
         values.append(value)
     with mock.patch.object(textio, "WINDOW", window):
-        reader = TokenReader(text, error_cls=ValidationError, source="block")
-        if message is not None:
-            with pytest.raises(ValidationError, match=f"^block: {re.escape(message)}$"):
-                reader.next_block(n, ("weight", float))
-            return
-        (block,) = reader.next_block(n, ("weight", float))
-        assert block.tobytes() == np.array(values, dtype=np.float64).tobytes()
-        assert [reader.next_token("tail") for _ in words[n:]] == words[n:]
-        assert reader.exhausted()
-        with pytest.raises(ValidationError, match=f"^block: line {lines[-1]}: unexpected end of file"):
-            reader.expect("end")
+        for reader in readers(text, token_dir, error_cls=ValidationError, source="block"):
+            if message is not None:
+                with pytest.raises(ValidationError, match=f"^block: {re.escape(message)}$"):
+                    reader.next_block(n, ("weight", float))
+                continue
+            (block,) = reader.next_block(n, ("weight", float))
+            assert block.tobytes() == np.array(values, dtype=np.float64).tobytes()
+            assert [reader.next_token("tail") for _ in words[n:]] == words[n:]
+            assert reader.exhausted()
+            with pytest.raises(ValidationError, match=f"^block: line {lines[-1]}: unexpected end of file"):
+                reader.expect("end")
 
 
 @pytest.mark.parametrize("header, columns, text", [

@@ -9,6 +9,7 @@ from folheat.errors import FingerprintError, NumericalError, ValidationError
 from folheat.fe_solver import steady_state, step_fe
 from folheat.fem import ConductivityField, MaterialParams, assemble, reduce_system
 from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid
+from folheat import neural
 from folheat.neural import (
     ACTIVATIONS,
     ARCHITECTURES,
@@ -24,6 +25,7 @@ from folheat.training import (
     LbfgsState,
     TrainConfig,
     _adam_inplace,
+    _loss_and_grad,
     batch_loss,
     lbfgs_step,
     loss_gradient,
@@ -101,6 +103,20 @@ class TestBatchLoss:
         model = init_model("fully_connected", mesh, dofs, seed=4)
         batch = np.random.default_rng(4).uniform(0, 1, (7, dofs.n_free))
         assert batch_loss(rs, dofs, batch, model) >= 0.0
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_untaped_loss_equals_taped_loss(self, reduced11, monkeypatch, arch, activation):
+        mesh, dofs, _, rs = reduced11
+        model = init_model(arch, mesh, dofs, activation=activation, seed=7)
+        batch = np.random.default_rng(7).uniform(0, 1, (5, dofs.n_free))
+        taped = _loss_and_grad(rs, dofs, batch, model, want_grad=True)[0]
+
+        def forward_with_tape(*args):
+            raise AssertionError("batch_loss taped its forward pass")
+
+        monkeypatch.setattr(neural, "forward_with_tape", forward_with_tape)
+        assert batch_loss(rs, dofs, batch, model) == taped
 
     def test_empty_batch_rejected(self, problem3):
         mesh, dofs, _, rs = problem3
