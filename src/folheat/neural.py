@@ -26,10 +26,12 @@ from scipy.special import expit
 
 from .errors import FingerprintError, ValidationError
 from .mesh import DofMap, Mesh
-from .textio import TokenReader, decoding, write_block
+from .textio import TokenReader, decoding, read_record, write_record
 
 CHECKPOINT_FORMAT = "folmodel"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+VERSION_BYTES = 64  # a checkpoint's first line is read within this many bytes
+HEADER_BYTES = 1 << 20  # and its text header within this many
 
 ARCHITECTURES = ("separated", "elementwise", "fully_connected")
 ACTIVATIONS = ("swish", "tanh", "sigmoid", "relu")
@@ -431,51 +433,73 @@ def backprop(m: ModelBundle, tape: ForwardTape, d_out: np.ndarray) -> np.ndarray
 
 
 def save_model(m: ModelBundle, path) -> None:
-    """Write the versioned text checkpoint (exact decimal round trip)."""
-    with Path(path).open("w") as f:
-        f.write(f"{CHECKPOINT_FORMAT} {CHECKPOINT_VERSION}\narch {m.arch}\nactivation {m.activation}\n"
-                f"n_free {m.n_free}\nfingerprint {m.grid_meta}\ndt {float(m.dt)!r}\n"
-                f"groups {len(m.groups)}\n")
-        for gi, g in enumerate(m.groups):
-            f.write(f"group {gi} nets {g.n_nets} layers {g.n_layers}\noutslots {g.out_slots.size}\n")
-            write_block(f, 16, g.out_slots)
-            if g.in_slots is None:
-                f.write("input full\n")
-            else:
-                f.write(f"input {g.in_slots.shape[1]}\n")
-                write_block(f, 16, g.in_slots.ravel())
-            for l, (w, b) in enumerate(zip(g.weights, g.biases)):
-                f.write(f"layer {l} out {w.shape[1]} in {w.shape[2]}\nweights\n")
-                write_block(f, 6, w.ravel())
-                f.write("biases\n")
-                write_block(f, 6, b.ravel())
-        f.write("end\n")
+    """Write the versioned checkpoint: a text header of the model's fields and
+    array shapes, ending in an ``end`` line, then each group's slot arrays and
+    its layers' weights and biases as ``.npy`` records (exact bits), in
+    params_flat order."""
+    head = [f"{CHECKPOINT_FORMAT} {CHECKPOINT_VERSION}\narch {m.arch}\nactivation {m.activation}\n"
+            f"n_free {m.n_free}\nfingerprint {m.grid_meta}\ndt {float(m.dt)!r}\ngroups {len(m.groups)}\n"]
+    for gi, g in enumerate(m.groups):
+        head.append(f"group {gi} nets {g.n_nets} layers {g.n_layers}\noutslots {g.out_slots.size}\n"
+                    f"input {'full' if g.in_slots is None else g.in_slots.shape[1]}\n")
+        head += [f"layer {l} out {w.shape[1]} in {w.shape[2]}\n" for l, w in enumerate(g.weights)]
+    with Path(path).open("wb") as f:
+        f.write(("".join(head) + "end\n").encode("ascii"))
+        for g in m.groups:
+            for slots in (g.out_slots, g.in_slots):
+                if slots is not None:
+                    write_record(f, slots, "<i8")
+            for w, b in zip(g.weights, g.biases):
+                write_record(f, w, "<f8")
+                write_record(f, b, "<f8")
 
 
 def load_model(path, dofs: DofMap | None = None) -> ModelBundle:
     """Read the checkpoint file at path; verifies the dof fingerprint when
-    `dofs` is given. The file is parsed from the open stream (decoded and
-    newline-translated as ``read_text`` would), a window at a time."""
+    `dofs` is given. Each array record is checked against the shape the
+    header declares before its data is read."""
     source = str(path)
-    with decoding(source), Path(path).open() as f:
-        model = _read_model(TokenReader(f, error_cls=ValidationError, source=source))
+    with Path(path).open("rb") as f:
+        model = _read_model(f, source)
     _check_wiring(model, source)
     if dofs is not None:
         check_fingerprint(model, dofs)
     return model
 
 
-def _read_model(r: TokenReader) -> ModelBundle:
-    """The checkpoint's fields and arrays, read from r."""
+def _read_model(f, source: str) -> ModelBundle:
+    """The checkpoint's fields from its text header, and each array from the
+    binary file f as the header declares it. The format and version are
+    checked on the first line, read within VERSION_BYTES, before more is
+    read. The header runs to its ``end`` line, within HEADER_BYTES; a line
+    that is not ASCII, as the records are not, ends it early."""
+    head = bytearray(f.readline(VERSION_BYTES))
+    # a first line of another version, or of another file, is parsed alone
+    line = b"" if head.split() == [CHECKPOINT_FORMAT.encode(), b"%d" % CHECKPOINT_VERSION] else b"end"
+    while line.strip() != b"end":
+        line = f.readline(HEADER_BYTES + 1 - len(head))
+        if not (line and line.isascii()):
+            break
+        head += line
+        if len(head) > HEADER_BYTES:
+            raise ValidationError(f"{source}: no 'end' line in the first {HEADER_BYTES} bytes")
+    with decoding(source):
+        r = TokenReader(head.decode("ascii"), error_cls=ValidationError, source=source)
+    r.expect(CHECKPOINT_FORMAT)
+    if (version := r.next_token("checkpoint version", int)) != CHECKPOINT_VERSION:
+        r.fail(f"unsupported {CHECKPOINT_FORMAT} version {version}")
 
     def positive(word):
         if (value := r.next_keyed(word, int)) < 1:
             r.fail(f"{word} must be positive, got {value}")
         return value
 
-    r.expect(CHECKPOINT_FORMAT)
-    if (version := r.next_token("checkpoint version", int)) != CHECKPOINT_VERSION:
-        r.fail(f"unsupported {CHECKPOINT_FORMAT} version {version}")
+    def finite(what, shape):
+        a = read_record(f, source, what, "<f8", shape)
+        if not np.isfinite((a.min(), a.max())).all():  # both NaN if any is: no mask the array's size
+            raise ValidationError(f"{source}: {what} hold a non-finite value")
+        return a
+
     if (arch := r.next_keyed("arch")) not in ARCHITECTURES:
         r.fail(f"unknown architecture {arch!r}")
     if (activation := r.next_keyed("activation")) not in ACTIVATIONS:
@@ -488,24 +512,20 @@ def _read_model(r: TokenReader) -> ModelBundle:
         if r.next_keyed("group", int) != gi:
             r.fail("group indices must be contiguous")
         n_nets, n_layers = positive("nets"), positive("layers")
-        (out_slots,) = r.next_block(r.next_keyed("outslots", int), ("output slot", int))
+        out_slots = read_record(f, source, f"group {gi} output slots", "<i8", (positive("outslots"),))
         in_slots = None
         if (spec := r.next_keyed("input")) != "full":
             stencil = int(spec) if spec.isdecimal() else 0
             if stencil < 1:
                 r.fail(f"expected 'full' or a positive stencil size, got {spec!r}")
-            in_slots = r.next_block(n_nets * stencil, ("input slot", int))[0].reshape(n_nets, stencil)
+            in_slots = read_record(f, source, f"group {gi} input slots", "<i8", (n_nets, stencil))
         weights, biases = [], []
         for l in range(n_layers):
             if r.next_keyed("layer", int) != l:
                 r.fail("layer indices must be contiguous")
             d_out, d_in = positive("out"), positive("in")
-            r.expect("weights")
-            (w,) = r.next_block(n_nets * d_out * d_in, ("weight", float))
-            r.expect("biases")
-            (b,) = r.next_block(n_nets * d_out, ("bias", float))
-            weights.append(w.reshape(n_nets, d_out, d_in))
-            biases.append(b.reshape(n_nets, d_out))
+            weights.append(finite(f"group {gi} layer {l} weights", (n_nets, d_out, d_in)))
+            biases.append(finite(f"group {gi} layer {l} biases", (n_nets, d_out)))
         groups.append(NetGroup(out_slots, in_slots, weights, biases))
     r.expect("end")
     return ModelBundle(arch, activation, n_free, groups, fingerprint, dt)

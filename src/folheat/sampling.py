@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .mesh import DofMap, Mesh
+from .textio import read_record
 
 DEGENERATE_SPAN = 1e-12
 # build_sample_set evaluates Fourier rows in blocks of about this many values
@@ -294,15 +295,12 @@ def save_sample_set(out_dir, ss: SampleSet, fp: FourierParams) -> None:
 
 
 def load_sample_set(in_dir) -> SampleSet:
-    """Read save_sample_set's output; a samples.npy that does not load, a
-    sidecar that is not a JSON object with every key, or a sample that is not
-    finite, is a ValidationError."""
+    """Read save_sample_set's output; a sidecar that is not a JSON object with
+    every key, a samples.npy that is not a float64 array of the sidecar's
+    shape (checked before its data is read), or a sample that is not finite,
+    is a ValidationError."""
     in_path = Path(in_dir)
-    try:
-        samples = np.load(in_path / "samples.npy")
-    except (ValueError, EOFError) as exc:  # truncated or not an .npy array
-        raise ValidationError(f"{in_path / 'samples.npy'}: not a readable .npy array: {exc}") from None
-    sidecar = in_path / "samples.json"
+    sidecar, npy = in_path / "samples.json", in_path / "samples.npy"
     try:
         meta = json.loads(sidecar.read_text())
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
@@ -310,12 +308,9 @@ def load_sample_set(in_dir) -> SampleSet:
     for key in ("n_samples", "n_free", "provenance", "seed", "fingerprint"):
         if not isinstance(meta, dict) or key not in meta:
             raise ValidationError(f"{sidecar}: missing key {key!r}")
-    if samples.shape != (meta["n_samples"], meta["n_free"]):
-        raise ValidationError(
-            f"samples.npy shape {samples.shape} disagrees with sidecar "
-            f"({meta['n_samples']}, {meta['n_free']})"
-        )
+    with npy.open("rb") as f:
+        samples = read_record(f, npy, "samples", "<f8", (meta["n_samples"], meta["n_free"]))
     bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
     if bad.size:
-        raise ValidationError(f"{in_path / 'samples.npy'}: sample {bad[0]} holds a non-finite value")
+        raise ValidationError(f"{npy}: sample {bad[0]} holds a non-finite value")
     return SampleSet(samples, meta["provenance"], meta["seed"], meta["fingerprint"])

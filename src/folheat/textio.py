@@ -1,44 +1,48 @@
-"""Readers and writers for the text formats: whitespace tokens (mesh,
-checkpoint) and CSV tables (fields, conductivity, errors, post-processing).
+"""Readers and writers for the package's file formats: whitespace tokens
+(mesh, checkpoint header), ``.npy`` array records (checkpoint arrays,
+sample sets) and CSV tables (fields, conductivity, errors,
+post-processing).
 
 Token comments run from ``#`` to end of line. Tokens may wrap across lines;
 a parse error names the line of the offending token.
 
-``TokenReader`` reads an open text stream front to back and keeps only the
-current window of it: at most ``WINDOW`` characters cut at whitespace, plus
-the partial token or comment carried into the next window. No Python object
-per token outlives one window. A single token is one regex search. A block
-is converted a window at a time, cut at whitespace outside a comment
-(comments are blanked per window), by ``int``/``float`` per token into
-preallocated arrays. An error re-reads the stream from its start, a window
-at a time, to name the line a whole-text parse would.
+``TokenReader`` keeps the text and a character cursor; no Python object per
+token outlives one window. A single token is one regex search. A block is
+converted a window of about ``WINDOW`` characters at a time, cut at
+whitespace (at a line end if the text has comments, which are blanked per
+window), by ``int``/``float`` per token into preallocated arrays. An error
+re-reads the block to name the line a whole-text parse would.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+import os
 import re
+import warnings
 from contextlib import contextmanager
 from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .errors import MeshFormatError, ValidationError
 
 _DTYPES = {int: np.int64, float: np.float64}
 
-WINDOW = 1 << 18  # characters of a token stream read and converted at a time
+WINDOW = 1 << 18  # characters of a token block converted at a time
 TOKEN_CHARS = 32  # window characters at most per token the block still needs
-CHUNK = 1 << 16  # tokens formatted per write
+RECORD_HEADER = 1 << 12  # bytes at most of an .npy record's header
 
 # the line boundaries of str.splitlines, all of them whitespace
 _BREAKS = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
 _LINE_BREAK = re.compile(rf"\r\n|[{_BREAKS}]")
 _COMMENT = re.compile(rf"#[^{_BREAKS}]*")
 _LEX = re.compile(rf"[^\s#]+|{_COMMENT.pattern}")  # a token or a comment
-_SPACE = re.compile(r"\s")
+_SPACE, _NEWLINE = re.compile(r"\s"), re.compile(r"\n")
 
 
 @contextmanager
@@ -54,6 +58,41 @@ def read_text(path) -> str:
     """``Path(path).read_text()``; bytes that do not decode are a ValidationError."""
     with decoding(path):
         return Path(path).read_text()
+
+
+def write_record(f, array, dtype: str) -> None:
+    """Write array to the binary file f as one ``.npy`` record (version 1.0,
+    no pickle) of dtype, a type string such as ``"<f8"``, in C order."""
+    npy.write_array(f, np.ascontiguousarray(array, dtype), version=(1, 0), allow_pickle=False)
+
+
+def read_record(f, source, what: str, dtype: str, shape) -> np.ndarray:
+    """The next ``.npy`` record (version 1.0) of the binary file f, as a fresh
+    array that must be of dtype (e.g. ``"<f8"``) and exactly ``shape``, in C
+    order. Its header is read within ``RECORD_HEADER`` bytes and checked, and
+    its data must fit in the rest of the file, before any data is read; a
+    record that fails is a ValidationError naming source and what."""
+    start = f.tell()
+    head = io.BytesIO(f.read(RECORD_HEADER))
+    try:
+        if (version := npy.read_magic(head)) != (1, 0):
+            raise ValueError(f"format version {version}, expected (1, 0)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. that numpy had to filter a Python 2 header
+            got, fortran, got_dtype = npy.read_array_header_1_0(head)
+    except Exception as exc:  # noqa: BLE001 - numpy's parse of bad bytes raises many kinds
+        raise ValidationError(f"{source}: not a readable .npy array ({what}): {exc}") from None
+    if fortran or got_dtype != np.dtype(dtype) or got != tuple(shape) or min(got, default=0) < 0:
+        raise ValidationError(f"{source}: {what} is a {'Fortran-order ' * fortran}{got_dtype.str} "
+                              f"array of shape {got}, expected {dtype} of shape {tuple(shape)}")
+    f.seek(start + head.tell())
+    nbytes, left = math.prod(got) * got_dtype.itemsize, os.fstat(f.fileno()).st_size - f.tell()
+    if nbytes > left:
+        raise ValidationError(f"{source}: {what} needs {nbytes} bytes, the file has {left} left")
+    out = np.empty(got, got_dtype)
+    if f.readinto(out) != nbytes:
+        raise ValidationError(f"{source}: {what} ends before its {nbytes} bytes")
+    return out
 
 
 def _converts(tok: str, kind) -> bool:
@@ -80,94 +119,38 @@ def _fill(out: list[np.ndarray], columns, tokens: list[str], done: int) -> bool:
 
 
 class TokenReader:
-    """The whitespace tokens of a seekable text stream (a str reads through
-    ``io.StringIO``), read front to back; numbers convert with ``int`` or a
-    finite ``float``. Errors name ``source`` and the token's line."""
+    """The whitespace tokens of a text, read front to back; numbers convert with
+    ``int`` or a finite ``float``. Errors name ``source`` and the token's line."""
 
-    def __init__(self, stream, *, error_cls=MeshFormatError, source: str | None = None):
-        self._stream = io.StringIO(stream) if isinstance(stream, str) else stream
-        # characters at most still to come: a text file seeks to its size in bytes
-        self._size = self._stream.seek(0, io.SEEK_END)
-        self._rewind()
-        self._pos = 0  # the offset of the end of the last token read
+    def __init__(self, text: str, *, error_cls=MeshFormatError, source: str | None = None):
+        self._text = text
+        self._comments = "#" in text
+        self._pos = 0  # the cursor, at the end of the last token read
         self._error_cls = error_cls
         self._source = f"{source}: " if source else ""
 
     def fail(self, message: str, offset: int | None = None):
         """Raise an error at the line of a character offset, by default that of
         the last token read."""
-        left, lineno, last = self._pos if offset is None else offset, 1, ""
-        self._stream.seek(0)
-        while left > 0 and (chunk := self._stream.read(min(WINDOW, left))):
-            left -= len(chunk)
-            lineno += sum(1 for _ in _LINE_BREAK.finditer(chunk)) - (last + chunk[0] == "\r\n")
-            last = chunk[-1]
+        at = self._pos if offset is None else offset
+        lineno = 1 + sum(1 for _ in _LINE_BREAK.finditer(self._text, 0, at))
         raise self._error_cls(f"{self._source}line {lineno}: {message}")
 
-    def _rewind(self):
-        """Put the cursor at the start of the stream, the buffer empty."""
-        self._stream.seek(0)
-        self._buf, self._base, self._at, self._eof = "", 0, 0, False  # _buf starts at offset _base
-
-    def _more(self):
-        """Drop the buffer before the cursor and read the next window onto the rest."""
-        chunk = self._stream.read(WINDOW)
-        self._base += self._at
-        self._buf, self._at, self._eof = self._buf[self._at :] + chunk, 0, not chunk
-
-    def _match(self):
-        """The next token's match in the buffer, comments passed over; None at
-        the end of the stream."""
-        while True:
-            for m in _LEX.finditer(self._buf, self._at):
-                if m.end() == len(self._buf) and not self._eof:
-                    break  # it may go on in the next window
-                if m[0][0] != "#":
-                    return m
-                self._at = m.end()
-            else:
-                if self._eof:
-                    return None
-                self._at = len(self._buf)
-            self._more()
-
-    def _replay(self, start: int):
-        """(token, start, end offset) of the tokens from offset start on, the
-        stream re-read from its start."""
-        self._rewind()
-        while start - self._base > len(self._buf) and not self._eof:
-            self._at = len(self._buf)
-            self._more()
-        self._at = start - self._base
-        while (m := self._match()) is not None:
-            self._at = m.end()
-            yield m[0], self._base + m.start(), self._base + m.end()
-
-    def _window(self, limit: int) -> str:
-        """The text from the cursor to the first whitespace outside a comment
-        at least limit characters on (or to the end), the cursor moved there."""
-        while True:
-            buf, at = self._buf, self._at
-            m = _SPACE.search(buf, at + limit)
-            cut = m.start() if m else len(buf)
-            if (hash_at := buf.rfind("#", at, cut)) >= 0:  # a cut in a comment moves to its end
-                cut = max(cut, _COMMENT.match(buf, hash_at).end())
-            if cut < len(buf) or self._eof:
-                self._at = cut
-                return buf[at:cut]
-            self._more()
+    def _tokens(self, pos: int):
+        """The token matches from offset pos on, comments skipped."""
+        return (m for m in _LEX.finditer(self._text, pos) if m[0][0] != "#")
 
     def exhausted(self) -> bool:
-        return self._match() is None
+        return next(self._tokens(self._pos), None) is None
 
     def next_token(self, what: str, kind=str):
         """The next token, as a str or converted by kind (int or float)."""
         if kind is not str:
             return self.next_block(1, (what, kind))[0].item()
-        m = self._match()
+        m = next(self._tokens(self._pos), None)
         if m is None:
             self.fail(f"unexpected end of file, expected {what}")
-        self._at, self._pos = m.end(), self._base + m.end()
+        self._pos = m.end()
         return m[0]
 
     def next_keyed(self, word: str, kind=str):
@@ -181,26 +164,29 @@ class TokenReader:
         Each column is a (what, kind) pair, kind int or float. An error names
         the line of the first token that does not convert.
         """
-        width = len(columns)
+        width, text = len(columns), self._text
         n = n_rows * width
         start, done = self._pos, 0
         if n < 0:
             self.fail(f"negative {columns[0][0]} count {n}")
-        if 2 * n - 1 > self._size - start:  # too few characters for n tokens and their gaps
+        if 2 * n - 1 > len(text) - start:  # too few characters for n tokens and their gaps
             self._refuse(start, n, columns)
         out = [np.empty(n_rows, _DTYPES[kind]) for _, kind in columns]
+        cut = _NEWLINE if self._comments else _SPACE  # no comment spans two windows
         while done < n:
-            window = self._window(min(WINDOW, TOKEN_CHARS * (n - done)))
-            if not window:
+            pos = self._pos
+            if pos >= len(text):
                 self._refuse(start, n, columns)
-            if "#" in window:
+            m = cut.search(text, pos + min(WINDOW, TOKEN_CHARS * (n - done)))
+            self._pos = m.start() if m else len(text)
+            window = text[pos : self._pos]
+            if self._comments:
                 window = _COMMENT.sub(lambda c: " " * len(c[0]), window)
             tokens = window.split()
             if len(tokens) >= n - done:  # the block ends in this window
                 drop = len(tokens) - (n - done)
                 del tokens[n - done :]
-                self._at -= len(window) - len(window.rsplit(None, drop)[0])
-                self._pos = self._base + self._at
+                self._pos = pos + len(window.rsplit(None, drop)[0])
             if not _fill(out, columns, tokens, done):
                 self._refuse(start, n, columns)
             done += len(tokens)
@@ -211,15 +197,16 @@ class TokenReader:
     def _refuse(self, start: int, n: int, columns):
         """Raise the error of the block of n tokens from offset start: the end of
         the file if the block is short, else its first token that does not convert."""
-        width, count, end, bad = len(columns), 0, start, None
-        for count, (tok, at, end) in enumerate(islice(self._replay(start), n), 1):
+        width, count, bad, self._pos = len(columns), 0, None, start
+        for count, m in enumerate(islice(self._tokens(start), n), 1):
+            self._pos = m.end()
             what, kind = columns[(count - 1) % width]
-            if bad is None and not _converts(tok, kind):
-                bad = tok, at, what, kind
+            if bad is None and not _converts(m[0], kind):
+                bad = m, what, kind
         if count < n:
-            self.fail(f"unexpected end of file, expected {columns[0][0]}", end)
-        tok, at, what, kind = bad
-        self.fail(f"expected {'finite ' * (kind is float)}{what}, got {tok!r}", at)
+            self.fail(f"unexpected end of file, expected {columns[0][0]}")
+        m, what, kind = bad
+        self.fail(f"expected {'finite ' * (kind is float)}{what}, got {m[0]!r}", m.start())
 
     def next_rows(self, what: str, n_rows: int, *columns) -> list[np.ndarray]:
         """The value columns of n_rows rows ``id value...``, ids 0..n_rows-1 in order."""
@@ -228,8 +215,9 @@ class TokenReader:
         wrong = np.flatnonzero(ids != np.arange(n_rows))
         if wrong.size:
             i = wrong[0]
-            _, at, _ = next(islice(self._replay(start), i * (1 + len(columns)), None))
-            self.fail(f"{what} ids must be contiguous from 0, expected {i} got {ids[i]}", at)
+            row = next(islice(self._tokens(start), i * (1 + len(columns)), None))
+            self.fail(f"{what} ids must be contiguous from 0, expected {i} got {ids[i]}",
+                      row.start())
         return values
 
     def expect(self, word: str):
@@ -243,16 +231,10 @@ def write_block(f, per_line: int, *columns) -> None:
     row after row, ``per_line`` to a line, each line ending in LF.
 
     A token is the str of a Python scalar of ``.tolist()``, so floats round
-    trip exactly and ints stay integers. About ``CHUNK`` tokens, whole lines
-    of whole rows, are formatted and written at a time.
+    trip exactly and ints stay integers.
     """
-    width = len(columns)
-    rows = max(1, CHUNK // (width * per_line)) * per_line
-    for i in range(0, len(columns[0]), rows):
-        parts = [c[i : i + rows].tolist() for c in columns]
-        items = list(map(str, parts[0] if width == 1 else chain.from_iterable(zip(*parts))))
-        f.write("".join([" ".join(items[j : j + per_line]) + "\n"
-                         for j in range(0, len(items), per_line)]))
+    items = list(map(str, chain.from_iterable(zip(*(c.tolist() for c in columns)))))
+    f.write("".join([" ".join(items[j : j + per_line]) + "\n" for j in range(0, len(items), per_line)]))
 
 
 def write_csv(path, header: list[str] | None, columns) -> None:

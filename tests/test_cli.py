@@ -173,6 +173,38 @@ class TestTrain:
         assert f"{npy}: not a readable .npy array" in err
         assert "Traceback" not in err
 
+    # samples.npy edits, and the reason each is refused for
+    BAD_SAMPLES = {
+        "huge-shape":
+            "samples is a <f8 array of shape (10000000000000, 3), expected <f8 of shape (14, 3)",
+        "huge-shape-and-sidecar": "samples needs 240000000000000 bytes, the file has 336 left",
+        "unicode": "samples is a <U1 array of shape (14, 3), expected <f8 of shape (14, 3)",
+        "complex": "samples is a <c16 array of shape (14, 3), expected <f8 of shape (14, 3)",
+        "int64": "samples is a <i8 array of shape (14, 3), expected <f8 of shape (14, 3)",
+    }
+
+    @pytest.mark.parametrize("kind", list(BAD_SAMPLES))
+    def test_bad_samples_array_is_validation_error(self, tmp_path, smoke_cfg, capsys, kind):
+        """A samples.npy whose header is not a float64 array of the sidecar's
+        shape is refused before its data is read."""
+        sdir = tmp_path / "samples"
+        run("gen-samples", "--config", smoke_cfg, "--out", sdir)
+        npy, sidecar = sdir / "samples.npy", sdir / "samples.json"
+        samples = np.load(npy)
+        if kind.startswith("huge"):
+            with npy.open("wb") as f:
+                np.lib.format.write_array_header_1_0(
+                    f, {"descr": "<f8", "fortran_order": False, "shape": (10**13, 3)})
+                f.write(samples.tobytes())
+            if kind.endswith("sidecar"):
+                sidecar.write_text(sidecar.read_text().replace('"n_samples": 14', f'"n_samples": {10**13}'))
+        else:
+            np.save(npy, samples.astype({"unicode": "<U1", "complex": "<c16", "int64": "<i8"}[kind]))
+        capsys.readouterr()
+        assert run("train", "--config", smoke_cfg, "--samples", sdir,
+                   "--out", tmp_path / "run", "--log-every", 0) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {npy}: {self.BAD_SAMPLES[kind]}"]
+
     def test_non_finite_sample_is_validation_error(self, tmp_path, smoke_cfg, capsys):
         sdir = tmp_path / "samples"
         run("gen-samples", "--config", smoke_cfg, "--out", sdir)
@@ -211,7 +243,7 @@ class TestPredictAndSolve:
 
     def test_negative_dt_checkpoint_refused(self, tmp_path, smoke_cfg, trained, capsys):
         bad = tmp_path / "bad.folmodel"
-        bad.write_text(re.sub(r"(?m)^dt .*$", "dt -0.05", trained.read_text(), count=1))
+        bad.write_bytes(re.sub(rb"(?m)^dt .*$", b"dt -0.05", trained.read_bytes(), count=1))
         capsys.readouterr()
         assert run("predict", "--config", smoke_cfg, "--checkpoint", bad,
                    "--init", "canonical:const05", "--steps", 1, "--out", tmp_path / "x") == 1
@@ -231,6 +263,33 @@ class TestPredictAndSolve:
         monkeypatch.chdir(tmp_path)
         assert run("predict", "--config", smoke_cfg, "--checkpoint", "folmodel_runs/model.folmodel",
                    "--init", "canonical:const05", "--steps", 1, "--out", tmp_path / "pred") == 0
+
+    # checkpoints predict and benchmark cannot use, and the reason each is refused for
+    UNUSABLE = {
+        "v1-text": "line 1: unsupported folmodel version 1",
+        "random-bytes": "not valid ascii text",
+        "truncated": "group 0 layer 0 weights needs ",
+        "empty": "line 1: unexpected end of file, expected 'folmodel'",
+    }
+
+    @pytest.mark.parametrize("command", ["predict", "benchmark"])
+    @pytest.mark.parametrize("kind", list(UNUSABLE))
+    def test_unusable_checkpoint_is_one_error_line(self, tmp_path, smoke_cfg, trained, capsys,
+                                                   command, kind):
+        data = trained.read_bytes()
+        bad = tmp_path / f"{kind}.folmodel"
+        bad.write_bytes({
+            "v1-text": b"folmodel 1\narch separated\nactivation swish\nn_free 3\n",
+            "random-bytes": np.random.default_rng(0).bytes(4096),
+            "truncated": data[: data.index(b"\nend\n") + 600],
+            "empty": b"",
+        }[kind])
+        args = ["--init", "canonical:const05", "--steps", 1]
+        args += ["--out", tmp_path / "x"] if command == "predict" else ["--repeats", 1]
+        capsys.readouterr()
+        assert run(command, "--config", smoke_cfg, "--checkpoint", bad, *args) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: {self.UNUSABLE[kind]}"), lines
 
     def test_solve_fem_layout_matches_predict(self, tmp_path, smoke_cfg, trained):
         pred, ref = tmp_path / "pred", tmp_path / "ref"

@@ -1,20 +1,21 @@
-"""Mutation fuzzing of the three text parsers: folmesh, folmodel and the INI
-run config. Each mutant of a valid text deletes, replaces or duplicates a
-token, or truncates the text; it must either parse or raise ValidationError,
-and what parses must be usable."""
+"""Mutation fuzzing of the three parsers: folmesh, folmodel and the INI run
+config. Each mutant of a valid text deletes, replaces or duplicates a token,
+or truncates the text; a folmodel mutant also has its binary records cut
+short or overwritten byte by byte. It must either parse or raise
+ValidationError, and what parses must be usable."""
 
+import io
 import re
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folheat import textio
 from folheat.config import load_run_config
 from folheat.errors import ValidationError
-from folheat.mesh import build_structured_grid, load_mesh, serialize_mesh
+from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid, load_mesh, serialize_mesh
 from folheat.neural import forward_batch, init_model, load_model, save_model
 
 FUZZ = settings(database=None, derandomize=True, max_examples=300, deadline=None)
@@ -95,37 +96,101 @@ def work(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+class Checkpoint:
+    """A saved checkpoint: its text header, its .npy records, and the (start,
+    data start, end) byte offsets of each record."""
+
+    def __init__(self, path):
+        data = path.read_bytes()
+        cut = data.index(b"\nend\n") + 5
+        self.name, self.header, self.records, self.spans = path.name, data[:cut].decode(), data[cut:], []
+        f = io.BytesIO(data)
+        f.seek(cut)
+        while (start := f.tell()) < len(data):
+            np.lib.format.read_magic(f)
+            shape, _, dtype = np.lib.format.read_array_header_1_0(f)
+            self.spans.append((start, f.tell(), f.tell() + dtype.itemsize * int(np.prod(shape))))
+            f.seek(self.spans[-1][2])
+
+    def __repr__(self):
+        return f"<{self.name} checkpoint>"
+
+
 @pytest.fixture(scope="module")
-def model_texts(grid3, work):
-    mesh, dofs = grid3
+def checkpoints(work):
+    """The 9x9 elementwise and separated checkpoints (110 and 380 kB)."""
+    mesh = build_structured_grid(9, 9, 1.0, 1.0)
+    dofs = build_dof_map(mesh, DirichletSpec({"left": 1.0, "right": 0.0}))
     for arch in ("elementwise", "separated"):
-        save_model(init_model(arch, mesh, dofs, hidden_spec=(2,), seed=0), work / arch)
-    return [(work / arch).read_text() for arch in ("elementwise", "separated")]
+        save_model(init_model(arch, mesh, dofs, seed=0), work / arch)
+    return [Checkpoint(work / arch) for arch in ("elementwise", "separated")]
+
+
+def load_or_refuse(path, size):
+    """load_model(path), or None if it raises ValidationError; either way the
+    load may allocate at most twice size, that of the checkpoint the file was
+    made from."""
+    tracemalloc.start()
+    try:
+        return load_model(path)
+    except ValidationError:
+        return None
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 2 * size
+
+
+def assert_usable(model):
+    assert np.isfinite(model.dt) and model.dt > 0  # mutants reach dt with "0", "-1", "-0"
+    assert np.isfinite(model.params_flat()).all()
+    x = np.random.default_rng(0).uniform(0.0, 1.0, (2, model.n_free))
+    with np.errstate(all="ignore"):  # finite weights may still overflow
+        assert forward_batch(model, x).shape == x.shape
 
 
 @FUZZ
 @given(data=st.data())
-def test_model_mutants_parse_or_refuse(model_texts, work, data):
-    """At the default window and at 64 characters, where mutated blocks
-    straddle window ends, a mutant loads the same or fails the same."""
+def test_model_mutants_parse_or_refuse(checkpoints, work, data):
+    """Mutants of the text header, the records left as they are."""
+    ck = data.draw(st.sampled_from(checkpoints))
     path = work / "m.folmodel"
-    path.write_text(data.draw(st.sampled_from(model_texts).flatmap(mutants)))
-    outcomes = []
-    for window in (textio.WINDOW, 64):
-        with mock.patch.object(textio, "WINDOW", window):
-            try:
-                model = load_model(path)
-            except ValidationError as exc:
-                outcomes.append(str(exc))
-                continue
-        outcomes.append((model.dt, model.params_flat().tobytes()))
-    assert outcomes[0] == outcomes[1]
-    if isinstance(outcomes[0], str):
+    path.write_bytes(data.draw(mutants(ck.header)).encode() + ck.records)
+    if (model := load_or_refuse(path, len(ck.header) + len(ck.records))) is not None:
+        assert_usable(model)
+
+
+@FUZZ
+@given(data=st.data())
+def test_truncated_model_refused(checkpoints, work, data):
+    ck = data.draw(st.sampled_from(checkpoints))
+    whole = ck.header.encode() + ck.records
+    path = work / "m.folmodel"
+    path.write_bytes(whole[: data.draw(st.integers(0, len(whole) - 1))])
+    assert load_or_refuse(path, len(whole)) is None
+
+
+@FUZZ
+@given(data=st.data())
+def test_model_record_overwrites_load_or_refuse(checkpoints, work, data):
+    """Random bytes written over record headers and data: a model that loads
+    holds exactly the bytes of the overwritten records."""
+    ck = data.draw(st.sampled_from(checkpoints))
+    whole = bytearray(ck.header.encode() + ck.records)
+    for _ in range(data.draw(st.integers(1, 4))):
+        start, data_start, end = data.draw(st.sampled_from(ck.spans))
+        lo, hi = data.draw(st.sampled_from([(start, data_start), (data_start, end)]))
+        whole[data.draw(st.integers(lo, hi - 1))] = data.draw(st.integers(0, 255))
+    path = work / "m.folmodel"
+    path.write_bytes(whole)
+    if (model := load_or_refuse(path, len(whole))) is None:
         return
-    assert np.isfinite(model.dt) and model.dt > 0  # mutants reach dt with "0", "-1", "-0"
-    x = np.random.default_rng(0).uniform(0.0, 1.0, (2, model.n_free))
-    out = forward_batch(model, x)
-    assert out.shape == x.shape and np.isfinite(out).all()
+    assert_usable(model)
+    stored = []
+    for g in model.groups:
+        stored += [g.out_slots] + ([] if g.in_slots is None else [g.in_slots])
+        stored += [a for w, b in zip(g.weights, g.biases) for a in (w, b)]
+    assert [whole[d:e] for _, d, e in ck.spans] == [a.tobytes() for a in stored]
 
 
 GETTERS = ("dirichlet", "material", "fourier_params", "sample_counts", "hidden_spec")

@@ -1,4 +1,6 @@
 import hashlib
+import io
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -53,7 +55,7 @@ class TestActivations:
         mesh, dofs = grid3
         path = tmp_path / "m.folmodel"
         save_model(init_model("separated", mesh, dofs, seed=0), path)
-        path.write_text(path.read_text().replace("activation swish", "activation gelu", 1))
+        path.write_bytes(path.read_bytes().replace(b"activation swish", b"activation gelu", 1))
         with pytest.raises(ValidationError, match="unknown activation 'gelu'"):
             load_model(path)
 
@@ -241,8 +243,7 @@ class TestCheckpoint:
         model = init_model("separated", mesh, dofs, seed=0)
         path = tmp_path / "m.folmodel"
         save_model(model, path)
-        text = path.read_text().replace("folmodel 1", "folmodel 9", 1)
-        path.write_text(text)
+        path.write_bytes(path.read_bytes().replace(b"folmodel 2", b"folmodel 9", 1))
         with pytest.raises(ValidationError, match="version"):
             load_model(path)
 
@@ -258,12 +259,11 @@ class TestCheckpoint:
             load_model(path, other)
 
 
-# sha256 of the 21x21 seed-1 checkpoints (dt 0.05, left 1 / right 0): the
-# written bytes do not depend on how the writer chunks its output
+# sha256 of the 21x21 seed-1 checkpoints (dt 0.05, left 1 / right 0)
 CHECKPOINT_SHA256 = {
-    "fully_connected": "5da8071ff6ec04df3c51a5bbfe4cbfe65a107b8426a505510db8b3d6f29bf3c9",
-    "elementwise": "e15a9ccee1869a01e149ea4397912fcf76ce51bf70aeed55b603334fe5c64385",
-    "separated": "532edbd8183ecd7bba2f17005627d8e6ee8d149b957b4eeb92ed3cf8e2b4fb19",
+    "fully_connected": "1ee2ffd3a6fbac3778a456b564c8b1c8fd4f4e04135fbdab4614428e486d19df",
+    "elementwise": "da1d8ff5733e0226d80246785aa484589732023421e69d438cbbb1d62b14c36a",
+    "separated": "2ba8eeff5e2cfe3dde1e45a154035b9f01dc6939eb8b107ae31b5a2e025451e2",
 }
 
 
@@ -276,9 +276,16 @@ def traced(fn, *args):
         tracemalloc.stop()
 
 
+def npy_bytes(array) -> bytes:
+    """array as one .npy record (version 1.0) in its own dtype and order."""
+    f = io.BytesIO()
+    np.lib.format.write_array(f, array, version=(1, 0), allow_pickle=False)
+    return f.getvalue()
+
+
 @pytest.fixture(scope="module")
 def separated21(tmp_path_factory):
-    """The 21x21 seed-1 separated model (1.64M parameters) and its 33.9 MB
+    """The 21x21 seed-1 separated model (1.64M parameters) and its 13.2 MB
     checkpoint, written under tracemalloc: (model, dofs, path, save peak)."""
     mesh = build_structured_grid(21, 21, 1.0, 1.0)
     dofs = build_dof_map(mesh, LEFT_RIGHT)
@@ -289,29 +296,30 @@ def separated21(tmp_path_factory):
 
 
 class TestCheckpointStreaming:
-    """save_model and load_model stream the text in bounded windows: neither
-    holds a Python object per value of the checkpoint."""
+    """save_model writes the arrays from the model's own buffers, and
+    load_model reads each record straight into its final array: neither
+    holds a second copy of the parameters."""
 
     def test_save_and_load_peak_memory(self, separated21):
         model, dofs, path, save_peak = separated21
         size = path.stat().st_size
-        assert save_peak <= 1.0 * size
+        assert save_peak <= 0.1 * size
         back, load_peak = traced(load_model, path, dofs)
-        assert load_peak <= 0.5 * size  # the arrays (0.39x) and one window of text
+        assert load_peak <= 1.1 * size  # the arrays (1.0x) and nothing the size of one
         assert back.params_flat().tobytes() == model.params_flat().tobytes()
 
     def test_commented_checkpoint_loads_the_same(self, separated21, tmp_path):
+        """Between its first line and its ``end`` line, the text header may
+        carry comments, as the token formats do."""
         model, dofs, path, _ = separated21
-        lines = path.read_text().splitlines(keepends=True)
-        for i in range(0, len(lines), 777):
-            lines[i] = lines[i].replace("\n", "  # trailing note\n")
-        for i in reversed(range(0, len(lines), 1000)):
-            lines.insert(i, "# note\n")
+        data = path.read_bytes()
+        cut = data.index(b"\nend\n") + 1
+        first, *lines = data[:cut].decode().splitlines(keepends=True)
+        lines = [first, "# a note\n"] + [line.replace("\n", "  # trailing note\n") for line in lines]
         commented = tmp_path / "commented.folmodel"
-        commented.write_text("".join(lines) + "# the end\n#\n")
-        del lines
+        commented.write_bytes("".join(lines).encode() + b"# the end\n" + data[cut:])
         back, peak = traced(load_model, commented, dofs)
-        assert peak <= 0.5 * commented.stat().st_size
+        assert peak <= 1.1 * commented.stat().st_size
         assert back.params_flat().tobytes() == model.params_flat().tobytes()
 
     @pytest.mark.parametrize("arch", sorted(CHECKPOINT_SHA256))
@@ -326,28 +334,58 @@ class TestCheckpointStreaming:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256[arch]
 
 
+# the records of the 3x3 elementwise checkpoint below, in file order
+RECORDS = [f"group {gi} {what}" for gi in range(2) for what in (
+    "output slots", "input slots", "layer 0 weights", "layer 0 biases",
+    "layer 1 weights", "layer 1 biases")]
+
+
 class TestCheckpointRefusals:
-    """Edits to a 3x3 elementwise checkpoint (hidden (2,)): group 0 has stencil
-    2 (slots 0, 2) on lines 8-23, group 1 stencil 3 (slot 1) on lines 24-38."""
+    """Edits to a 3x3 elementwise checkpoint (hidden (2,)): its 18-line header
+    declares group 0 (stencil 2, slots 0 and 2) on lines 8-12 and group 1
+    (stencil 3, slot 1) on lines 13-17; the 12 RECORDS follow."""
 
     @pytest.fixture()
     def edit(self, tmp_path, grid3):
         mesh, dofs = grid3
         path = tmp_path / "m.folmodel"
-        save_model(init_model("elementwise", mesh, dofs, hidden_spec=(2,), seed=0), path)
-        lines = path.read_text().splitlines()
-        assert lines[10:12] == ["input 2", "0 1 1 2"] and lines[33] == "layer 1 out 1 in 2"
+        model = init_model("elementwise", mesh, dofs, hidden_spec=(2,), seed=0)
+        save_model(model, path)
+        data = path.read_bytes()
+        lines = data[: data.index(b"\nend\n") + 5].decode().splitlines()
+        records = {}
+        for g, names in zip(model.groups, (RECORDS[:6], RECORDS[6:])):
+            arrays = [g.out_slots, g.in_slots]
+            for w, b in zip(g.weights, g.biases):
+                arrays += [w, b]
+            records.update(zip(names, arrays))
+        assert lines[9:11] == ["input 2", "layer 0 out 2 in 2"] and lines[16:] == [
+            "layer 1 out 1 in 2", "end"]
+        # the layout: the header, then each record as np.save writes it
+        assert ("\n".join(lines) + "\n").encode() + b"".join(map(npy_bytes, records.values())) == data
 
-        def apply(changes):
-            """changes: {line number: new line, or (token index, new token)}."""
-            edited = list(lines)
-            for lineno, change in changes.items():
+        def apply(changes, cut=None):
+            """changes: {header line number: new line, or (token index, new
+            token); record name: new array, raw record bytes, (index, new
+            value), or None to drop the record}. cut keeps that many bytes
+            of the file."""
+            edited, arrays = list(lines), dict(records)
+            for key, change in changes.items():
+                if isinstance(key, str):
+                    if isinstance(change, tuple):
+                        index, value = change
+                        change = arrays[key].copy()
+                        change[index] = value
+                    arrays[key] = change
+                    continue
                 if isinstance(change, tuple):
-                    tokens = edited[lineno - 1].split()
+                    tokens = edited[key - 1].split()
                     tokens[change[0]] = change[1]
                     change = " ".join(tokens)
-                edited[lineno - 1] = change
-            path.write_text("\n".join(edited) + "\n")
+                edited[key - 1] = change
+            records_bytes = [
+                a if isinstance(a, bytes) else npy_bytes(a) for a in arrays.values() if a is not None]
+            path.write_bytes((("\n".join(edited) + "\n").encode() + b"".join(records_bytes))[:cut])
             return path
 
         return apply
@@ -356,11 +394,9 @@ class TestCheckpointRefusals:
         (6, 1, "nan", "expected finite dt, got 'nan'"),
         (6, 1, "-0.05", "dt must be positive, got -0.05"),
         (6, 1, "0", "dt must be positive, got 0.0"),
-        (10, 1, "two", "expected output slot, got 'two'"),
-        (12, 2, "x", "expected input slot, got 'x'"),
-        (16, 1, "nan", "expected finite weight, got 'nan'"),
-        (18, 1, "inf", "expected finite bias, got 'inf'"),
-        (23, 1, "-", "expected finite bias, got '-'"),
+        (9, 1, "two", "expected outslots, got 'two'"),
+        (10, 1, "x", "expected 'full' or a positive stencil size, got 'x'"),
+        (16, 5, "0", "in must be positive, got 0"),
     ])
     def test_bad_token_names_file_and_line(self, edit, lineno, index, token, message, windows):
         path = edit({lineno: (index, token)})
@@ -368,27 +404,92 @@ class TestCheckpointRefusals:
             with pytest.raises(ValidationError, match=re.escape(f"{path}: line {lineno}: {message}")):
                 load_model(path)
 
-    @pytest.mark.parametrize("lineno, token, what", [
-        (34, "99999999999", "weight"), (11, "99999999999", "input slot"),
-        (9, "999999999999", "output slot"),
+    @pytest.mark.parametrize("name, index, value", [
+        ("group 0 layer 0 weights", (0, 1, 1), np.nan),
+        ("group 1 layer 1 weights", (0, 0, 1), -np.inf),
+        ("group 0 layer 1 biases", (1, 0), np.inf),
+        ("group 1 layer 0 biases", (0, 1), np.nan),
     ])
-    def test_huge_count_is_end_of_file(self, edit, lineno, token, what, windows):
-        """A count far beyond the file's tokens is refused before any array of
-        that size is allocated, at the line of the file's last token."""
-        path = edit({lineno: (-1, token)})
-        for _ in windows:
-            with pytest.raises(ValidationError, match=re.escape(
-                    f"{path}: line 39: unexpected end of file, expected {what}")):
-                load_model(path)
+    def test_non_finite_record_names_file(self, edit, name, index, value):
+        path = edit({name: (index, value)})
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {name} hold a non-finite value")):
+            load_model(path)
+
+    @pytest.mark.parametrize("changes, cut, message", [
+        ({"group 0 layer 0 weights": np.zeros((2, 2, 2), np.float32)}, None,
+         "group 0 layer 0 weights is a <f4 array of shape (2, 2, 2), expected <f8 of shape (2, 2, 2)"),
+        ({"group 0 layer 0 weights": np.zeros((2, 2, 2), ">f8")}, None,
+         "group 0 layer 0 weights is a >f8 array of shape (2, 2, 2), expected <f8"),
+        ({"group 1 input slots": np.array([[0, 1, 2]], np.int32)}, None,
+         "group 1 input slots is a <i4 array of shape (1, 3), expected <i8"),
+        ({"group 0 layer 1 weights": np.asfortranarray(np.zeros((2, 2, 1)))}, None,
+         "group 0 layer 1 weights is a Fortran-order <f8 array of shape (2, 2, 1), expected <f8 of "
+         "shape (2, 1, 2)"),
+        ({"group 1 layer 0 biases": np.zeros((1, 3))}, None,
+         "group 1 layer 0 biases is a <f8 array of shape (1, 3), expected <f8 of shape (1, 2)"),
+        ({"group 1 layer 1 biases": None}, None,
+         "not a readable .npy array (group 1 layer 1 biases): EOF: reading magic string"),
+        ({"group 0 layer 0 biases": None}, None,
+         "group 0 layer 0 biases is a <f8 array of shape (2, 1, 2), expected <f8 of shape (2, 2)"),
+        ({}, -4, "group 1 layer 1 biases needs 8 bytes, the file has 4 left"),
+        ({}, -9, "not a readable .npy array (group 1 layer 1 biases): "),
+        ({"group 0 output slots": b"\x93NUMPY\x02\x00" + npy_bytes(np.zeros(2, np.int64))[8:]}, None,
+         "not a readable .npy array (group 0 output slots): format version (2, 0), expected (1, 0)"),
+        ({"group 0 input slots": b"PK\x03\x04" + bytes(60)}, None,
+         "not a readable .npy array (group 0 input slots): the magic string is not correct"),
+    ], ids=["float32", "big-endian", "int32-slots", "fortran-order", "shape", "missing-last",
+            "missing-middle", "cut-in-data", "cut-in-header", "npy-2.0", "not-npy"])
+    def test_bad_record_names_file(self, edit, changes, cut, message):
+        """A record of another dtype, byte order, storage order or shape, or one
+        that is missing, cut short or not .npy, is refused before its data is
+        read."""
+        path = edit(changes, cut)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
+
+    @pytest.mark.parametrize("lineno, token, what", [
+        (9, "999999999999", "output slot"), (10, "99999999999", "input slot"),
+        (17, "99999999999", "weight"),
+    ])
+    def test_huge_count_is_end_of_file(self, edit, lineno, token, what):
+        """A huge count in the header whose record declares the same shape is
+        refused as data running past the end of the file, before any array of
+        that size is allocated."""
+        name, shape, descr = {
+            "output slot": ("group 0 output slots", (999999999999,), "<i8"),
+            "input slot": ("group 0 input slots", (2, 99999999999), "<i8"),
+            "weight": ("group 1 layer 1 weights", (1, 1, 99999999999), "<f8"),
+        }[what]
+        record = io.BytesIO()  # the record's header alone
+        np.lib.format.write_array_header_1_0(
+            record, {"descr": descr, "fortran_order": False, "shape": shape})
+        path = edit({lineno: (-1, token), name: record.getvalue()})
+        result, peak = traced(lambda: pytest.raises(ValidationError, load_model, path))
+        assert re.fullmatch(re.escape(f"{path}: {name} needs {8 * math.prod(shape)} bytes, the file has ")
+                            + r"\d+ left", str(result.value))
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("lineno, index, token", [(8, 3, "99999999999"), (11, 3, "99999999999")])
+    def test_huge_header_count_refused_before_allocation(self, edit, lineno, index, token):
+        """A huge nets or out count in the header alone fails its record's
+        shape check: nothing of the declared size is allocated."""
+        path = edit({lineno: (index, token)})
+        result, peak = traced(lambda: pytest.raises(ValidationError, load_model, path))
+        assert f"{path}: group 0 " in str(result.value) and token in str(result.value)
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("changes, message", [
-        ({10: "0 7"}, "output slots of all groups must be a permutation of 0..2"),
-        ({10: "0 1"}, "output slots of all groups must be a permutation of 0..2"),
-        ({12: "0 1 1 3"}, "group 0 input slots must lie in [0, 3)"),
-        ({11: "input 1", 12: "0 2"}, "group 0 layer 0 reads 2 inputs, expected 1"),
-        ({34: "layer 1 out 2 in 1", 38: "0.0 0.0"}, "group 1 layer 1 reads 1 inputs, expected 2"),
-        ({34: "layer 1 out 2 in 2", 36: "0.5 0.5 0.5 0.5", 38: "0.0 0.0"},
-         "group 1 has 1 nets of 2 outputs for 1 output slots"),
+        ({"group 0 output slots": np.array([0, 7])},
+         "output slots of all groups must be a permutation of 0..2"),
+        ({"group 0 output slots": np.array([0, 1])},
+         "output slots of all groups must be a permutation of 0..2"),
+        ({"group 0 input slots": np.array([[0, 1], [1, 3]])}, "group 0 input slots must lie in [0, 3)"),
+        ({10: "input 1", "group 0 input slots": np.array([[0], [2]])},
+         "group 0 layer 0 reads 2 inputs, expected 1"),
+        ({17: "layer 1 out 2 in 1", "group 1 layer 1 weights": np.zeros((1, 2, 1)),
+          "group 1 layer 1 biases": np.zeros((1, 2))}, "group 1 layer 1 reads 1 inputs, expected 2"),
+        ({17: "layer 1 out 2 in 2", "group 1 layer 1 weights": np.full((1, 2, 2), 0.5),
+          "group 1 layer 1 biases": np.zeros((1, 2))}, "group 1 has 1 nets of 2 outputs for 1 output slots"),
     ])
     def test_inconsistent_wiring_refused(self, edit, changes, message, windows):
         path = edit(changes)

@@ -1,6 +1,7 @@
 """The token reader at window boundaries: windows of 1, 7 and 64 characters
-cut every block of the mesh and checkpoint files, and the result must not
-depend on where the cuts fall, nor on whether the text is a str or a file."""
+cut every block of the mesh files and checkpoint headers, and the result
+must not depend on where the cuts fall, nor on whether the text is a str or
+read from a file."""
 
 import re
 from pathlib import Path
@@ -62,12 +63,12 @@ def test_meshes_load_the_same_at_every_window(tmp_path, windows):
 
 
 def readers(text, directory, **kwargs):
-    """A TokenReader of text as a str, then one of a file on disk holding it."""
+    """A TokenReader of text as a str, then one of the text of a file on disk
+    holding it."""
     yield TokenReader(text, **kwargs)
     path = directory / "tokens.txt"
     path.write_text(text)
-    with path.open() as f:
-        yield TokenReader(f, **kwargs)
+    yield TokenReader(textio.read_text(path), **kwargs)
 
 
 def test_block_edges(windows, tmp_path):
