@@ -1,6 +1,7 @@
 """Command-line surface: reproducible experiments from one config file.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O error.
+Exit codes: 0 success, 1 validation error (or a request too large to allocate),
+2 numerical failure, 3 I/O error.
 `--threads N` caps the BLAS/OpenMP worker budget and must be handled before
 numpy loads, which is why all heavy imports live inside the subcommands.
 """
@@ -33,6 +34,24 @@ def _positive_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --threads: a worker count, so a positive integer."""
+    try:
+        if (value := int(text)) > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
+def _threads_parser() -> _Parser:
+    """The top-level --threads flag alone, read before any subcommand's options."""
+    p = _Parser(add_help=False)
+    p.add_argument("--threads", type=_positive_int, default=None,
+                   help="cap BLAS/OpenMP threads (must be a top-level flag)")
+    return p
+
+
 def _alpha(text: str) -> float:
     """argparse type of --alpha: one of the theta-scheme weights reduce_system takes."""
     from .fem import VALID_ALPHAS
@@ -46,9 +65,7 @@ def _alpha(text: str) -> float:
 
 
 def _build_parser() -> _Parser:
-    p = _Parser(prog="folheat", description=__doc__)
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS/OpenMP threads (must be a top-level flag)")
+    p = _Parser(prog="folheat", description=__doc__, parents=[_threads_parser()])
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("gen-mesh", help="write a structured grid mesh file")
@@ -241,6 +258,8 @@ def cmd_train(args) -> int:
     from .training import TrainConfig, train
 
     cfg = load_run_config(args.config)
+    tc = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
+                     optimizer=cfg.optimizer, seed=cfg.seed, log_every=args.log_every)
     mesh, dofs, sys_mats = _problem(cfg)
     rs = reduce_system(sys_mats, dofs, cfg.dt, 1.0)
 
@@ -255,8 +274,6 @@ def cmd_train(args) -> int:
 
     model = init_model(cfg.arch, mesh, dofs, cfg.hidden_spec(), cfg.activation,
                        seed=cfg.seed, dt=cfg.dt)
-    tc = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-                     optimizer=cfg.optimizer, seed=cfg.seed, log_every=args.log_every)
     model, record = train(model, rs, dofs, samples, tc)
 
     out = Path(args.out)
@@ -435,15 +452,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # thread caps must land before numpy is imported by any subcommand
-    if "--threads" in argv:
-        try:
-            n = int(argv[argv.index("--threads") + 1])
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = str(n)
-        except (IndexError, ValueError):
-            pass  # argparse reports the usage error below
     try:
+        # thread caps must land before numpy is imported by any subcommand
+        if (threads := _threads_parser().parse_known_args(argv)[0].threads) is not None:
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ[var] = str(threads)
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - single translation point to exit codes
@@ -451,6 +464,9 @@ def main(argv=None) -> int:
 
         if isinstance(exc, ValidationError):
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        if isinstance(exc, MemoryError):  # numpy's names the size it could not allocate
+            print(f"error: {exc or 'out of memory'}", file=sys.stderr)
             return 1
         if isinstance(exc, NumericalError):
             print(f"numerical failure: {exc}", file=sys.stderr)

@@ -32,6 +32,7 @@ CHECKPOINT_FORMAT = "folmodel"
 CHECKPOINT_VERSION = 2
 VERSION_BYTES = 64  # a checkpoint's first line is read within this many bytes
 HEADER_BYTES = 1 << 20  # and its text header within this many
+ACT_BLOCK = 1 << 11  # tape values per in-place activation pass; its buffer stays in cache
 
 ARCHITECTURES = ("separated", "elementwise", "fully_connected")
 ACTIVATIONS = ("swish", "tanh", "sigmoid", "relu")
@@ -43,41 +44,39 @@ DEFAULT_HIDDEN = {
 }
 
 
-def _act_forward(kind: str, z, out=None, s=None):
-    """(activation(z), cached transcendental) so the reverse pass can skip
-    recomputing expit/tanh; the cache is expit(z) for swish/sigmoid, tanh(z)
-    for tanh, None for relu. The activation is written into `out` (which may
-    be z) and swish's expit into `s`; None allocates."""
+def _act_forward(kind: str, z, out=None):
+    """activation(z), written into `out` (which may be z); None allocates."""
     if kind == "swish":
-        s = expit(z, out=s)
-        return np.multiply(z, s, out=out), s
+        return np.multiply(z, expit(z), out=out)
     if kind == "tanh":
-        t = np.tanh(z, out=out)
-        return t, t
+        return np.tanh(z, out=out)
     if kind == "sigmoid":
-        s = expit(z, out=out)
-        return s, s
-    return np.maximum(z, 0.0, out=out), None
+        return expit(z, out=out)
+    return np.maximum(z, 0.0, out=out)
 
 
-def _act_grad_cached(kind: str, z, aux, out):
-    """Exact derivative of the activation at z from the forward cache `aux`
-    (relu uses subgradient 0 at 0), written into `out` one operation at a
-    time."""
-    if kind == "swish":  # aux * (1 + z * (1 - aux))
-        np.subtract(1.0, aux, out=out)
-        out *= z
-        out += 1.0
-        out *= aux
-    elif kind == "tanh":  # 1 - aux * aux
-        np.multiply(aux, aux, out=out)
-        np.subtract(1.0, out, out=out)
-    elif kind == "sigmoid":  # aux * (1 - aux)
-        np.subtract(1.0, aux, out=out)
-        out *= aux
-    else:
-        np.greater(z, 0.0, out=out)
-    return out
+def _act_in_place(kind: str, z, d, s) -> None:
+    """Overwrite z with activation(z), by _act_forward's operations, and write
+    its exact derivative into d one operation at a time (relu's subgradient
+    at 0 is 0); swish keeps expit(z) in s."""
+    if kind == "swish":  # d = s * (1 + z * (1 - s)), then z * s
+        expit(z, out=s)
+        np.subtract(1.0, s, out=d)
+        d *= z
+        d += 1.0
+        d *= s
+        z *= s
+    elif kind == "tanh":  # t = tanh(z), then d = 1 - t * t
+        np.tanh(z, out=z)
+        np.multiply(z, z, out=d)
+        np.subtract(1.0, d, out=d)
+    elif kind == "sigmoid":  # s = expit(z), then d = s * (1 - s)
+        expit(z, out=z)
+        np.subtract(1.0, z, out=d)
+        d *= z
+    else:  # d = (z > 0), then max(z, 0)
+        np.greater(z, 0.0, out=d)
+        np.maximum(z, 0.0, out=z)
 
 
 @dataclass
@@ -244,7 +243,7 @@ class GroupTape:
     x_full: np.ndarray | None  # (batch, n_free) view when the group reads the full field
     x_gath: np.ndarray | None  # (n_nets, batch, stencil) gathered inputs otherwise
     preacts: list[np.ndarray]  # empty: no z is taped (kept for readers of the tape's arrays)
-    acts: list[np.ndarray]  # activation a per hidden layer, (n_nets, batch, width)
+    acts: list[np.ndarray]  # activation a per hidden layer, (n_nets, batch, width); backprop's dz
     act_aux: list[np.ndarray]  # its derivative g = activation'(z) per hidden layer
 
 
@@ -252,7 +251,6 @@ class GroupTape:
 class ForwardTape:
     group_tapes: list[GroupTape]
     out: np.ndarray  # (batch, n_free)
-    scratch: tuple[np.ndarray, np.ndarray]  # the workspace's scratch, for the reverse pass
 
 
 def _shaped(flat: np.ndarray, shape, batch_major: bool = False) -> np.ndarray:
@@ -266,18 +264,17 @@ def _shaped(flat: np.ndarray, shape, batch_major: bool = False) -> np.ndarray:
 
 
 class Workspace:
-    """Buffers reused by taped passes: the tape, and two scratch buffers.
-
-    Forward, the scratch buffers hold the first-layer product, z and expit(z);
-    in reverse, dz @ W and the first layer's batch-major dz. The buffers grow
-    to the largest batch seen and a smaller batch uses their front, so one
-    workspace serves every batch of a training run. Each taped pass through a
-    workspace overwrites the tape of the pass before.
+    """Buffers reused by taped passes: the tape, where each hidden layer's z
+    becomes its a and backprop's dz overwrites the spent a; an ACT_BLOCK
+    buffer; and a scratch buffer, sized by the stencil and output widths, for
+    the gathered inputs and the output layer's z. The buffers grow to the
+    largest batch seen and a smaller batch uses their front, so one workspace
+    serves a whole training run; each taped pass overwrites the last one's tape.
     """
 
     def __init__(self):
-        self.tape = np.empty(0)
-        self.scratch = (np.empty(0), np.empty(0))
+        self.tape = self.scratch = np.empty(0)
+        self.block = np.empty(ACT_BLOCK)
         self._pos = 0
 
     def reserve(self, m: ModelBundle, batch: int) -> None:
@@ -285,14 +282,12 @@ class Workspace:
         tape = scratch = 0
         for g in m.groups:
             stencil = 0 if g.in_slots is None else g.in_slots.shape[1]
-            hidden = [w.shape[1] for w in g.weights[:-1]]
-            tape += g.n_nets * (stencil + 2 * sum(hidden))
-            # the gathered inputs and every layer's z pass through scratch
-            scratch = max(scratch, g.n_nets * max(stencil, *(w.shape[1] for w in g.weights)))
+            tape += g.n_nets * (stencil + 2 * sum(w.shape[1] for w in g.weights[:-1]))
+            scratch = max(scratch, g.n_nets * max(stencil, g.weights[-1].shape[1]))
         if self.tape.size < batch * tape:
             self.tape = np.empty(batch * tape)
-        if self.scratch[0].size < batch * scratch:
-            self.scratch = (np.empty(batch * scratch), np.empty(batch * scratch))
+        if self.scratch.size < batch * scratch:
+            self.scratch = np.empty(batch * scratch)
         self._pos = 0
 
     def take(self, shape, batch_major: bool = False) -> np.ndarray:
@@ -353,9 +348,8 @@ def forward_batch(m: ModelBundle, X: np.ndarray) -> np.ndarray:
 def _group_forward(group: NetGroup, X: np.ndarray, activation: str, ws: Workspace,
                    out: np.ndarray) -> GroupTape:
     """Taped pass of one group, writing its outputs into their slots of `out`."""
-    n_nets, out0, _ = group.weights[0].shape
+    n_nets = group.n_nets
     batch = X.shape[0]
-    z_buf, s_buf = ws.scratch
     full = group.in_slots is None
     x_gath = None
     if not full:
@@ -363,22 +357,28 @@ def _group_forward(group: NetGroup, X: np.ndarray, activation: str, ws: Workspac
         # in_slots are checked when a model is built or loaded, so "clip" never
         # clips; unlike the default "raise", it writes `out` without a buffered copy
         gathered = np.take(X, group.in_slots, axis=1, mode="clip",
-                           out=_shaped(s_buf, (batch, n_nets, stencil)))
+                           out=_shaped(ws.scratch, (batch, n_nets, stencil)))
         x_gath = ws.take((n_nets, batch, stencil))
         np.copyto(x_gath, gathered.transpose(1, 0, 2))
-    z = _first_layer(group, X, x_gath, _shaped(z_buf, (n_nets, batch, out0), full))
     acts, grads = [], []
-    for l in range(1, group.n_layers):
-        # a and g keep z's storage order, which the reverse pass's sums and
+    for l, (w, b) in enumerate(zip(group.weights, group.biases)):
+        # z, a and g share a storage order, which the reverse pass's sums and
         # matmuls see: batch-major for a full-field group's first layer
-        batch_major = full and l == 1
-        a, g = ws.take(z.shape, batch_major), ws.take(z.shape, batch_major)
-        _, aux = _act_forward(activation, z, a, _shaped(s_buf, z.shape, batch_major))
-        acts.append(a)
-        grads.append(_act_grad_cached(activation, z, aux, g))
-        shape = (n_nets, batch, group.weights[l].shape[1])
-        z = np.matmul(a, group.weights[l].transpose(0, 2, 1), out=_shaped(z_buf, shape))
-        z += group.biases[l][:, None, :]
+        shape, batch_major = (n_nets, batch, w.shape[1]), full and l == 0
+        hidden = l < group.n_layers - 1
+        z = ws.take(shape, batch_major) if hidden else _shaped(ws.scratch, shape, batch_major)
+        if l == 0:
+            _first_layer(group, X, x_gath, z)
+        else:
+            np.matmul(acts[-1], w.transpose(0, 2, 1), out=z)
+            z += b[:, None, :]
+        if hidden:  # z becomes a in place, a cache-sized block at a time
+            grads.append(ws.take(shape, batch_major))
+            z_mem, g_mem = z.ravel("K"), grads[-1].ravel("K")  # views: tape slots are contiguous
+            for lo in range(0, z_mem.size, ACT_BLOCK):
+                block = z_mem[lo : lo + ACT_BLOCK]
+                _act_in_place(activation, block, g_mem[lo : lo + ACT_BLOCK], ws.block[: block.size])
+            acts.append(z)
     out[:, group.out_slots] = z.transpose(1, 0, 2).reshape(batch, -1)
     return GroupTape(X if full else None, x_gath, [], acts, grads)
 
@@ -386,13 +386,13 @@ def _group_forward(group: NetGroup, X: np.ndarray, activation: str, ws: Workspac
 def forward_with_tape(m: ModelBundle, X: np.ndarray, workspace: Workspace | None = None):
     """forward_batch plus the tape an exact reverse pass needs: per hidden
     layer the activation a and its derivative g. The tape lives in
-    `workspace` (a fresh one when None)."""
+    `workspace` (a fresh one when None), and is the only buffer of the pass
+    whose size grows with the hidden widths."""
     X, squeeze = _as_batch(m, X)
     ws = Workspace() if workspace is None else workspace
     ws.reserve(m, X.shape[0])
     out = np.empty((X.shape[0], m.n_free))
-    tapes = [_group_forward(g, X, m.activation, ws, out) for g in m.groups]
-    tape = ForwardTape(tapes, out, ws.scratch)
+    tape = ForwardTape([_group_forward(g, X, m.activation, ws, out) for g in m.groups], out)
     return (out[0] if squeeze else out), tape
 
 
@@ -401,7 +401,8 @@ def backprop(m: ModelBundle, tape: ForwardTape, d_out: np.ndarray) -> np.ndarray
 
     Returns a fresh flat vector in params_flat order; each layer's dW and db
     are written straight into their views of it. Layer by layer,
-    dz = (dz @ W_l) * g runs in the tape's scratch buffers.
+    dz = (dz @ W_l) * g overwrites the tape's a of layer l - 1, which dW_l
+    was the last to read; this pass consumes the tape.
     """
     d_out = np.asarray(d_out, dtype=np.float64)
     grad = np.empty(count_params(m))
@@ -412,20 +413,19 @@ def backprop(m: ModelBundle, tape: ForwardTape, d_out: np.ndarray) -> np.ndarray
             d_out.T[g.out_slots].reshape(g.n_nets, -1, batch).transpose(0, 2, 1)
         )
         for l in range(g.n_layers - 1, 0, -1):
-            np.matmul(dz.transpose(0, 2, 1), gt.acts[l - 1], out=d_ws[l])
+            a = gt.acts[l - 1]
+            np.matmul(dz.transpose(0, 2, 1), a, out=d_ws[l])
             dz.sum(axis=1, out=d_bs[l])
-            # into the scratch buffer dz is not in; layer 1 ends in scratch[1]
-            dz = np.matmul(dz, g.weights[l], out=_shaped(tape.scratch[l % 2], gt.acts[l - 1].shape))
+            if a.shape[2] == 1:  # net-major: a width-1 dz summed in batch-major storage takes other bits
+                a = _shaped(a.ravel("K"), a.shape)
+            dz = np.matmul(dz, g.weights[l], out=a)
             dz *= gt.act_aux[l - 1]
         dz.sum(axis=1, out=d_bs[0])
         if g.in_slots is None:  # one matmul over all nets: dW0 = dz0.T @ x, dz0 (batch, n_nets * out0)
+            # a view: dz0 is one wide, or batch-major in the first layer's a (a
+            # copy only for a group without hidden layers)
             n_nets, _, out0 = dz.shape
-            if out0 == 1:  # dz's storage is dz0.T already; a copy would make BLAS read it transposed
-                dz0_t = dz.reshape(n_nets, batch)
-            else:
-                dz0 = _shaped(tape.scratch[0], dz.shape, batch_major=True)
-                np.copyto(dz0, dz)
-                dz0_t = dz0.transpose(1, 0, 2).reshape(batch, n_nets * out0).T
+            dz0_t = dz.transpose(1, 0, 2).reshape(batch, n_nets * out0).T
             np.matmul(dz0_t, gt.x_full, out=d_ws[0].reshape(n_nets * out0, -1))
         else:
             np.matmul(dz.transpose(0, 2, 1), gt.x_gath, out=d_ws[0])

@@ -45,6 +45,8 @@ class TrainConfig:
             raise ValidationError(f"optimizer must be 'adam' or 'lbfgs', got {self.optimizer!r}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if self.log_every < 0:
+            raise ValidationError(f"log_every must be >= 0, got {self.log_every}")
 
 
 def _require_loss_system(rs: ReducedSystem):

@@ -124,6 +124,16 @@ class TestTrain:
         assert (a / "loss_history.csv").read_bytes() == (b / "loss_history.csv").read_bytes()
         assert (a / "model.folmodel").read_bytes() == (b / "model.folmodel").read_bytes()
 
+    def test_negative_log_every_refused_before_sampling(self, tmp_path, smoke_cfg, capsys,
+                                                        monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("samples built before the options were checked")
+
+        monkeypatch.setattr("folheat.sampling.build_sample_set", no_sampling)
+        assert run("train", "--config", smoke_cfg, "--out", tmp_path / "run", "--log-every", -1) == 1
+        assert capsys.readouterr().err == "error: log_every must be >= 0, got -1\n"
+        assert not (tmp_path / "run").exists()
+
     def test_missing_mesh_file_fails_before_training(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[mesh]\nsource = file\npath = nowhere.folmesh\n")
@@ -549,6 +559,66 @@ class TestDeterminismPipeline:
         for rel in ("run/model.folmodel", "run/loss_history.csv", "pred/step_0004.csv",
                     "ref/step_0004.csv", "errors.csv"):
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestThreads:
+    @pytest.mark.parametrize("args", [["--threads", "0"], ["--threads", "-2"], ["--threads=0"],
+                                      ["--threads", "abc"], ["--threads", "1.5"]])
+    def test_non_positive_count_refused(self, tmp_path, capsys, args):
+        before = dict(os.environ)
+        assert run(*args, "gen-mesh", "--nx", 3, "--ny", 3, "--out", tmp_path / "m") == 1
+        value = args[-1].removeprefix("--threads=")
+        assert capsys.readouterr().err == (
+            f"error: argument --threads: must be a positive integer, got {value!r}\n")
+        assert dict(os.environ) == before
+        assert not (tmp_path / "m").exists()
+
+    def test_positive_count_sets_every_cap(self, tmp_path, monkeypatch):
+        for var in THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)  # restored after the test
+        assert run("--threads", 1, "gen-mesh", "--nx", 3, "--ny", 3, "--out", tmp_path / "m") == 0
+        assert [os.environ[var] for var in THREAD_VARS] == ["1", "1", "1"]
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # OpenBLAS reads its thread budget once, when numpy loads it
+        code = "import sys, folheat.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(REPO / "src")), timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+class TestTooLargeToAllocate:
+    """Requests of PiB scale fail at their first allocation: one error line,
+    exit 1, and no traceback."""
+
+    HUGE = 2**50
+
+    def check(self, capsys, *args):
+        capsys.readouterr()
+        assert run(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
+        assert " PiB " in err
+
+    def test_gen_mesh(self, tmp_path, capsys):
+        self.check(capsys, "gen-mesh", "--nx", self.HUGE, "--ny", self.HUGE, "--out", tmp_path / "m")
+        assert not (tmp_path / "m").exists()
+
+    def test_gen_samples(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(SMOKE_CONFIG.replace("fourier = 6", f"fourier = {self.HUGE}"))
+        self.check(capsys, "gen-samples", "--config", cfg, "--out", tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
+    def test_postprocess_upsample(self, tmp_path, smoke_cfg, capsys):
+        run("solve-fem", "--config", smoke_cfg, "--init", "canonical:sin10y", "--steps", 0,
+            "--out", tmp_path / "ref")
+        self.check(capsys, "postprocess", "--config", smoke_cfg, "--field",
+                   tmp_path / "ref" / "step_0000.csv", "--upsample", self.HUGE,
+                   "--out", tmp_path / "post")
 
 
 class TestManifest:

@@ -14,8 +14,9 @@ from folheat.neural import (
     ACTIVATIONS,
     ModelBundle,
     NetGroup,
+    Workspace,
     _act_forward,
-    _act_grad_cached,
+    _act_in_place,
     _elementwise_stencils,
     count_params,
     forward_batch,
@@ -31,7 +32,7 @@ LEFT_RIGHT = DirichletSpec({"left": 1.0, "right": 0.0})
 
 
 def act(kind, x):
-    return _act_forward(kind, np.float64(x))[0]
+    return _act_forward(kind, np.float64(x))
 
 
 class TestActivations:
@@ -47,9 +48,10 @@ class TestActivations:
             points.remove(0.0)  # the kink has no two-sided derivative
         for x in points:
             fd = (act(kind, x + h) - act(kind, x - h)) / (2 * h)
-            z = np.float64(x)
-            grad = _act_grad_cached(kind, z, _act_forward(kind, z)[1], np.empty(()))
-            assert grad == pytest.approx(fd, abs=1e-8)
+            z, grad = np.array([x]), np.empty(1)
+            _act_in_place(kind, z, grad, np.empty(1))
+            assert grad[0] == pytest.approx(fd, abs=1e-8)
+            assert z[0] == act(kind, x)  # the activation, left in z
 
     def test_unknown_kind(self, tmp_path, grid3):
         mesh, dofs = grid3
@@ -206,12 +208,14 @@ class TestTape:
         model = init_model("separated", mesh, dofs, seed=5)
         x = np.random.default_rng(5).uniform(0, 1, (4, dofs.n_free))
         out_plain = forward_batch(model, x)
-        out_tape, tape = forward_with_tape(model, x)
+        ws = Workspace()
+        out_tape, tape = forward_with_tape(model, x, ws)
         assert np.array_equal(out_plain, out_tape)
         gt = tape.group_tapes[0]
-        # a and its derivative g per hidden layer; no z is taped
+        # a and its derivative g per hidden layer, in the workspace's tape; no z is taped
         assert gt.preacts == [] and len(gt.acts) == len(gt.act_aux) == 2
         assert gt.acts[0].shape == gt.act_aux[0].shape == (dofs.n_free, 4, 10)
+        assert all(np.shares_memory(a, ws.tape) for a in gt.acts + gt.act_aux)
 
     def test_inference_keeps_no_tape(self, grid11):
         # one tape array of (99 nets, 3000 samples, 10) is 23.8 MB; the taped

@@ -358,6 +358,8 @@ class TestTrain:
             TrainConfig(epochs=1, batch_size=1, lr=-1.0)
         with pytest.raises(ValidationError):
             TrainConfig(epochs=1, batch_size=1, optimizer="sgd")
+        with pytest.raises(ValidationError, match="log_every must be >= 0, got -1"):
+            TrainConfig(epochs=1, batch_size=1, log_every=-1)
 
     @pytest.mark.parametrize("lr", [math.nan, math.inf])
     def test_non_finite_lr_refused(self, lr):
@@ -427,10 +429,34 @@ class TestTrainingBits:
         assert _trained_sha256(model, rs, dofs, samples, 5, 8, 60, 0) == DESK_SHA256
 
 
+@pytest.mark.parametrize("block", [1, 7, 11])  # 11 divides none of the tape slots here
+@pytest.mark.parametrize("hidden", [(1,), (3, 1, 2), (2, 7)], ids=str)
+def test_activation_block_keeps_the_bits(monkeypatch, block, hidden):
+    """The in-place activation of the tape, ACT_BLOCK values at a time, gives
+    the bits of one pass over each slot, for every architecture and activation."""
+    mesh, dofs, rs = _problem(5)
+    x = np.random.default_rng(6).uniform(-0.5, 1.5, (4, dofs.n_free))
+    models = {(arch, act): init_model(arch, mesh, dofs, hidden, act, seed=7)
+              for arch in ARCHITECTURES for act in ACTIVATIONS}
+    for model in models.values():
+        for g in model.groups:  # relu's kink and every slot's sign pattern in play
+            for b in g.biases:
+                b[...] = np.random.default_rng(b.size).uniform(-0.5, 0.5, b.shape)
+
+    def bits():
+        return {key: (neural.forward_with_tape(m, x)[0].tobytes(),
+                      batch_loss(rs, dofs, x, m), loss_gradient(rs, dofs, x, m).tobytes())
+                for key, m in models.items()}
+
+    default = bits()
+    monkeypatch.setattr(neural, "ACT_BLOCK", block)
+    assert bits() == default
+
+
 def test_full_batch_gradient_memory(desk):
-    """The taped pass keeps a and g per hidden layer and reuses two scratch
-    buffers: one full-batch desk gradient peaks under 6.5 arrays of
-    (99 nets, 3000 samples, 10) float64."""
+    """The tape of a and g per hidden layer is the only full-size buffer of the
+    taped pass, and backprop's dz overwrites the spent a: one full-batch desk
+    gradient peaks under 4.5 arrays of (99 nets, 3000 samples, 10) float64."""
     mesh, dofs, rs, samples = desk
     model = init_model("separated", mesh, dofs, seed=0)
     unit = 99 * 3000 * 10 * 8
@@ -440,4 +466,4 @@ def test_full_batch_gradient_memory(desk):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5 * unit, peak / unit
+    assert peak <= 4.5 * unit, peak / unit
