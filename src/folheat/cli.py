@@ -410,26 +410,26 @@ def cmd_postprocess(args) -> int:
     mesh = cfg.build_mesh()
     k = cfg.conductivity(mesh)
     field = load_field(args.field, mesh)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
-    flux = heat_flux(mesh, k, field)
-    write_csv(out / "flux.csv", ["node_id", "x", "y", "qx", "qy"],
-              [range(mesh.n_nodes), *mesh.nodes.T, *flux.T])
-
-    for token in args.sections.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    # everything is computed before anything is written: a refused request leaves no output
+    requests = []
+    for token in filter(None, map(str.strip, args.sections.split(","))):
         try:
             axis, value = token.split("=")
-            value = float(value)
+            requests.append((axis.strip(), float(value)))
         except ValueError:
             raise ValidationError(f"sections: expected axis=value, got {token!r}") from None
-        sec = cross_section(mesh, field, axis.strip(), value)
-        write_csv(out / f"section_{axis.strip()}_{value}.csv", ["coord", "value"], sec.T)
-
+    sections = {f"section_{axis}_{value}.csv": cross_section(mesh, field, axis, value)
+                for axis, value in requests}
+    flux = heat_flux(mesh, k, field)
     grid = upsample_field(mesh, field, args.upsample, args.upsample)
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / "flux.csv", ["node_id", "x", "y", "qx", "qy"],
+              [range(mesh.n_nodes), *mesh.nodes.T, *flux.T])
+    for name, sec in sections.items():
+        write_csv(out / name, ["coord", "value"], sec.T)
     write_csv(out / "upsampled.csv", None, grid.T)
     write_pgm(out / "upsampled.pgm", grid)
     _write_manifest(out, "postprocess", cfg, {"field": args.field})

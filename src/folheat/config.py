@@ -96,6 +96,8 @@ def _parse_circles(text: str) -> tuple:
             cx, cy, r = (float(v) for v in part.split(","))
         except ValueError:
             raise ValueError(f"expected 'x,y,r' triples, got {part!r}") from None
+        if not (math.isfinite(cx) and math.isfinite(cy) and 0 < r < math.inf):
+            raise ValueError(f"expected a finite centre and a positive finite radius, got {part!r}")
         out.append((cx, cy, r))
     return tuple(out)
 

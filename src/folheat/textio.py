@@ -5,13 +5,6 @@ post-processing).
 
 Token comments run from ``#`` to end of line. Tokens may wrap across lines;
 a parse error names the line of the offending token.
-
-``TokenReader`` keeps the text and a character cursor; no Python object per
-token outlives one window. A single token is one regex search. A block is
-converted a window of about ``WINDOW`` characters at a time, cut at
-whitespace (at a line end if the text has comments, which are blanked per
-window), by ``int``/``float`` per token into preallocated arrays. An error
-re-reads the block to name the line a whole-text parse would.
 """
 
 from __future__ import annotations
@@ -20,10 +13,10 @@ import csv
 import io
 import math
 import os
-import re
 import warnings
+from bisect import bisect_right
 from contextlib import contextmanager
-from itertools import chain, islice
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -33,16 +26,7 @@ from .errors import MeshFormatError, ValidationError
 
 _DTYPES = {int: np.int64, float: np.float64}
 
-WINDOW = 1 << 18  # characters of a token block converted at a time
-TOKEN_CHARS = 32  # window characters at most per token the block still needs
 RECORD_HEADER = 1 << 12  # bytes at most of an .npy record's header
-
-# the line boundaries of str.splitlines, all of them whitespace
-_BREAKS = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
-_LINE_BREAK = re.compile(rf"\r\n|[{_BREAKS}]")
-_COMMENT = re.compile(rf"#[^{_BREAKS}]*")
-_LEX = re.compile(rf"[^\s#]+|{_COMMENT.pattern}")  # a token or a comment
-_SPACE, _NEWLINE = re.compile(r"\s"), re.compile(r"\n")
 
 
 @contextmanager
@@ -95,63 +79,43 @@ def read_record(f, source, what: str, dtype: str, shape) -> np.ndarray:
     return out
 
 
-def _converts(tok: str, kind) -> bool:
-    """Whether tok converts by kind (int or float) to a finite value."""
-    try:
-        return bool(np.isfinite(_DTYPES[kind](kind(tok))))
-    except (ValueError, OverflowError):
-        return False
-
-
-def _fill(out: list[np.ndarray], columns, tokens: list[str], done: int) -> bool:
-    """Convert tokens, those of the block from token index ``done`` on, into
-    the column arrays; False if one does not convert."""
-    width = len(columns)
-    try:
-        for j, (_, kind) in enumerate(columns):
-            first = (j - done) % width
-            col = tokens[first::width]
-            row = (done + first) // width
-            out[j][row : row + len(col)] = np.fromiter(map(kind, col), _DTYPES[kind], len(col))
-    except (ValueError, OverflowError):
-        return False
-    return True
-
-
 class TokenReader:
     """The whitespace tokens of a text, read front to back; numbers convert with
     ``int`` or a finite ``float``. Errors name ``source`` and the token's line."""
 
     def __init__(self, text: str, *, error_cls=MeshFormatError, source: str | None = None):
+        if "#" in text:
+            text = "\n".join([line.split("#", 1)[0] for line in text.splitlines()])
         self._text = text
-        self._comments = "#" in text
-        self._pos = 0  # the cursor, at the end of the last token read
+        self._tokens = text.split()
+        self._pos = 0  # the index of the next token
         self._error_cls = error_cls
         self._source = f"{source}: " if source else ""
 
-    def fail(self, message: str, offset: int | None = None):
-        """Raise an error at the line of a character offset, by default that of
-        the last token read."""
-        at = self._pos if offset is None else offset
-        lineno = 1 + sum(1 for _ in _LINE_BREAK.finditer(self._text, 0, at))
+    def fail(self, message: str, index: int | None = None):
+        """Raise an error at the line of a token index, by default that of the
+        last token read."""
+        line_ends = list(accumulate(len(line.split()) for line in self._text.splitlines()))
+        lineno = bisect_right(line_ends, self._pos - 1 if index is None else index) + 1
         raise self._error_cls(f"{self._source}line {lineno}: {message}")
 
-    def _tokens(self, pos: int):
-        """The token matches from offset pos on, comments skipped."""
-        return (m for m in _LEX.finditer(self._text, pos) if m[0][0] != "#")
-
     def exhausted(self) -> bool:
-        return next(self._tokens(self._pos), None) is None
+        return self._pos >= len(self._tokens)
+
+    def _take(self, n: int, what: str) -> list[str]:
+        """The next n tokens; a negative n or a short text is refused first."""
+        if n < 0:
+            self.fail(f"negative {what} count {n}")
+        if self._pos + n > len(self._tokens):
+            self.fail(f"unexpected end of file, expected {what}", len(self._tokens) - 1)
+        self._pos += n
+        return self._tokens[self._pos - n : self._pos]
 
     def next_token(self, what: str, kind=str):
         """The next token, as a str or converted by kind (int or float)."""
-        if kind is not str:
-            return self.next_block(1, (what, kind))[0].item()
-        m = next(self._tokens(self._pos), None)
-        if m is None:
-            self.fail(f"unexpected end of file, expected {what}")
-        self._pos = m.end()
-        return m[0]
+        if kind is str:
+            return self._take(1, what)[0]
+        return self.next_block(1, (what, kind))[0].item()
 
     def next_keyed(self, word: str, kind=str):
         """The value of a ``word value`` pair."""
@@ -164,49 +128,23 @@ class TokenReader:
         Each column is a (what, kind) pair, kind int or float. An error names
         the line of the first token that does not convert.
         """
-        width, text = len(columns), self._text
-        n = n_rows * width
-        start, done = self._pos, 0
-        if n < 0:
-            self.fail(f"negative {columns[0][0]} count {n}")
-        if 2 * n - 1 > len(text) - start:  # too few characters for n tokens and their gaps
-            self._refuse(start, n, columns)
-        out = [np.empty(n_rows, _DTYPES[kind]) for _, kind in columns]
-        cut = _NEWLINE if self._comments else _SPACE  # no comment spans two windows
-        while done < n:
-            pos = self._pos
-            if pos >= len(text):
-                self._refuse(start, n, columns)
-            m = cut.search(text, pos + min(WINDOW, TOKEN_CHARS * (n - done)))
-            self._pos = m.start() if m else len(text)
-            window = text[pos : self._pos]
-            if self._comments:
-                window = _COMMENT.sub(lambda c: " " * len(c[0]), window)
-            tokens = window.split()
-            if len(tokens) >= n - done:  # the block ends in this window
-                drop = len(tokens) - (n - done)
-                del tokens[n - done :]
-                self._pos = pos + len(window.rsplit(None, drop)[0])
-            if not _fill(out, columns, tokens, done):
-                self._refuse(start, n, columns)
-            done += len(tokens)
-        if not all(np.isfinite(a).all() for a in out):
-            self._refuse(start, n, columns)
-        return out
-
-    def _refuse(self, start: int, n: int, columns):
-        """Raise the error of the block of n tokens from offset start: the end of
-        the file if the block is short, else its first token that does not convert."""
-        width, count, bad, self._pos = len(columns), 0, None, start
-        for count, m in enumerate(islice(self._tokens(start), n), 1):
-            self._pos = m.end()
-            what, kind = columns[(count - 1) % width]
-            if bad is None and not _converts(m[0], kind):
-                bad = m, what, kind
-        if count < n:
-            self.fail(f"unexpected end of file, expected {columns[0][0]}")
-        m, what, kind = bad
-        self.fail(f"expected {'finite ' * (kind is float)}{what}, got {m[0]!r}", m.start())
+        start, width = self._pos, len(columns)
+        tokens = self._take(n_rows * width, columns[0][0])
+        try:
+            out = [np.fromiter(map(kind, tokens[j::width]), _DTYPES[kind], n_rows)
+                   for j, (_, kind) in enumerate(columns)]
+            if all(np.isfinite(a).all() for a in out):
+                return out
+        except (ValueError, OverflowError):
+            pass
+        for i, tok in enumerate(tokens):
+            what, kind = columns[i % width]
+            try:
+                ok = np.isfinite(_DTYPES[kind](kind(tok)))
+            except (ValueError, OverflowError):
+                ok = False
+            if not ok:
+                self.fail(f"expected {'finite ' * (kind is float)}{what}, got {tok!r}", start + i)
 
     def next_rows(self, what: str, n_rows: int, *columns) -> list[np.ndarray]:
         """The value columns of n_rows rows ``id value...``, ids 0..n_rows-1 in order."""
@@ -215,9 +153,8 @@ class TokenReader:
         wrong = np.flatnonzero(ids != np.arange(n_rows))
         if wrong.size:
             i = wrong[0]
-            row = next(islice(self._tokens(start), i * (1 + len(columns)), None))
             self.fail(f"{what} ids must be contiguous from 0, expected {i} got {ids[i]}",
-                      row.start())
+                      start + i * (1 + len(columns)))
         return values
 
     def expect(self, word: str):

@@ -8,25 +8,10 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import pytest  # noqa: E402
 
-from folheat import textio  # noqa: E402
 from folheat.fem import ConductivityField, MaterialParams, assemble, reduce_system  # noqa: E402
 from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid  # noqa: E402
 
 LEFT_RIGHT = DirichletSpec({"left": 1.0, "right": 0.0})
-
-# token reader windows (characters): the default, then sizes that cut every block
-WINDOWS = (textio.WINDOW, 1, 7, 64)
-
-
-@pytest.fixture()
-def windows(monkeypatch):
-    """Iterate over WINDOWS, with the token reader's window set to each in turn."""
-    def sizes():
-        for size in WINDOWS:
-            monkeypatch.setattr(textio, "WINDOW", size)
-            yield size
-    return sizes()
-
 
 @pytest.fixture(scope="session")
 def grid11():

@@ -541,6 +541,20 @@ class TestPostprocess:
         assert f"{field} line 4" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--upsample", 2**50), ("--upsample", 1), ("--sections", "y=5"), ("--sections", "q"),
+        ("--sections", "x=0.5,q"),
+    ])
+    def test_refused_request_writes_nothing(self, tmp_path, smoke_cfg, capsys, option, value):
+        """A request refused after the field loads exits 1 before --out is made."""
+        ref = tmp_path / "ref"
+        run("solve-fem", "--config", smoke_cfg, "--init", "canonical:sin10y", "--steps", 0, "--out", ref)
+        capsys.readouterr()
+        assert run("postprocess", "--config", smoke_cfg, "--field", ref / "step_0000.csv",
+                   "--out", tmp_path / "post", option, value) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "post").exists()
+
 
 class TestDeterminismPipeline:
     def test_full_pipeline_byte_identical(self, tmp_path, smoke_cfg):
@@ -661,6 +675,18 @@ class TestConfig:
         assert run("train", "--config", cfg, "--out", tmp_path / "run", "--log-every", 0) == 1
         err = capsys.readouterr().err
         assert f"{cfg}: {key}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("circles", ["0.5,0.5,nan", "0.5,0.5,inf", "0.5,0.5,-0.2", "0.5,0.5,0",
+                                         "0.3,0.3,0.1; nan,0.5,0.2", "0.5,-inf,0.2"])
+    def test_bad_circle_is_refused(self, tmp_path, capsys, circles):
+        """An inclusion circle needs a finite centre and a positive finite radius."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMOKE_CONFIG + f"\n[conductivity]\nkind = inclusions\ncircles = {circles}\n")
+        assert run("solve-fem", "--config", cfg, "--init", "canonical:const05", "--steps", 1,
+                   "--out", tmp_path / "ref") == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: [conductivity] circles = {circles!r}: expected a finite centre and a " in err
         assert "Traceback" not in err
 
     def test_readme_irregular_domain_recipe(self, tmp_path):

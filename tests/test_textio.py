@@ -1,11 +1,9 @@
-"""The token reader at window boundaries: windows of 1, 7 and 64 characters
-cut every block of the mesh files and checkpoint headers, and the result
-must not depend on where the cuts fall, nor on whether the text is a str or
-read from a file."""
+"""The token reader: mesh files and checkpoints round trip bitwise, and a
+block reads the same values, errors and lines whether its text is a str or
+read from a file, whatever whitespace, line breaks and comments it holds."""
 
 import re
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +13,8 @@ from hypothesis import strategies as st
 from folheat import textio
 from folheat.cli import main
 from folheat.errors import ValidationError
-from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid, load_mesh
+from folheat.mesh import (DirichletSpec, build_dof_map, build_structured_grid, demo_irregular_mesh,
+                          load_mesh)
 from folheat.neural import init_model, load_model, save_model
 from folheat.textio import TokenReader
 
@@ -39,7 +38,7 @@ def assert_bitwise_equal(arrays, expected):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_checkpoints_load_the_same_at_every_window(tmp_path, windows):
+def test_checkpoints_round_trip_bitwise_from_a_file(tmp_path):
     mesh = build_structured_grid(6, 5, 1.0, 2.0)
     dofs = build_dof_map(mesh, DirichletSpec({"left": 1.0, "right": 0.0}))
     models = {arch: init_model(arch, mesh, dofs, hidden_spec=hidden, seed=1)
@@ -47,19 +46,17 @@ def test_checkpoints_load_the_same_at_every_window(tmp_path, windows):
                                    ("fully_connected", (12, 9))]}
     for arch, model in models.items():
         save_model(model, tmp_path / arch)
-    for _ in windows:
-        for arch, model in models.items():
-            assert_bitwise_equal(model_arrays(load_model(tmp_path / arch, dofs)), model_arrays(model))
+    for arch, model in models.items():
+        assert_bitwise_equal(model_arrays(load_model(tmp_path / arch, dofs)), model_arrays(model))
 
 
-def test_meshes_load_the_same_at_every_window(tmp_path, windows):
+def test_meshes_round_trip_bitwise_from_a_str(tmp_path):
     out = tmp_path / "m81.folmesh"
     assert main(["gen-mesh", "--nx", "81", "--ny", "81", "--out", str(out)]) == 0
     texts = [out.read_text(), DATA_MESH.read_text()]
-    expected = [mesh_arrays(build_structured_grid(81, 81, 1.0, 1.0)), mesh_arrays(load_mesh(texts[1]))]
-    for _ in windows:
-        for text, arrays in zip(texts, expected):
-            assert_bitwise_equal(mesh_arrays(load_mesh(text)), arrays)
+    expected = [mesh_arrays(build_structured_grid(81, 81, 1.0, 1.0)), mesh_arrays(demo_irregular_mesh())]
+    for text, arrays in zip(texts, expected):
+        assert_bitwise_equal(mesh_arrays(load_mesh(text)), arrays)
 
 
 def readers(text, directory, **kwargs):
@@ -71,28 +68,25 @@ def readers(text, directory, **kwargs):
     yield TokenReader(textio.read_text(path), **kwargs)
 
 
-def test_block_edges(windows, tmp_path):
+def test_block_edges(tmp_path):
     """A block stops at its count, the cursor at its last token: the next
     block may follow at once, and an error after it names its last line."""
-    for _ in windows:
-        for reader in readers("-0 +.5 1\n2 3 1e-300\n\n\n\n", tmp_path, error_cls=ValidationError):
-            assert [reader.next_block(3, ("weight", float))[0].tolist() for _ in range(2)] == [
-                [-0.0, 0.5, 1.0], [2.0, 3.0, 1e-300]]
-            with pytest.raises(ValidationError, match="^line 2: unexpected end of file, expected 'end'$"):
-                reader.expect("end")
-        for reader in readers("count 2\n\n\n", tmp_path, error_cls=ValidationError):
-            with pytest.raises(ValidationError, match="^line 1: unexpected end of file, expected bias$"):
-                reader.next_block(reader.next_keyed("count", int), ("bias", float))
+    for reader in readers("-0 +.5 1\n2 3 1e-300\n\n\n\n", tmp_path, error_cls=ValidationError):
+        assert [reader.next_block(3, ("weight", float))[0].tolist() for _ in range(2)] == [
+            [-0.0, 0.5, 1.0], [2.0, 3.0, 1e-300]]
+        with pytest.raises(ValidationError, match="^line 2: unexpected end of file, expected 'end'$"):
+            reader.expect("end")
+    for reader in readers("count 2\n\n\n", tmp_path, error_cls=ValidationError):
+        with pytest.raises(ValidationError, match="^line 1: unexpected end of file, expected bias$"):
+            reader.next_block(reader.next_keyed("count", int), ("bias", float))
 
 
-def test_crlf_is_one_line_break(windows, tmp_path):
-    """An error's line counts "\\r\\n" as one break and a lone "\\r" as one,
-    also where a window ends between the "\\r" and the "\\n"."""
-    for _ in windows:
-        for reader in readers("a\r\nb\r\r\n\nc x", tmp_path, error_cls=ValidationError):
-            assert [reader.next_token("word") for _ in range(3)] == ["a", "b", "c"]
-            with pytest.raises(ValidationError, match="^line 5: expected finite value, got 'x'$"):
-                reader.next_token("value", float)
+def test_crlf_is_one_line_break(tmp_path):
+    """An error's line counts "\\r\\n" as one break and a lone "\\r" as one."""
+    for reader in readers("a\r\nb\r\r\n\nc x", tmp_path, error_cls=ValidationError):
+        assert [reader.next_token("word") for _ in range(3)] == ["a", "b", "c"]
+        with pytest.raises(ValidationError, match="^line 5: expected finite value, got 'x'$"):
+            reader.next_token("value", float)
 
 
 @pytest.fixture(scope="module")
@@ -106,14 +100,18 @@ TOKENS = st.one_of(
     FLOATS.map(lambda x: "%.17g" % x),
     st.sampled_from(["+.5", "1e-300", "-0", "1_0", "0x10", "1e999", "nan"]),
 )
-SEPARATORS = st.sampled_from([" ", "  ", "\t", "\n", " \n\n", " # a note\n", "# 1 2\n"])
+# every line boundary of str.splitlines, each also ending a comment, and a
+# no-break space: whitespace that neither breaks a line nor ends a comment
+BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SEPARATORS = st.sampled_from(
+    [" ", "  ", "\t", "\xa0", " \n\n", "# 1 2\n", " # a\xa0note\n"]
+    + BREAKS + [" # a note" + br for br in BREAKS])
 
 
 @settings(database=None, derandomize=True, max_examples=300, deadline=None)
 @given(tokens=st.lists(TOKENS, min_size=1, max_size=40), tail=st.sampled_from(["end", "0.5 end", ""]),
-       missing=st.sampled_from([0, 2]), window=st.sampled_from(sorted({1, 7, 64, textio.WINDOW})),
-       data=st.data())
-def test_float_block_reads_as_float_per_token(token_dir, tokens, tail, missing, window, data):
+       missing=st.sampled_from([0, 2]), data=st.data())
+def test_float_block_reads_as_float_per_token(token_dir, tokens, tail, missing, data):
     """A float block of len(tokens) + missing values, wrapped and commented at
     random and followed by tail, reads as float() of each token. Otherwise it
     fails at the end of the file, or else at the first token that float()
@@ -121,7 +119,7 @@ def test_float_block_reads_as_float_per_token(token_dir, tokens, tail, missing, 
     text, lines, words = "", [], tokens + tail.split()
     for word in words:
         text += word
-        lines.append(text.count("\n") + 1)
+        lines.append(len(text.splitlines()))
         text += data.draw(SEPARATORS)
     n = len(tokens) + missing
     values, message = [], None
@@ -135,18 +133,17 @@ def test_float_block_reads_as_float_per_token(token_dir, tokens, tail, missing, 
         if message is None and (value is None or not np.isfinite(value)):
             message = f"line {lineno}: expected finite weight, got {word!r}"
         values.append(value)
-    with mock.patch.object(textio, "WINDOW", window):
-        for reader in readers(text, token_dir, error_cls=ValidationError, source="block"):
-            if message is not None:
-                with pytest.raises(ValidationError, match=f"^block: {re.escape(message)}$"):
-                    reader.next_block(n, ("weight", float))
-                continue
-            (block,) = reader.next_block(n, ("weight", float))
-            assert block.tobytes() == np.array(values, dtype=np.float64).tobytes()
-            assert [reader.next_token("tail") for _ in words[n:]] == words[n:]
-            assert reader.exhausted()
-            with pytest.raises(ValidationError, match=f"^block: line {lines[-1]}: unexpected end of file"):
-                reader.expect("end")
+    for reader in readers(text, token_dir, error_cls=ValidationError, source="block"):
+        if message is not None:
+            with pytest.raises(ValidationError, match=f"^block: {re.escape(message)}$"):
+                reader.next_block(n, ("weight", float))
+            continue
+        (block,) = reader.next_block(n, ("weight", float))
+        assert block.tobytes() == np.array(values, dtype=np.float64).tobytes()
+        assert [reader.next_token("tail") for _ in words[n:]] == words[n:]
+        assert reader.exhausted()
+        with pytest.raises(ValidationError, match=f"^block: line {lines[-1]}: unexpected end of file"):
+            reader.expect("end")
 
 
 @pytest.mark.parametrize("header, columns, text", [
