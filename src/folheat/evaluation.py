@@ -26,7 +26,7 @@ from .neural import ModelBundle
 
 LINE_TOL = 1e-9  # nodes this close to a section line count as lying on it
 CANONICAL_GAUSSIAN_SEED = 1234
-UPSAMPLE_BLOCK = 1024  # query points per batched Newton pass; bounds its temporaries
+UPSAMPLE_PAIRS = 8192  # (element, point) pairs per batched Newton pass; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,10 @@ def heat_flux(mesh: Mesh, k: ConductivityField, t: np.ndarray) -> np.ndarray:
         k_gp = k_e @ shape_values(xi, eta)
         q_mean += -k_gp[:, None] * (b @ t_e[:, :, None])[:, :, 0]
     q_mean /= points.shape[0]
-    acc = np.zeros((mesh.n_nodes, 2))
-    np.add.at(acc, mesh.elems, q_mean[:, None, :])
-    counts = np.maximum(np.bincount(mesh.elems.ravel(), minlength=mesh.n_nodes), 1)
-    return acc / counts[:, None]
+    nodes = mesh.elems.ravel()  # each element's mean goes to its nodes, in element order
+    acc = [np.bincount(nodes, np.repeat(q, mesh.elems.shape[1]), mesh.n_nodes) for q in q_mean.T]
+    counts = np.maximum(np.bincount(nodes, minlength=mesh.n_nodes), 1)
+    return np.column_stack(acc) / counts[:, None]
 
 
 def cross_section(mesh: Mesh, field: np.ndarray, axis: str, value: float) -> np.ndarray:
@@ -155,80 +155,87 @@ def _expand(counts: np.ndarray):
     return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _bucket_of(p: np.ndarray, lo: np.ndarray, span: np.ndarray, nb: int) -> np.ndarray:
-    """Integer (bx, by) bucket of each point of p (..., 2), clipped to the grid."""
-    return np.clip(np.floor((p - lo) / span * nb).astype(np.int64), 0, nb - 1)
-
-
 def _invert_bilinear(coords: np.ndarray, p: np.ndarray, tol: float = 1e-12):
     """Newton inversion of each element map (P, 4, 2) at its point p (P, 2).
 
     Every pair starts at (0, 0) and takes at most 25 steps; it stops once
     max |residual| < tol and is dropped once |xi|max exceeds 3 (the point is
-    far from that element) or xi is not finite (a singular step). Returns
-    (accepted, xi): accepted pairs end within the reference square up to
-    1e-9, and their xi is clipped onto it.
+    far from that element) or xi is not finite (a singular step). Each step
+    computes only the pairs still iterating. Returns (accepted, xi): accepted
+    pairs end within the reference square up to 1e-9, and their xi is
+    clipped onto it.
     """
     xi = np.zeros(p.shape)
-    live = np.ones(p.shape[0], dtype=bool)
     dropped = np.zeros(p.shape[0], dtype=bool)
+    live, el, q, x = np.arange(p.shape[0]), coords, p, xi  # the pairs still iterating
     for _ in range(25):
-        res = np.einsum("pi,pij->pj", shape_values(xi[:, 0], xi[:, 1]), coords) - p
-        live &= np.abs(res).max(axis=1) >= tol
-        if not live.any():
+        res = np.einsum("pi,pij->pj", shape_values(x[:, 0], x[:, 1]), el) - q
+        going = np.maximum(np.abs(res[:, 0]), np.abs(res[:, 1])) >= tol
+        live, el, q, x, res = live[going], el[going], q[going], x[going], res[going]
+        if not live.size:
             break
         # solve jac^T step = res in closed form; jac rows are d(x,y)/dxi, d(x,y)/deta
-        (a, b), (c, d) = np.moveaxis(shape_gradients_ref(xi[:, 0], xi[:, 1]) @ coords, 0, -1)
+        (a, b), (c, d) = np.moveaxis(shape_gradients_ref(x[:, 0], x[:, 1]) @ el, 0, -1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.column_stack([d * res[:, 0] - c * res[:, 1], a * res[:, 1] - b * res[:, 0]])
-            xi[live] -= step[live] / (a * d - c * b)[live, None]
-        dropped |= live & ~(np.abs(xi).max(axis=1) <= 3.0)
-        live &= ~dropped
-    return ~dropped & (np.abs(xi).max(axis=1) <= 1.0 + 1e-9), np.clip(xi, -1.0, 1.0)
+            det = a * d - c * b
+            x = np.column_stack([x[:, 0] - (d * res[:, 0] - c * res[:, 1]) / det,
+                                 x[:, 1] - (a * res[:, 1] - b * res[:, 0]) / det])
+        xi[live] = x
+        near = np.maximum(np.abs(x[:, 0]), np.abs(x[:, 1])) <= 3.0
+        dropped[live[~near]] = True
+        live, el, q, x = live[near], el[near], q[near], x[near]
+    inside = np.maximum(np.abs(xi[:, 0]), np.abs(xi[:, 1])) <= 1.0 + 1e-9
+    return ~dropped & inside, np.clip(xi, -1.0, 1.0)
 
 
 def upsample_field(mesh: Mesh, field: np.ndarray, rx: int, ry: int, fill: float | None = None) -> np.ndarray:
     """Resample onto an rx-by-ry grid over the mesh bounding box.
 
     Row i is the i-th y level (ascending), column j the j-th x position.
-    Query points outside the mesh raise unless `fill` is given. A point on
-    several elements takes the lowest-numbered one of its bucket.
+    Each element is tried at the grid points inside its bounding box,
+    widened by 1e-6 of its extent. A point on several elements takes the
+    lowest-numbered element that accepts it. Query points outside the mesh
+    raise unless `fill` is given.
     """
     field = np.asarray(field, dtype=np.float64)
     if field.shape != (mesh.n_nodes,):
         raise ValidationError(f"field shape {field.shape} does not match mesh")
     if rx < 2 or ry < 2:
         raise ValidationError(f"resampling grid must be at least 2x2, got {rx}x{ry}")
-    # uniform buckets over the bounding box, as CSR: the elements whose bounding box
-    # overlaps bucket b = bx * nb + by are members[start[b]:start[b + 1]], ids ascending
     lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
-    span = np.maximum(hi - lo, 1e-300)
-    nb = max(1, int(np.sqrt(mesh.n_elems)))
-    coords = mesh.nodes[mesh.elems]
-    b0 = _bucket_of(coords.min(axis=1), lo, span, nb)
-    nx, ny = (_bucket_of(coords.max(axis=1), lo, span, nb) - b0 + 1).T
-    elem, k = _expand(nx * ny)
-    keys = (b0[elem, 0] + k // ny[elem]) * nb + b0[elem, 1] + k % ny[elem]
-    start = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=nb * nb))])
-    members = elem[np.argsort(keys, kind="stable")]
+    xs, ys = np.linspace(lo[0], hi[0], rx), np.linspace(lo[1], hi[1], ry)
+    # each element's box, widened to take the points _invert_bilinear accepts just outside it,
+    # covers the grid columns col0 .. col0 + ncol - 1 and rows row0 .. row0 + nrow - 1
+    corners = mesh.nodes[mesh.elems.T]  # corner-major: the reductions run over long rows
+    box_lo, box_hi = corners.min(axis=0), corners.max(axis=0)
+    box_lo, box_hi = box_lo - 1e-6 * (box_hi - box_lo), box_hi + 1e-6 * (box_hi - box_lo)
+    col0, row0 = np.searchsorted(xs, box_lo[:, 0]), np.searchsorted(ys, box_lo[:, 1])
+    ncol = np.searchsorted(xs, box_hi[:, 0], "right") - col0
+    nrow = np.searchsorted(ys, box_hi[:, 1], "right") - row0
+    counts = ncol * nrow  # (element, point) pairs of each element
 
-    xx, yy = np.meshgrid(np.linspace(lo[0], hi[0], rx), np.linspace(lo[1], hi[1], ry))
-    queries = np.column_stack([xx.ravel(), yy.ravel()])
-    out = np.full(queries.shape[0], np.nan if fill is None else fill, dtype=np.float64)
-    for q0 in range(0, queries.shape[0], UPSAMPLE_BLOCK):
-        q = queries[q0:q0 + UPSAMPLE_BLOCK]
-        bucket = _bucket_of(q, lo, span, nb) @ np.array([nb, 1])
-        owner, rank = _expand(start[bucket + 1] - start[bucket])  # candidates by query, then rank
-        elem = members[start[bucket][owner] + rank]
-        accepted, xi = _invert_bilinear(coords[elem], q[owner])
+    out = np.full(rx * ry, np.nan if fill is None else fill, dtype=np.float64)
+    done = np.zeros(rx * ry, dtype=bool)
+    # runs of whole elements in element order, a run starting every UPSAMPLE_PAIRS pairs
+    starts = np.searchsorted(np.cumsum(counts) - counts, np.arange(0, counts.sum(), UPSAMPLE_PAIRS))
+    cuts = [*starts, mesh.n_elems]
+    for e0, e1 in zip(cuts[:-1], cuts[1:]):
+        elem, k = _expand(counts[e0:e1])
+        elem += e0
+        point = (row0[elem] + k // ncol[elem]) * rx + col0[elem] + k % ncol[elem]
+        todo = ~done[point]  # a point done in an earlier run has its lowest element
+        elem, point = elem[todo], point[todo]
+        nodes = mesh.elems[elem]
+        accepted, xi = _invert_bilinear(mesh.nodes[nodes], np.column_stack([xs[point % rx], ys[point // rx]]))
         hit = np.flatnonzero(accepted)
-        found, first = np.unique(owner[hit], return_index=True)
-        pick = hit[first]  # the lowest-ranked accepted candidate of each found query
-        if fill is None and found.size < q.shape[0]:
-            x, y = q[np.setdiff1d(np.arange(q.shape[0]), found)[0]]
-            raise ValidationError(f"point ({x}, {y}) lies outside the mesh")
+        found, pick = np.unique(point[hit], return_index=True)
+        pick = hit[pick]  # the first accepted pair of each point: its lowest element
         n = shape_values(xi[pick, 0], xi[pick, 1])
-        out[q0 + found] = np.einsum("pi,pi->p", n, field[mesh.elems[elem[pick]]])
+        out[found] = np.einsum("pi,pi->p", n, field[nodes[pick]])
+        done[found] = True
+    if fill is None and not done.all():
+        i = np.flatnonzero(~done)[0]
+        raise ValidationError(f"point ({xs[i % rx]}, {ys[i // rx]}) lies outside the mesh")
     return out.reshape(ry, rx)
 
 

@@ -200,8 +200,9 @@ def read_nodal_csv(path_or_file, columns: list[str], n_nodes: int | None = None)
     Returns (source, values, lines): the other columns as floats in node
     order, shape (n, len(columns) - 1), and the file line of each node's
     row. A row without an integer id and numbers in every column, a repeated
-    id, ids not contiguous from 0, or (given n_nodes) another row count is a
-    ValidationError naming the source and, for a row, its line.
+    id, ids not contiguous from 0, (given n_nodes) another row count, or a
+    field longer than ``csv.field_size_limit()`` is a ValidationError naming
+    the source and, for a row, its line.
     """
     if hasattr(path_or_file, "read"):
         source = getattr(path_or_file, "name", "CSV stream")
@@ -209,28 +210,45 @@ def read_nodal_csv(path_or_file, columns: list[str], n_nodes: int | None = None)
             text = path_or_file.read()
     else:
         source, text = str(path_or_file), read_text(path_or_file)
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[: len(columns)]] != columns:
-        raise ValidationError(f"{source} must start with {','.join(columns)!r}, got {header}")
-    rows = {}
-    for row in reader:
-        if not row:
-            continue
-        try:
-            node, values = int(row[0]), [float(row[j]) for j in range(1, len(columns))]
-        except (ValueError, IndexError):
-            node = None
-        if node is None or node in rows:
-            raise ValidationError(
-                f"{source} line {reader.line_num}: expected a new integer node id and "
-                f"numeric {', '.join(columns[1:])}, got {','.join(row)!r}"
-            )
-        rows[node] = (reader.line_num, *values)
-    n = len(rows)
-    if sorted(rows) != list(range(n)):
+    reader, rows = csv.reader(io.StringIO(text)), []
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[: len(columns)]] != columns:
+            raise ValidationError(f"{source} must start with {','.join(columns)!r}, got {header}")
+        for row in reader:
+            if row:
+                rows.append((reader.line_num, row))
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        _refuse_first_bad_row(source, columns, rows)
+        raise ValidationError(f"{source} line {reader.line_num}: {exc}") from None
+    n, width = len(rows), len(columns)
+    try:
+        ids = np.array([int(row[0]) for _, row in rows], dtype=np.int64)
+        values = np.array([float(row[j]) for _, row in rows for j in range(1, width)]).reshape(n, width - 1)
+        order = np.argsort(ids)
+        contiguous = np.array_equal(ids[order], np.arange(n))
+    except (ValueError, IndexError, OverflowError):  # OverflowError: an id beyond int64
+        contiguous = False
+    if not contiguous:
+        _refuse_first_bad_row(source, columns, rows)  # else an id is missing or out of range
         raise ValidationError(f"{source}: node ids must be contiguous from 0")
     if n_nodes is not None and n != n_nodes:
         raise ValidationError(f"{source} has {n} rows, the mesh has {n_nodes} nodes")
-    table = np.array([rows[i] for i in range(n)]).reshape(n, len(columns))
-    return source, table[:, 1:], table[:, 0].astype(np.int64)
+    return source, values[order], np.array([line for line, _ in rows], dtype=np.int64)[order]
+
+
+def _refuse_first_bad_row(source, columns: list[str], rows) -> None:
+    """Raise at the first of the (line, row) pairs that has no integer id and
+    numbers in every column, or that repeats an earlier id."""
+    seen = set()
+    for line, row in rows:
+        try:
+            node, _ = int(row[0]), [float(row[j]) for j in range(1, len(columns))]
+        except (ValueError, IndexError):
+            node = None
+        if node is None or node in seen:
+            raise ValidationError(
+                f"{source} line {line}: expected a new integer node id and "
+                f"numeric {', '.join(columns[1:])}, got {','.join(row)!r}"
+            )
+        seen.add(node)

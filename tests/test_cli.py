@@ -803,3 +803,34 @@ class TestUndecodableInput:
         cfg.write_bytes(smoke_cfg.read_bytes() + b"# \xff\n")
         self.refused(capsys, cfg, "solve-fem", "--config", cfg, "--init", "canonical:const05",
                      "--steps", 1, "--out", tmp_path / "x")
+
+
+class TestOverLongCsvField:
+    """A CSV field longer than csv.field_size_limit() is a ValidationError
+    naming the file and the line: exit 1 with one stderr line."""
+
+    def test_field_and_conductivity_files(self, tmp_path, smoke_cfg, capsys):
+        ref = tmp_path / "ref"
+        assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:sin10y",
+                   "--steps", 0, "--out", ref) == 0
+        lines = (ref / "step_0000.csv").read_text().splitlines()
+        lines[3] += "0" * 200_000
+        field = tmp_path / "long.csv"
+        field.write_text("\n".join(lines) + "\n")
+        for args in (("postprocess", "--config", smoke_cfg, "--field", field,
+                      "--out", tmp_path / "post", "--upsample", 9),
+                     ("solve-fem", "--config", smoke_cfg, "--init", field,
+                      "--steps", 1, "--out", tmp_path / "x")):
+            capsys.readouterr()
+            assert run(*args) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {field} line 4: field larger"), err
+        k = tmp_path / "k.csv"
+        k.write_text("node_id,k\n0,1\n1," + "1" * 200_000 + "\n")
+        cfg = tmp_path / "file.cfg"
+        cfg.write_text(SMOKE_CONFIG + f"\n[conductivity]\nkind = file\npath = {k}\n")
+        capsys.readouterr()
+        assert run("solve-fem", "--config", cfg, "--init", "canonical:const05",
+                   "--steps", 1, "--out", tmp_path / "y") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {k} line 3: field larger"), err

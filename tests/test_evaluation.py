@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,27 @@ from folheat.evaluation import (
     write_pgm,
 )
 from folheat.fe_solver import linear_solve_spd, solve_transient
-from folheat.fem import ConductivityField, MaterialParams, assemble, reduce_system
+from folheat.fem import (
+    ConductivityField,
+    MaterialParams,
+    assemble,
+    b_matrix,
+    gauss_rule_2x2,
+    reduce_system,
+    shape_gradients_ref,
+    shape_values,
+)
 from folheat.mesh import (
     DirichletSpec,
+    Mesh,
     build_dof_map,
     build_structured_grid,
     demo_irregular_mesh,
+    load_mesh,
 )
 from folheat.neural import init_model
+
+DATA_MESH = Path(__file__).resolve().parent.parent / "data" / "irregular.folmesh"
 
 
 class TestRollout:
@@ -133,6 +148,25 @@ class TestHeatFlux:
             sec = cross_section(mesh, q[:, 0], "x", x)
             totals.append(np.trapezoid(sec[:, 1], sec[:, 0]))
         assert np.abs(np.diff(totals)).max() < 1e-6
+
+    @pytest.mark.parametrize("mesh_name", ["inclusions81", "irregular"])
+    def test_matches_add_at_scatter_bitwise(self, mesh_name):
+        """The nodal sums add each element's mean in element order, as the
+        np.add.at scatter they replaced did."""
+        mesh = (build_structured_grid(81, 81, 1.0, 1.0) if mesh_name == "inclusions81"
+                else load_mesh(DATA_MESH.read_text()))
+        k = ConductivityField.inclusions(mesh)
+        t = np.random.default_rng(4).uniform(-1.0, 1.0, mesh.n_nodes)
+        coords, t_e, k_e = mesh.nodes[mesh.elems], t[mesh.elems], k.values[mesh.elems]
+        q_mean = np.zeros((mesh.n_elems, 2))
+        for xi, eta in gauss_rule_2x2().points:
+            b, _ = b_matrix(coords, xi, eta)
+            q_mean += -(k_e @ shape_values(xi, eta))[:, None] * (b @ t_e[:, :, None])[:, :, 0]
+        q_mean /= 4
+        acc = np.zeros((mesh.n_nodes, 2))
+        np.add.at(acc, mesh.elems, q_mean[:, None, :])
+        want = acc / np.maximum(np.bincount(mesh.elems.ravel(), minlength=mesh.n_nodes), 1)[:, None]
+        assert heat_flux(mesh, k, t).tobytes() == want.tobytes()
 
 
 class TestCrossSection:
@@ -259,6 +293,111 @@ class TestUpsample:
         chord = np.cos(np.pi / 48)
         assert np.all((r[~inside] < 0.45) | (r[~inside] > chord))
         assert np.all((r[inside] >= 0.45 * chord - 1e-12) & (r[inside] <= 1.0 + 1e-12))
+
+
+def bucket_upsample_field(mesh, field, rx, ry, fill=None):
+    """The bucket-grid locator upsample_field replaced, kept as the bitwise
+    reference: elements are binned by bounding box into sqrt(n_elems)^2
+    uniform buckets, and each block of 1024 points runs Newton on every
+    element of its buckets, lowest-numbered accepted element first."""
+    field = np.asarray(field, dtype=np.float64)
+    if field.shape != (mesh.n_nodes,):
+        raise ValidationError(f"field shape {field.shape} does not match mesh")
+    if rx < 2 or ry < 2:
+        raise ValidationError(f"resampling grid must be at least 2x2, got {rx}x{ry}")
+
+    def expand(counts):
+        owner = np.repeat(np.arange(counts.size), counts)
+        return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+    def bucket_of(p):
+        return np.clip(np.floor((p - lo) / span * nb).astype(np.int64), 0, nb - 1)
+
+    def invert_bilinear(coords, p, tol=1e-12):
+        xi = np.zeros(p.shape)
+        live = np.ones(p.shape[0], dtype=bool)
+        dropped = np.zeros(p.shape[0], dtype=bool)
+        for _ in range(25):
+            res = np.einsum("pi,pij->pj", shape_values(xi[:, 0], xi[:, 1]), coords) - p
+            live &= np.abs(res).max(axis=1) >= tol
+            if not live.any():
+                break
+            (a, b), (c, d) = np.moveaxis(shape_gradients_ref(xi[:, 0], xi[:, 1]) @ coords, 0, -1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.column_stack([d * res[:, 0] - c * res[:, 1], a * res[:, 1] - b * res[:, 0]])
+                xi[live] -= step[live] / (a * d - c * b)[live, None]
+            dropped |= live & ~(np.abs(xi).max(axis=1) <= 3.0)
+            live &= ~dropped
+        return ~dropped & (np.abs(xi).max(axis=1) <= 1.0 + 1e-9), np.clip(xi, -1.0, 1.0)
+
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    span = np.maximum(hi - lo, 1e-300)
+    nb = max(1, int(np.sqrt(mesh.n_elems)))
+    coords = mesh.nodes[mesh.elems]
+    b0 = bucket_of(coords.min(axis=1))
+    nx, ny = (bucket_of(coords.max(axis=1)) - b0 + 1).T
+    elem, k = expand(nx * ny)
+    keys = (b0[elem, 0] + k // ny[elem]) * nb + b0[elem, 1] + k % ny[elem]
+    start = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=nb * nb))])
+    members = elem[np.argsort(keys, kind="stable")]
+
+    xx, yy = np.meshgrid(np.linspace(lo[0], hi[0], rx), np.linspace(lo[1], hi[1], ry))
+    queries = np.column_stack([xx.ravel(), yy.ravel()])
+    out = np.full(queries.shape[0], np.nan if fill is None else fill, dtype=np.float64)
+    for q0 in range(0, queries.shape[0], 1024):
+        q = queries[q0:q0 + 1024]
+        bucket = bucket_of(q) @ np.array([nb, 1])
+        owner, rank = expand(start[bucket + 1] - start[bucket])
+        elem = members[start[bucket][owner] + rank]
+        accepted, xi = invert_bilinear(coords[elem], q[owner])
+        hit = np.flatnonzero(accepted)
+        found, first = np.unique(owner[hit], return_index=True)
+        pick = hit[first]
+        if fill is None and found.size < q.shape[0]:
+            x, y = q[np.setdiff1d(np.arange(q.shape[0]), found)[0]]
+            raise ValidationError(f"point ({x}, {y}) lies outside the mesh")
+        n = shape_values(xi[pick, 0], xi[pick, 1])
+        out[q0 + found] = np.einsum("pi,pi->p", n, field[mesh.elems[elem[pick]]])
+    return out.reshape(ry, rx)
+
+
+def jittered_grid(n: int, seed: int) -> Mesh:
+    """An n x n unit-square grid whose interior nodes move by up to 0.3 h each way."""
+    mesh = build_structured_grid(n, n, 1.0, 1.0)
+    nodes = mesh.nodes.copy()
+    inner = ((nodes > 0.0) & (nodes < 1.0)).all(axis=1)
+    h = 1.0 / (n - 1)
+    nodes[inner] += np.random.default_rng(seed).uniform(-0.3 * h, 0.3 * h, (inner.sum(), 2))
+    return Mesh(nodes, mesh.elems, mesh.boundary_sets)
+
+
+@pytest.mark.parametrize("name, rx, ry, fill", [
+    ("grid81", 165, 165, None),
+    ("grid11x5", 300, 7, None),
+    ("grid11x5", 2, 2, None),
+    ("irregular", 60, 50, None),
+    ("irregular", 60, 50, np.nan),
+    ("irregular", 97, 89, -1.0),
+    ("jittered81", 165, 165, None),
+])
+def test_upsample_matches_bucket_locator_bitwise(name, rx, ry, fill):
+    mesh = {
+        "grid81": lambda: build_structured_grid(81, 81, 1.0, 1.0),
+        "grid11x5": lambda: build_structured_grid(11, 5, 2.0, 0.5),
+        "irregular": lambda: load_mesh(DATA_MESH.read_text()),
+        "jittered81": lambda: jittered_grid(81, 7),
+    }[name]()
+    field = np.random.default_rng(3).uniform(-1.0, 1.0, mesh.n_nodes)
+    try:
+        want = bucket_upsample_field(mesh, field, rx, ry, fill)
+    except ValidationError as exc:
+        assert "lies outside the mesh" in str(exc)
+        with pytest.raises(ValidationError) as got:
+            upsample_field(mesh, field, rx, ry, fill)
+        assert str(got.value) == str(exc)
+        return
+    got = upsample_field(mesh, field, rx, ry, fill)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestCanonicalFields:

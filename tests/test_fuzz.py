@@ -1,9 +1,11 @@
-"""Mutation fuzzing of the three parsers: folmesh, folmodel and the INI run
-config. Each mutant of a valid text deletes, replaces or duplicates a token,
-or truncates the text; a folmodel mutant also has its binary records cut
-short or overwritten byte by byte. It must either parse or raise
-ValidationError, and what parses must be usable."""
+"""Mutation fuzzing of the four parsers: folmesh, folmodel, the INI run
+config and the nodal CSV. Each mutant of a valid text deletes, replaces or
+duplicates a token, or truncates the text; a folmodel mutant also has its
+binary records cut short or overwritten byte by byte. It must either parse
+or raise ValidationError, and what parses must be usable. A nodal CSV
+mutant must load or be refused exactly as the row-by-row reader did."""
 
+import csv
 import io
 import re
 import tracemalloc
@@ -17,6 +19,7 @@ from folheat.config import load_run_config
 from folheat.errors import ValidationError
 from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid, load_mesh, serialize_mesh
 from folheat.neural import forward_batch, init_model, load_model, save_model
+from folheat.textio import decoding, read_nodal_csv, read_text, write_csv
 
 FUZZ = settings(database=None, derandomize=True, max_examples=300, deadline=None)
 
@@ -218,3 +221,107 @@ def test_config_mutants_load_and_answer_or_refuse(work, text):
             call()
         except ValidationError:
             pass
+
+
+def rowwise_read_nodal_csv(path_or_file, columns, n_nodes=None):
+    """The row-by-row reader read_nodal_csv replaced, kept as its reference:
+    one dict entry per row, checked as it is read."""
+    if hasattr(path_or_file, "read"):
+        source = getattr(path_or_file, "name", "CSV stream")
+        with decoding(source):
+            text = path_or_file.read()
+    else:
+        source, text = str(path_or_file), read_text(path_or_file)
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[: len(columns)]] != columns:
+        raise ValidationError(f"{source} must start with {','.join(columns)!r}, got {header}")
+    rows = {}
+    for row in reader:
+        if not row:
+            continue
+        try:
+            node, values = int(row[0]), [float(row[j]) for j in range(1, len(columns))]
+        except (ValueError, IndexError):
+            node = None
+        if node is None or node in rows:
+            raise ValidationError(
+                f"{source} line {reader.line_num}: expected a new integer node id and "
+                f"numeric {', '.join(columns[1:])}, got {','.join(row)!r}"
+            )
+        rows[node] = (reader.line_num, *values)
+    n = len(rows)
+    if sorted(rows) != list(range(n)):
+        raise ValidationError(f"{source}: node ids must be contiguous from 0")
+    if n_nodes is not None and n != n_nodes:
+        raise ValidationError(f"{source} has {n} rows, the mesh has {n_nodes} nodes")
+    table = np.array([rows[i] for i in range(n)]).reshape(n, len(columns))
+    return source, table[:, 1:], table[:, 0].astype(np.int64)
+
+
+FIELD_COLUMNS = ["node_id", "x", "y", "T"]
+FIELD_MESH = build_structured_grid(3, 3, 1.0, 1.0)
+# cells a mutant may write: junk, numbers int() or float() take in odd forms,
+# ids out of range or beyond int64, and one longer than csv.field_size_limit()
+CELLS = ["", " ", "x", "nan", "-inf", "1e999", "0x1", "1_0", " 4 ", "+3", "-0", "0.0", "1.5e-3",
+         "-1", "8", "9", str(2**64), "9" * 5000, "7" * 200_000]
+
+
+@st.composite
+def csv_mutants(draw, text):
+    """A CSV text with 1-4 rows deleted, duplicated or swapped, blank lines
+    added, a cell quoted or replaced, or its last row cut short; its lines
+    end in LF or CRLF."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "blank", "quote", "cell"]))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j, lines[i])
+        elif op == "swap":
+            j = min(j, len(lines) - 1)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "blank":
+            lines.insert(j, draw(st.sampled_from(["", ",", " ", '""'])))
+        else:
+            cells = lines[i].split(",")
+            k = draw(st.integers(0, len(cells) - 1))
+            cells[k] = f'"{cells[k]}"' if op == "quote" else draw(st.sampled_from(CELLS))
+            lines[i] = ",".join(cells)
+        if not lines:
+            break
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    out = "".join(line + eol for line in lines)
+    if lines and draw(st.booleans()):  # cut the last row short
+        out = out[: len(out) - draw(st.integers(1, len(lines[-1]) + len(eol)))]
+    return out
+
+
+def outcome(read, path, n_nodes):
+    """What a reader makes of path: its source, values and lines, or the
+    message it refuses the file with."""
+    try:
+        source, values, lines = read(path, FIELD_COLUMNS, n_nodes)
+    except ValidationError as exc:
+        return str(exc)
+    return source, values.shape, values.tobytes(), lines.dtype, lines.tolist()
+
+
+@FUZZ
+@given(data=st.data())
+def test_nodal_csv_mutants_read_as_row_by_row(work, data):
+    path = work / "field.csv"
+    write_csv(path, FIELD_COLUMNS, [range(FIELD_MESH.n_nodes), *FIELD_MESH.nodes.T,
+                                    np.linspace(-1.0, 1.0, FIELD_MESH.n_nodes)])
+    path.write_bytes(data.draw(csv_mutants(path.read_text())).encode())
+    n_nodes = data.draw(st.sampled_from([None, FIELD_MESH.n_nodes]))
+    got = outcome(read_nodal_csv, path, n_nodes)
+    try:
+        want = outcome(rowwise_read_nodal_csv, path, n_nodes)
+    except csv.Error as exc:  # the row-by-row reader let csv's own error escape
+        assert isinstance(got, str) and got.startswith(f"{path} line ") and got.endswith(f": {exc}")
+        return
+    assert got == want
+
