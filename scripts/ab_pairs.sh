@@ -2,10 +2,11 @@
 # Alternating before/after pairs of the benchmark: for each of N seeds, run
 # perfbench/run.py --trace 0 once on a `git archive` of BASE and once on the
 # working tree, the side that runs first alternating from pair to pair. Then
-# print, for each workload and end-to-end metric, both sides' median and
-# quartiles over the pairs and the number of pairs the working tree won
-# (strictly better in the direction BENCHMARK.json gives; ties count for
-# neither side).
+# print each side's correct runs and its attempted and failed operations
+# summed over the runs, then, for each workload and end-to-end metric, both
+# sides' median and quartiles over the pairs and the number of pairs the
+# working tree won (strictly better in the direction BENCHMARK.json gives;
+# ties count for neither side).
 #
 # Usage: scripts/ab_pairs.sh BASE FIRST_SEED N [WORKLOAD] [SECONDS]
 #   BASE        commit to compare with, e.g. HEAD or a hash
@@ -21,7 +22,7 @@
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 BASE=$1 FIRST=$2 N=$3 WORKLOAD=${4:-all} RUN_SECONDS=${5:-20}
@@ -38,7 +39,7 @@ for ((i = 0; i < N; i++)); do
     if ((i % 2 == 0)); then order="base change"; else order="change base"; fi
     for side in $order; do
         if [ "$side" = base ]; then dir="$TMP/base"; else dir="$ROOT"; fi
-        # a failed check still prints its JSON line; the summary shows `correct`
+        # a failed check still prints its JSON line; the summary counts it
         line=$("$PY" "$dir/perfbench/run.py" --workload "$WORKLOAD" --seed "$seed" \
                    --seconds "$RUN_SECONDS" --trace 0 | tail -n 1) || true
         echo "seed $seed $side $line" >&2
@@ -55,6 +56,7 @@ runs_path, bench_path, workload = sys.argv[1:]
 better = {m["name"]: m["better"] for m in json.load(open(bench_path))["end_to_end"]}
 runs = {}  # (seed, side) -> {"workload.metric": value}
 correct = {"base": [], "change": []}
+ops = {"base": [0, 0], "change": [0, 0]}  # attempted, failed
 for line in open(runs_path):
     seed, side, text = line.split(" ", 2)
     try:
@@ -63,6 +65,8 @@ for line in open(runs_path):
         print(f"seed {seed} {side}: no result line", file=sys.stderr)
         continue
     correct[side].append(result["correct"])
+    ops[side][0] += result["attempted"]
+    ops[side][1] += result["failed"]
     prefix = "" if workload == "all" else f"{workload}."
     runs[seed, side] = {prefix + k: v["value"] for k, v in result["metrics"].items()}
 
@@ -71,6 +75,8 @@ pairs = [s for s in seeds if (s, "base") in runs and (s, "change") in runs]
 print(f"{len(pairs)} pairs, seeds {seeds[0] if seeds else '-'}..{seeds[-1] if seeds else '-'}; "
       f"correct: base {sum(correct['base'])}/{len(correct['base'])}, "
       f"change {sum(correct['change'])}/{len(correct['change'])}")
+print(f"operations attempted/failed: base {ops['base'][0]}/{ops['base'][1]}, "
+      f"change {ops['change'][0]}/{ops['change'][1]}")
 print(f"{'metric':34s} {'base median [q1, q3]':>28s} {'change median [q1, q3]':>28s} {'won':>7s}")
 
 

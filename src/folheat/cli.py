@@ -422,7 +422,7 @@ def cmd_postprocess(args) -> int:
     sections = {f"section_{axis}_{value}.csv": cross_section(mesh, field, axis, value)
                 for axis, value in requests}
     flux = heat_flux(mesh, k, field)
-    grid = upsample_field(mesh, field, args.upsample, args.upsample)
+    grid = upsample_field(mesh, field, args.upsample, args.upsample, fill=math.nan)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -291,7 +291,8 @@ def benchmark_speed(
 
 
 def write_pgm(path, grid: np.ndarray) -> None:
-    """8-bit grayscale PGM of a 2-d array; [min, max] maps linearly to [0, 255].
+    """8-bit grayscale PGM of a 2-d array; [min, max] of the finite values maps
+    linearly to [0, 255], a value that is not finite (off the mesh) to 0.
 
     Rows are flipped so the first image row is the top of the domain. A
     constant field renders mid-gray.
@@ -299,12 +300,14 @@ def write_pgm(path, grid: np.ndarray) -> None:
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 2:
         raise ValidationError(f"PGM output needs a 2-d grid, got shape {grid.shape}")
-    lo = grid.min()
-    span = grid.max() - lo
+    finite = np.isfinite(grid)
+    lo = grid.min(initial=np.inf, where=finite)
+    span = grid.max(initial=-np.inf, where=finite) - lo
     if span <= 0:
         pixels = np.full(grid.shape, 127, dtype=np.uint8)
     else:
-        pixels = np.round((grid - lo) / span * 255.0).astype(np.uint8)
+        pixels = np.round((np.where(finite, grid, lo) - lo) / span * 255.0).astype(np.uint8)
+    pixels[~finite] = 0
     pixels = pixels[::-1]
     header = f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + pixels.tobytes())

@@ -16,7 +16,7 @@ import os
 import warnings
 from bisect import bisect_right
 from contextlib import contextmanager
-from itertools import accumulate, chain
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -163,15 +163,31 @@ class TokenReader:
             self.fail(f"expected {word!r}, got {tok!r}")
 
 
+def _cells(columns) -> np.ndarray:
+    """Equal-length 1-D columns as a (rows, columns) object array: ints as Python
+    ints, floats as their repr, each distinct float of the call rendered once
+    (keyed by its bits, so -0.0 and 0.0 stay apart)."""
+    arrays = [np.asarray(c) for c in columns]
+    out = np.empty((len(arrays[0]) if arrays else 0, len(arrays)), dtype=object)
+    floats = [j for j, a in enumerate(arrays) if a.dtype.kind == "f"]
+    for j in set(range(len(arrays))) - set(floats):
+        out[:, j] = arrays[j]  # casting to object makes Python ints
+    if floats:
+        bits = np.concatenate([arrays[j] for j in floats], dtype=np.float64).view(np.uint64)
+        distinct, where = np.unique(bits, return_inverse=True)
+        text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+        out[:, floats] = text[where].reshape(len(floats), -1).T
+    return out
+
+
 def write_block(f, per_line: int, *columns) -> None:
     """Write the rows of equal-length 1-D columns to the text file f as tokens,
-    row after row, ``per_line`` to a line, each line ending in LF.
-
-    A token is the str of a Python scalar of ``.tolist()``, so floats round
-    trip exactly and ints stay integers.
-    """
-    items = list(map(str, chain.from_iterable(zip(*(c.tolist() for c in columns)))))
-    f.write("".join([" ".join(items[j : j + per_line]) + "\n" for j in range(0, len(items), per_line)]))
+    row after row, ``per_line`` to a line, each line ending in LF. A token is
+    a cell of ``_cells``: the repr of its value."""
+    items = _cells(columns).ravel().tolist()
+    full, rest = divmod(len(items), per_line)
+    line = " ".join(["%s"] * per_line) + "\n"
+    f.write((line * full + " ".join(["%s"] * rest) + "\n" * (rest > 0)) % tuple(items))
 
 
 def write_csv(path, header: list[str] | None, columns) -> None:
@@ -181,14 +197,14 @@ def write_csv(path, header: list[str] | None, columns) -> None:
 
 def write_csv_series(paths, header: list[str] | None, shared, varying) -> None:
     """Write one CSV per path: an optional header line, then a row per index of
-    the shared columns and the path's own column of ``varying``. A value is the
-    repr of its Python scalar (exact round trip; ints stay ints); lines end in
-    LF. The shared text is formatted once, as a template each file fills in."""
-    lead = [np.asarray(c).tolist() for c in shared]
-    row = "%r," * len(lead) + "%%r\n"  # the shared values, then the file's own slot
-    rows = zip(*lead) if lead else [()] * len(varying[0])
+    the shared columns and the path's own column of ``varying``. A cell is the
+    repr of its value (see ``_cells``); lines end in LF. The shared cells are
+    rendered once into a template each file fills in; a file's own column,
+    whose values are seldom repeated, goes straight through ``%r``."""
+    n = len(shared[0]) if len(shared) else len(varying[0])
+    row = "%s," * len(shared) + "%%r\n"  # the shared cells, then the file's own slot
+    template = (row * n) % tuple(_cells(shared).ravel().tolist())
     head = "" if header is None else ",".join(header) + "\n"
-    template = "".join([row % values for values in rows])
     for path, column in zip(paths, varying):
         text = head + template % tuple(np.asarray(column).tolist())
         Path(path).write_text(text, newline="\n")  # no os.linesep translation
@@ -222,6 +238,8 @@ def read_nodal_csv(path_or_file, columns: list[str], n_nodes: int | None = None)
         _refuse_first_bad_row(source, columns, rows)
         raise ValidationError(f"{source} line {reader.line_num}: {exc}") from None
     n, width = len(rows), len(columns)
+    if text.count("_") > sum(h.count("_") for h in header):  # int() and float() read 1_0 as 10
+        _refuse_first_bad_row(source, columns, rows)
     try:
         ids = np.array([int(row[0]) for _, row in rows], dtype=np.int64)
         values = np.array([float(row[j]) for _, row in rows for j in range(1, width)]).reshape(n, width - 1)
@@ -239,14 +257,15 @@ def read_nodal_csv(path_or_file, columns: list[str], n_nodes: int | None = None)
 
 def _refuse_first_bad_row(source, columns: list[str], rows) -> None:
     """Raise at the first of the (line, row) pairs that has no integer id and
-    numbers in every column, or that repeats an earlier id."""
+    numbers in every column, or that repeats an earlier id. A cell with a
+    ``_`` digit separator is not a number."""
     seen = set()
     for line, row in rows:
         try:
             node, _ = int(row[0]), [float(row[j]) for j in range(1, len(columns))]
         except (ValueError, IndexError):
             node = None
-        if node is None or node in seen:
+        if node is None or node in seen or "_" in "".join(row[: len(columns)]):
             raise ValidationError(
                 f"{source} line {line}: expected a new integer node id and "
                 f"numeric {', '.join(columns[1:])}, got {','.join(row)!r}"

@@ -704,6 +704,24 @@ class TestConfig:
         assert run("evaluate", "--pred", ref, "--ref", ref, "--out", tmp_path / "e.csv") == 0
         assert len((tmp_path / "e.csv").read_text().splitlines()) == 5
 
+        # the ring does not fill its bounding box: points off it are nan, black in the PGM
+        post, n = tmp_path / "post", 33
+        assert run("postprocess", "--config", cfg, "--field", ref / "step_0003.csv",
+                   "--upsample", n, "--out", post) == 0
+        mesh = load_run_config(cfg).build_mesh()
+        placed = upsample_field(mesh, load_field(ref / "step_0003.csv", mesh), n, n, fill=np.inf)
+        off = np.isinf(placed)
+        assert off[0, 0] and not off[0, -1] and 0 < off.sum() < n * n
+        grid = np.loadtxt(post / "upsampled.csv", delimiter=",")
+        assert np.array_equal(np.isnan(grid), off)
+        assert np.array_equal(grid[~off], placed[~off])
+        pgm = (post / "upsampled.pgm").read_bytes()
+        header = f"P5\n{n} {n}\n255\n".encode()
+        assert pgm.startswith(header) and len(pgm) == len(header) + n * n
+        pixels = np.frombuffer(pgm[len(header):], np.uint8).reshape(n, n)[::-1]
+        assert (pixels[off] == 0).all()
+        assert pixels[~off].min() == 0 and pixels[~off].max() == 255
+
     def test_dirichlet_key_keeps_its_case(self, tmp_path):
         mesh = (REPO / "data" / "irregular.folmesh").read_text()
         (tmp_path / "ring.folmesh").write_text(mesh.replace("bset inner", "bset Inner"))

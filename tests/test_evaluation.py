@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -480,3 +481,15 @@ class TestPgm:
         path = tmp_path / "c.pgm"
         write_pgm(path, np.full((2, 2), 3.0))
         assert path.read_bytes().endswith(bytes([127] * 4))
+
+    @pytest.mark.parametrize("grid, pixels", [
+        ([[np.nan, 2.0], [1.0, 1.5]], [0, 128, 0, 255]),  # rows flipped: the top row last
+        ([[np.nan, 3.0], [3.0, 3.0]], [127, 127, 0, 127]),
+        ([[np.nan, np.nan], [np.nan, np.nan]], [0, 0, 0, 0]),
+    ])
+    def test_nan_is_black_and_the_scale_spans_the_rest(self, tmp_path, grid, pixels):
+        path = tmp_path / "n.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_pgm(path, np.array(grid))
+        assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes(pixels)

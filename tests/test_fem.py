@@ -364,12 +364,23 @@ class TestConductivity:
         with pytest.raises(ValidationError):
             load_conductivity(path, 121)
 
-    @pytest.mark.parametrize("row", ["x,1.0", "0,abc", "0", "0,inf", "0,nan", "0,-2.0", "0.5,1.0"])
+    @pytest.mark.parametrize("row", ["x,1.0", "0,abc", "0", "0,inf", "0,nan", "0,-2.0", "0.5,1.0",
+                                     "0,1_0", "0_0,1.0"])
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "k.csv"
         path.write_text(f"node_id,k\n1,1.0\n{row}\n")
         with pytest.raises(ValidationError, match=f"{path} line 3"):
             load_conductivity(path)
+
+    def test_digit_separator_is_no_number(self, tmp_path):
+        """int() and float() read 1_0 as 10; a CSV cell does not."""
+        path = tmp_path / "k.csv"
+        path.write_text("node_id,k,note\n0,1.0,a_b\n1,1_0,\n")
+        with pytest.raises(ValidationError, match=r"line 3: expected a new integer node id and "
+                                                  r"numeric k, got '1,1_0,'$"):
+            load_conductivity(path)
+        path.write_text("node_id,k,note_1\n0,1.0,a_b\n1,10,c_d\n")  # other columns may hold _
+        assert load_conductivity(path).values.tolist() == [1.0, 10.0]
 
     def test_duplicate_id_names_line(self, tmp_path):
         path = tmp_path / "k.csv"

@@ -244,6 +244,8 @@ def rowwise_read_nodal_csv(path_or_file, columns, n_nodes=None):
             node, values = int(row[0]), [float(row[j]) for j in range(1, len(columns))]
         except (ValueError, IndexError):
             node = None
+        if any("_" in cell for cell in row[: len(columns)]):  # 1_0 is no CSV number
+            node = None
         if node is None or node in rows:
             raise ValidationError(
                 f"{source} line {reader.line_num}: expected a new integer node id and "

@@ -1,7 +1,9 @@
 """The token reader: mesh files and checkpoints round trip bitwise, and a
 block reads the same values, errors and lines whether its text is a str or
-read from a file, whatever whitespace, line breaks and comments it holds."""
+read from a file, whatever whitespace, line breaks and comments it holds.
+The text writers: meshes and CSVs have the bytes of a row-by-row writer."""
 
+import math
 import re
 from pathlib import Path
 
@@ -10,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folheat import mesh as mesh_module
 from folheat import textio
 from folheat.cli import main
 from folheat.errors import ValidationError
-from folheat.mesh import (DirichletSpec, build_dof_map, build_structured_grid, demo_irregular_mesh,
-                          load_mesh)
+from folheat.mesh import (DirichletSpec, Mesh, build_dof_map, build_structured_grid,
+                          demo_irregular_mesh, load_mesh, serialize_mesh)
 from folheat.neural import init_model, load_model, save_model
 from folheat.textio import TokenReader
 
@@ -154,3 +157,91 @@ def test_float_block_reads_as_float_per_token(token_dir, tokens, tail, missing, 
 def test_write_csv(tmp_path, header, columns, text):
     textio.write_csv(tmp_path / "t.csv", header, columns)
     assert (tmp_path / "t.csv").read_bytes() == text.encode()
+
+
+def rowwise_write_block(f, per_line, *columns):
+    """The writer write_block replaced, kept as the byte reference: the str of
+    every Python scalar, one join per line."""
+    items = [str(v) for row in zip(*(np.asarray(c).tolist() for c in columns)) for v in row]
+    f.write("".join([" ".join(items[j : j + per_line]) + "\n" for j in range(0, len(items), per_line)]))
+
+
+def rowwise_csv(header, columns):
+    """The text of a CSV formatted row by row, every value the repr of its
+    Python scalar: the byte reference of write_csv and write_csv_series."""
+    head = "" if header is None else ",".join(header) + "\n"
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return head + "".join([",".join(map(repr, row)) + "\n" for row in rows])
+
+
+def signed_zero_mesh():
+    """A 5x5 grid turned half a turn about the origin, so its zero coordinates are
+    -0.0, with a 25-node boundary set whose second line is short."""
+    m = build_structured_grid(5, 5, 1.0, 1.0)
+    return Mesh(-m.nodes, m.elems, {**m.boundary_sets, "all": np.arange(m.n_nodes)})
+
+
+def jittered_grid():
+    """The 81x81 grid with every coordinate moved: no two values repeat."""
+    m = build_structured_grid(81, 81, 1.0, 1.0)
+    jitter = np.random.default_rng(5).uniform(-1e-3, 1e-3, m.nodes.shape)
+    return Mesh(m.nodes + jitter, m.elems, m.boundary_sets)
+
+
+@pytest.mark.parametrize("make", [lambda: build_structured_grid(81, 81, 1.0, 1.0), jittered_grid,
+                                  lambda: load_mesh(DATA_MESH.read_text()), signed_zero_mesh],
+                         ids=["grid81", "jittered81", "irregular", "signed_zero"])
+def test_serialize_mesh_writes_the_rowwise_bytes(monkeypatch, make):
+    mesh = make()
+    text = serialize_mesh(mesh)
+    monkeypatch.setattr(mesh_module, "write_block", rowwise_write_block)
+    assert text == serialize_mesh(mesh)
+    assert_bitwise_equal(mesh_arrays(load_mesh(text)), mesh_arrays(mesh))
+
+
+def test_signed_zero_mesh_text():
+    lines = serialize_mesh(signed_zero_mesh()).splitlines()
+    assert lines[2] == "0 -0.0 -0.0" and lines[3] == "1 -0.25 -0.0"
+    assert lines[-2:] == [" ".join(map(str, range(16))), " ".join(map(str, range(16, 25)))]
+
+
+# awkward floats: signed zeros, NaNs with a sign or a payload, infinities,
+# subnormals, and both sides of repr's switch to scientific notation
+NAN_BITS = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64).tolist()
+AWKWARD = [0.0, -0.0, math.nan, *NAN_BITS, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+           1e16, 9999999999999998.0, 1e-05, 0.0001, 0.1, 0.30000000000000004, -1.0, 2.0**60]
+VALUES = st.one_of(st.sampled_from(AWKWARD), st.floats())
+
+
+@st.composite
+def csv_columns(draw, n_rows, n_columns):
+    """n_columns columns of n_rows values: float arrays mixing repeated and
+    awkward values, int64 arrays, or ranges."""
+    out = []
+    for _ in range(n_columns):
+        kind = draw(st.sampled_from(["float", "float", "int", "range"]))
+        if kind == "range":
+            start = draw(st.integers(-3, 3))
+            out.append(range(start, start + n_rows))
+        elif kind == "int":
+            out.append(np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n_rows,
+                                              max_size=n_rows)), dtype=np.int64))
+        else:
+            pool = draw(st.lists(VALUES, min_size=1, max_size=4))  # values that repeat
+            out.append(np.array(draw(st.lists(st.one_of(st.sampled_from(pool), VALUES),
+                                              min_size=n_rows, max_size=n_rows)), dtype=np.float64))
+    return out
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), n_rows=st.sampled_from([0, 1, 2, 7, 40]), n_shared=st.integers(0, 4),
+       n_files=st.integers(1, 3), header=st.sampled_from([None, ["a"], ["node_id", "x", "y", "T"]]))
+def test_csv_writers_write_the_rowwise_bytes(token_dir, data, n_rows, n_shared, n_files, header):
+    shared = data.draw(csv_columns(n_rows, n_shared))
+    varying = data.draw(csv_columns(n_rows, n_files))
+    paths = [token_dir / f"series_{i}.csv" for i in range(n_files)]
+    textio.write_csv_series(paths, header, shared, varying)
+    for path, column in zip(paths, varying):
+        assert path.read_bytes() == rowwise_csv(header, [*shared, column]).encode()
+    textio.write_csv(paths[0], header, [*shared, varying[0]])
+    assert paths[0].read_bytes() == rowwise_csv(header, [*shared, varying[0]]).encode()
