@@ -16,32 +16,33 @@ import subprocess
 import sys
 from pathlib import Path
 
+from .errors import FingerprintError, NumericalError, ValidationError, number
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # map argparse failures onto exit code 1
-        from .errors import ValidationError
-
         raise ValidationError(message)
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of a float option that must be positive and finite."""
-    try:
-        if 0 < (value := float(text)) < math.inf:  # NaN fails both comparisons
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+def _number_type(kind, ok, wanted: str):
+    """argparse type reading kind (int or float) by errors.number; text that is
+    no number, or a value for which ok is false, is refused as not `wanted`."""
+    def parse(text: str):
+        try:
+            if ok(value := number(text, kind)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of --threads: a worker count, so a positive integer."""
-    try:
-        if (value := int(text)) > 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+# NaN fails both comparisons; --threads is a worker count
+_positive_float = _number_type(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_positive_int = _number_type(int, lambda v: v > 0, "a positive integer")
+_INT = _number_type(int, lambda v: True, "an integer")
+_FLOAT = _number_type(float, lambda v: True, "a number")
 
 
 def _threads_parser() -> _Parser:
@@ -53,15 +54,11 @@ def _threads_parser() -> _Parser:
 
 
 def _alpha(text: str) -> float:
-    """argparse type of --alpha: one of the theta-scheme weights reduce_system takes."""
+    """argparse type of --alpha: one of the theta-scheme weights reduce_system
+    takes (NaN and inf match none of them)."""
     from .fem import VALID_ALPHAS
 
-    try:
-        if (value := float(text)) in VALID_ALPHAS:  # NaN and inf match none of them
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be one of {VALID_ALPHAS}, got {text!r}")
+    return _number_type(float, VALID_ALPHAS.__contains__, f"one of {VALID_ALPHAS}")(text)
 
 
 def _build_parser() -> _Parser:
@@ -69,10 +66,10 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("gen-mesh", help="write a structured grid mesh file")
-    q.add_argument("--nx", type=int, required=True)
-    q.add_argument("--ny", type=int, required=True)
-    q.add_argument("--width", type=float, default=1.0)
-    q.add_argument("--height", type=float, default=1.0)
+    q.add_argument("--nx", type=_INT, required=True)
+    q.add_argument("--ny", type=_INT, required=True)
+    q.add_argument("--width", type=_FLOAT, default=1.0)
+    q.add_argument("--height", type=_FLOAT, default=1.0)
     q.add_argument("--out", required=True)
 
     q = sub.add_parser("validate", help="check a mesh file against the format and invariants")
@@ -80,17 +77,17 @@ def _build_parser() -> _Parser:
 
     q = sub.add_parser("gen-samples", help="generate the training sample set")
     q.add_argument("--config", default=None)
-    q.add_argument("--fourier", type=int, default=None)
-    q.add_argument("--gaussian", type=int, default=None)
-    q.add_argument("--constant", type=int, default=None)
-    q.add_argument("--seed", type=int, default=None)
+    q.add_argument("--fourier", type=_INT, default=None)
+    q.add_argument("--gaussian", type=_INT, default=None)
+    q.add_argument("--constant", type=_INT, default=None)
+    q.add_argument("--seed", type=_INT, default=None)
     q.add_argument("--out", required=True)
 
     q = sub.add_parser("train", help="train a model per the config")
     q.add_argument("--config", default=None)
     q.add_argument("--samples", default=None,
                    help="reuse a gen-samples directory instead of regenerating")
-    q.add_argument("--log-every", type=int, default=50)
+    q.add_argument("--log-every", type=_INT, default=50)
     q.add_argument("--out", required=True)
 
     q = sub.add_parser("predict", help="roll out a trained model from an initial field")
@@ -98,13 +95,13 @@ def _build_parser() -> _Parser:
     q.add_argument("--checkpoint", required=True)
     q.add_argument("--init", required=True,
                    help="'canonical:<name>' or a field CSV path")
-    q.add_argument("--steps", type=int, required=True)
+    q.add_argument("--steps", type=_INT, required=True)
     q.add_argument("--out", required=True)
 
     q = sub.add_parser("solve-fem", help="reference FE transient solve")
     q.add_argument("--config", default=None)
     q.add_argument("--init", required=True)
-    q.add_argument("--steps", type=int, required=True)
+    q.add_argument("--steps", type=_INT, required=True)
     q.add_argument("--alpha", type=_alpha, default=1.0)
     q.add_argument("--dt", type=_positive_float, default=None, help="override config dt")
     q.add_argument("--out", required=True)
@@ -120,8 +117,8 @@ def _build_parser() -> _Parser:
     q = sub.add_parser("benchmark", help="time model inference vs FE solve")
     q.add_argument("--config", default=None)
     q.add_argument("--checkpoint", required=True)
-    q.add_argument("--steps", type=int, default=10)
-    q.add_argument("--repeats", type=int, default=5)
+    q.add_argument("--steps", type=_INT, default=10)
+    q.add_argument("--repeats", type=_INT, default=5)
     q.add_argument("--init", default="canonical:const05")
     q.add_argument("--out", default=None, help="report path (default: stdout only)")
 
@@ -129,7 +126,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--config", default=None)
     q.add_argument("--field", required=True, help="field CSV to post-process")
     q.add_argument("--sections", default="y=0.18,y=0.45,x=0.5")
-    q.add_argument("--upsample", type=int, default=165)
+    q.add_argument("--upsample", type=_INT, default=165)
     q.add_argument("--out", required=True)
     return p
 
@@ -157,7 +154,6 @@ def _write_manifest(out_dir: Path, command: str, cfg, extra: dict | None = None)
 
 def _manifest_dt(dir_path: Path) -> float | None:
     """The `dt` recorded in dir_path/manifest.txt, or None when there is none."""
-    from .errors import ValidationError
     from .textio import read_text
 
     mf = dir_path / "manifest.txt"
@@ -184,7 +180,6 @@ def _problem(cfg):
 
 
 def _initial_field(spec: str, mesh, dofs):
-    from .errors import ValidationError
     from .evaluation import canonical_test_fields
     from .fe_solver import load_field
 
@@ -211,7 +206,6 @@ def cmd_gen_mesh(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .errors import ValidationError
     from .mesh import load_mesh
     from .textio import read_text
 
@@ -250,7 +244,6 @@ def cmd_gen_samples(args) -> int:
 
 def cmd_train(args) -> int:
     from .config import load_run_config
-    from .errors import FingerprintError
     from .fem import reduce_system
     from .neural import init_model, save_model
     from .sampling import build_sample_set, load_sample_set
@@ -331,13 +324,16 @@ def cmd_solve_fem(args) -> int:
 def cmd_evaluate(args) -> int:
     import numpy as np
 
-    from .errors import NumericalError, ValidationError
     from .evaluation import per_step_errors
     from .fe_solver import load_trajectory, moved_node, step_filename
     from .textio import write_csv
 
     pred_dir, ref_dir = Path(args.pred), Path(args.ref)
-    dt = args.dt if args.dt is not None else _manifest_dt(pred_dir) or _manifest_dt(ref_dir)
+    pred_dt, ref_dt = _manifest_dt(pred_dir), _manifest_dt(ref_dir)
+    if None not in (pred_dt, ref_dt) and pred_dt != ref_dt:
+        raise ValidationError(f"{pred_dir} was saved at dt {pred_dt!r} and {ref_dir} at dt "
+                              f"{ref_dt!r}; their steps are different times")
+    dt = args.dt if args.dt is not None else pred_dt or ref_dt
     if dt is None:
         raise ValidationError(
             f"no dt: pass --dt, or evaluate directories with a manifest.txt giving dt "
@@ -400,7 +396,6 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_postprocess(args) -> int:
-    from .errors import ValidationError
     from .config import load_run_config
     from .evaluation import cross_section, heat_flux, upsample_field, write_pgm
     from .fe_solver import load_field
@@ -416,7 +411,7 @@ def cmd_postprocess(args) -> int:
     for token in filter(None, map(str.strip, args.sections.split(","))):
         try:
             axis, value = token.split("=")
-            requests.append((axis.strip(), float(value)))
+            requests.append((axis.strip(), number(value)))
         except ValueError:
             raise ValidationError(f"sections: expected axis=value, got {token!r}") from None
     sections = {f"section_{axis}_{value}.csv": cross_section(mesh, field, axis, value)
@@ -460,8 +455,6 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - single translation point to exit codes
-        from .errors import NumericalError, ValidationError
-
         if isinstance(exc, ValidationError):
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, number
 from .fem import ConductivityField, MaterialParams, load_conductivity
 from .mesh import DirichletSpec, Mesh, build_structured_grid, load_mesh
 from .sampling import FourierParams
@@ -110,11 +110,12 @@ class RunConfig:
     source: str  # named in errors: the config file, or "default config"
 
     def _get(self, section: str, key: str, kind=str):
-        """[section] key read by kind; a ValueError from kind, or a float that is
-        not finite, is a ValidationError."""
+        """[section] key read by kind; any kind but str reads numbers, so its text
+        is checked by errors.number. A ValueError, or a float that is not
+        finite, is a ValidationError."""
         text = self.parser.get(section, key).strip()
         try:
-            value = kind(text)
+            value = kind(text if kind is str else number(text, str))
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError("not a finite number")
             return value

@@ -1,8 +1,17 @@
-"""Exception taxonomy shared across the package.
-
-The CLI maps these onto exit codes: ValidationError -> 1,
+"""Exception taxonomy shared across the package, and the rule every number
+read from text follows; no numpy, so the CLI checks --threads before numpy
+loads. The CLI maps errors onto exit codes: ValidationError -> 1,
 NumericalError -> 2, OSError -> 3.
 """
+
+
+def number(text: str, kind=float):
+    """kind(text) for kind int or float, except that a `_` digit separator,
+    which both accept ("1_0" reads as 10), is a ValueError. With kind str
+    the text, which may hold many numbers, is only checked, in one scan."""
+    if "_" in text:
+        raise ValueError(f"{text!r} holds a '_' digit separator")
+    return kind(text)
 
 
 class FolheatError(Exception):

@@ -91,10 +91,6 @@ class SystemMatrices:
     M: sp.csr_array
     K: sp.csr_array
 
-    @property
-    def n(self) -> int:
-        return self.M.shape[0]
-
 
 @dataclass(frozen=True)
 class ReducedSystem:

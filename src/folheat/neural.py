@@ -308,71 +308,51 @@ def _as_batch(m: ModelBundle, X):
     return X, squeeze
 
 
-def _first_layer(group: NetGroup, X: np.ndarray, x_gath, z: np.ndarray) -> np.ndarray:
-    """z = W0 x + b0 written into `z`, (n_nets, batch, out0). A full-field
-    group's `z` is batch-major, so one matmul over all nets fills it."""
-    if x_gath is None:
-        n_nets, out0, in0 = group.weights[0].shape
-        np.matmul(X, group.weights[0].reshape(n_nets * out0, in0).T,
-                  out=z.transpose(1, 0, 2).reshape(X.shape[0], n_nets * out0))
-    else:
-        np.matmul(x_gath, group.weights[0].transpose(0, 2, 1), out=z)
-    z += group.biases[0][:, None, :]
-    return z
+def _group_forward(group: NetGroup, X: np.ndarray, activation: str, out: np.ndarray,
+                   ws: Workspace | None = None) -> GroupTape | None:
+    """One group's pass, writing its outputs into their slots of `out`.
 
-
-def forward_batch(m: ModelBundle, X: np.ndarray) -> np.ndarray:
-    """Evaluate a batch of free fields, shape (batch, n_free) -> same shape.
-
-    Inference only: each layer overwrites the last, no tape is kept and no
-    derivative computed.
+    With a workspace the pass is taped: each hidden layer's z becomes its a
+    in a tape slot, next to its derivative g, and the GroupTape is returned.
+    Without one, each layer gets a fresh buffer and is activated in place,
+    and only the layer being computed stays alive; None is returned.
     """
-    X, squeeze = _as_batch(m, X)
-    batch = X.shape[0]
-    out = np.empty((batch, m.n_free))
-    for g in m.groups:
-        n_nets, out0, _ = g.weights[0].shape
-        x_gath = None
-        if g.in_slots is not None:
-            x_gath = np.ascontiguousarray(X[:, g.in_slots].transpose(1, 0, 2))
-        z = _shaped(np.empty(n_nets * batch * out0), (n_nets, batch, out0), x_gath is None)
-        z = _first_layer(g, X, x_gath, z)
-        for w, b in zip(g.weights[1:], g.biases[1:]):
-            _act_forward(m.activation, z, z)
-            z = z @ w.transpose(0, 2, 1)
-            z += b[:, None, :]
-        out[:, g.out_slots] = z.transpose(1, 0, 2).reshape(batch, -1)
-    return out[0] if squeeze else out
-
-
-def _group_forward(group: NetGroup, X: np.ndarray, activation: str, ws: Workspace,
-                   out: np.ndarray) -> GroupTape:
-    """Taped pass of one group, writing its outputs into their slots of `out`."""
-    n_nets = group.n_nets
-    batch = X.shape[0]
+    n_nets, batch = group.n_nets, X.shape[0]
     full = group.in_slots is None
-    x_gath = None
-    if not full:
+    a = x_gath = None  # a full-field group's first layer reads X itself
+    if not full and ws is None:
+        a = np.ascontiguousarray(X[:, group.in_slots].transpose(1, 0, 2))
+    elif not full:
         stencil = group.in_slots.shape[1]
         # in_slots are checked when a model is built or loaded, so "clip" never
         # clips; unlike the default "raise", it writes `out` without a buffered copy
         gathered = np.take(X, group.in_slots, axis=1, mode="clip",
                            out=_shaped(ws.scratch, (batch, n_nets, stencil)))
-        x_gath = ws.take((n_nets, batch, stencil))
+        a = x_gath = ws.take((n_nets, batch, stencil))
         np.copyto(x_gath, gathered.transpose(1, 0, 2))
     acts, grads = [], []
     for l, (w, b) in enumerate(zip(group.weights, group.biases)):
         # z, a and g share a storage order, which the reverse pass's sums and
-        # matmuls see: batch-major for a full-field group's first layer
+        # matmuls see: batch-major for a full-field group's first layer, so
+        # one matmul over all nets fills it
         shape, batch_major = (n_nets, batch, w.shape[1]), full and l == 0
         hidden = l < group.n_layers - 1
-        z = ws.take(shape, batch_major) if hidden else _shaped(ws.scratch, shape, batch_major)
-        if l == 0:
-            _first_layer(group, X, x_gath, z)
+        if ws is not None:
+            z = ws.take(shape, batch_major) if hidden else _shaped(ws.scratch, shape, batch_major)
+        elif batch_major:
+            z = np.empty((batch, n_nets, shape[2])).transpose(1, 0, 2)
         else:
-            np.matmul(acts[-1], w.transpose(0, 2, 1), out=z)
-            z += b[:, None, :]
-        if hidden:  # z becomes a in place, a cache-sized block at a time
+            z = np.empty(shape)
+        if batch_major:
+            np.matmul(X, w.reshape(n_nets * shape[2], -1).T,
+                      out=z.transpose(1, 0, 2).reshape(batch, n_nets * shape[2]))
+        else:
+            np.matmul(a, w.transpose(0, 2, 1), out=z)
+        z += b[:, None, :]
+        a = z  # the spent layer is dropped before the activation
+        if hidden and ws is None:
+            _act_forward(activation, z, z)
+        elif hidden:  # z becomes a in place, a cache-sized block at a time
             grads.append(ws.take(shape, batch_major))
             z_mem, g_mem = z.ravel("K"), grads[-1].ravel("K")  # views: tape slots are contiguous
             for lo in range(0, z_mem.size, ACT_BLOCK):
@@ -380,7 +360,17 @@ def _group_forward(group: NetGroup, X: np.ndarray, activation: str, ws: Workspac
                 _act_in_place(activation, block, g_mem[lo : lo + ACT_BLOCK], ws.block[: block.size])
             acts.append(z)
     out[:, group.out_slots] = z.transpose(1, 0, 2).reshape(batch, -1)
-    return GroupTape(X if full else None, x_gath, [], acts, grads)
+    return None if ws is None else GroupTape(X if full else None, x_gath, [], acts, grads)
+
+
+def forward_batch(m: ModelBundle, X: np.ndarray) -> np.ndarray:
+    """Evaluate a batch of free fields, shape (batch, n_free) -> same shape, by
+    forward_with_tape's pass, keeping no tape and computing no derivative."""
+    X, squeeze = _as_batch(m, X)
+    out = np.empty((X.shape[0], m.n_free))
+    for g in m.groups:
+        _group_forward(g, X, m.activation, out)
+    return out[0] if squeeze else out
 
 
 def forward_with_tape(m: ModelBundle, X: np.ndarray, workspace: Workspace | None = None):
@@ -392,7 +382,7 @@ def forward_with_tape(m: ModelBundle, X: np.ndarray, workspace: Workspace | None
     ws = Workspace() if workspace is None else workspace
     ws.reserve(m, X.shape[0])
     out = np.empty((X.shape[0], m.n_free))
-    tape = ForwardTape([_group_forward(g, X, m.activation, ws, out) for g in m.groups], out)
+    tape = ForwardTape([_group_forward(g, X, m.activation, out, ws) for g in m.groups], out)
     return (out[0] if squeeze else out), tape
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib import format as npy
 
-from .errors import MeshFormatError, ValidationError
+from .errors import MeshFormatError, ValidationError, number
 
 _DTYPES = {int: np.int64, float: np.float64}
 
@@ -81,7 +81,8 @@ def read_record(f, source, what: str, dtype: str, shape) -> np.ndarray:
 
 class TokenReader:
     """The whitespace tokens of a text, read front to back; numbers convert with
-    ``int`` or a finite ``float``. Errors name ``source`` and the token's line."""
+    ``int`` or a finite ``float``, by ``errors.number``. Errors name ``source``
+    and the token's line."""
 
     def __init__(self, text: str, *, error_cls=MeshFormatError, source: str | None = None):
         if "#" in text:
@@ -131,6 +132,7 @@ class TokenReader:
         start, width = self._pos, len(columns)
         tokens = self._take(n_rows * width, columns[0][0])
         try:
+            number(" ".join(tokens), str)  # one scan of the block
             out = [np.fromiter(map(kind, tokens[j::width]), _DTYPES[kind], n_rows)
                    for j, (_, kind) in enumerate(columns)]
             if all(np.isfinite(a).all() for a in out):
@@ -140,7 +142,7 @@ class TokenReader:
         for i, tok in enumerate(tokens):
             what, kind = columns[i % width]
             try:
-                ok = np.isfinite(_DTYPES[kind](kind(tok)))
+                ok = np.isfinite(_DTYPES[kind](number(tok, kind)))
             except (ValueError, OverflowError):
                 ok = False
             if not ok:
@@ -238,7 +240,9 @@ def read_nodal_csv(path_or_file, columns: list[str], n_nodes: int | None = None)
         _refuse_first_bad_row(source, columns, rows)
         raise ValidationError(f"{source} line {reader.line_num}: {exc}") from None
     n, width = len(rows), len(columns)
-    if text.count("_") > sum(h.count("_") for h in header):  # int() and float() read 1_0 as 10
+    try:  # the rows in one scan; the header may hold a `_`
+        number(text.partition("\n")[2], str)
+    except ValueError:  # a `_` beyond the read columns passes
         _refuse_first_bad_row(source, columns, rows)
     try:
         ids = np.array([int(row[0]) for _, row in rows], dtype=np.int64)
@@ -257,15 +261,15 @@ def read_nodal_csv(path_or_file, columns: list[str], n_nodes: int | None = None)
 
 def _refuse_first_bad_row(source, columns: list[str], rows) -> None:
     """Raise at the first of the (line, row) pairs that has no integer id and
-    numbers in every column, or that repeats an earlier id. A cell with a
-    ``_`` digit separator is not a number."""
+    numbers in every column, or that repeats an earlier id. A cell is read by
+    ``errors.number``."""
     seen = set()
     for line, row in rows:
         try:
-            node, _ = int(row[0]), [float(row[j]) for j in range(1, len(columns))]
+            node, _ = number(row[0], int), [number(row[j]) for j in range(1, len(columns))]
         except (ValueError, IndexError):
             node = None
-        if node is None or node in seen or "_" in "".join(row[: len(columns)]):
+        if node is None or node in seen:
             raise ValidationError(
                 f"{source} line {line}: expected a new integer node id and "
                 f"numeric {', '.join(columns[1:])}, got {','.join(row)!r}"

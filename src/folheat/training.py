@@ -10,6 +10,7 @@ the taped forward evaluation - no numerical differentiation anywhere.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -151,10 +152,6 @@ class LbfgsState:
     point: np.ndarray | None = None  # the array the step returned
     grad: np.ndarray | None = None  # gradient at `point`; its loss is last_loss
 
-    @property
-    def history(self) -> int:
-        return len(self.s_pairs)
-
 
 ARMIJO_C = 1e-4
 LINE_SEARCH_TRIALS = 20
@@ -231,8 +228,10 @@ def train(
     """Optimize the model on the sample set; returns (model, per-epoch losses).
 
     Adam shuffles and runs one step per mini-batch (short final batch kept);
-    L-BFGS runs one full-batch step per epoch. Both are deterministic under
-    cfg.seed. A non-finite loss aborts with a NumericalError.
+    L-BFGS runs one full-batch step per epoch, and stops at a failed line
+    search, whose point and loss fill the rest of the record. Both are
+    deterministic under cfg.seed. A non-finite loss aborts with a
+    NumericalError.
     """
     if samples.fingerprint != model.grid_meta:
         raise FingerprintError(
@@ -287,6 +286,11 @@ def train(
                 raise NumericalError(f"loss diverged at epoch {epoch}")
             record[epoch] = state.last_loss
             _maybe_log(cfg, epoch, record[epoch], t_start)
+            if state.line_search_failed:  # every later epoch would repeat it, bit for bit
+                record[epoch:] = state.last_loss
+                print(f"L-BFGS line search failed at epoch {epoch + 1}/{cfg.epochs}; "
+                      f"training stops at loss {state.last_loss:.6e}", file=sys.stderr)
+                break
 
     return model, record
 

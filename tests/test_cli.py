@@ -65,6 +65,12 @@ class TestGenMesh:
         bad.write_text("folmesh 1\nnodes 1\n0 0.0\n")  # truncated node line
         assert run("validate", "--mesh", bad) == 1
 
+    @pytest.mark.parametrize("option, kind", [("--nx", "an integer"), ("--width", "a number")])
+    def test_digit_separator_is_no_number(self, tmp_path, capsys, option, kind):
+        assert run("gen-mesh", "--nx", 3, "--ny", 3, option, "1_0", "--out", tmp_path / "m") == 1
+        assert capsys.readouterr().err == f"error: argument {option}: must be {kind}, got '1_0'\n"
+        assert not (tmp_path / "m").exists()
+
     def test_non_finite_width_is_validation_error(self, tmp_path, capsys):
         assert run("gen-mesh", "--nx", 3, "--ny", 3, "--width", "nan", "--out", tmp_path / "m") == 1
         assert "positive and finite, got nan x 1.0" in capsys.readouterr().err
@@ -320,7 +326,7 @@ class TestPredictAndSolve:
         assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:const05",
                    "--steps", 1, "--alpha", alpha, "--out", out) == 0
 
-    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    @pytest.mark.parametrize("dt", ["nan", "inf", "0_5"])
     def test_solve_fem_non_finite_dt_refused_before_assembly(self, tmp_path, smoke_cfg, capsys,
                                                              monkeypatch, dt):
         def assemble(*args):
@@ -335,7 +341,7 @@ class TestPredictAndSolve:
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("alpha", ["nan", "inf", "0.7"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0.7", "0_0"])
     def test_solve_fem_bad_alpha_refused_before_assembly(self, tmp_path, smoke_cfg, capsys,
                                                          monkeypatch, alpha):
         def assemble(*args):
@@ -437,7 +443,7 @@ class TestEvaluate:
         assert run("evaluate", "--pred", pred, "--ref", ref, "--assert-below", 0.1) == 2
 
     @pytest.mark.parametrize("flag, value", [
-        ("--dt", "nan"), ("--dt", "-1"), ("--dt", "inf"), ("--dt", "0"),
+        ("--dt", "nan"), ("--dt", "-1"), ("--dt", "inf"), ("--dt", "0"), ("--dt", "0_05"),
         ("--assert-below", "nan"), ("--assert-below", "inf"), ("--assert-below", "-0.1"),
     ])
     def test_bad_float_option_is_validation_error(self, two_dirs, capsys, flag, value):
@@ -476,6 +482,21 @@ class TestEvaluate:
                    "--out", tmp_path / "e.csv") == 1
         err = capsys.readouterr().err
         assert str(dirs[0] / "step_0000.csv") in err and str(dirs[1] / "step_0000.csv") in err
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_trajectories_at_different_dt_refused(self, tmp_path, smoke_cfg, capsys):
+        dirs = [tmp_path / "fine", tmp_path / "coarse"]
+        for out, dt in zip(dirs, ("0.05", "0.5")):
+            assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:sin10y",
+                       "--steps", 2, "--dt", dt, "--out", out) == 0
+        (dirs[0] / "step_0001.csv").write_text("no field\n")  # refused before a step is read
+        for extra in ([], ["--dt", 0.05]):
+            capsys.readouterr()
+            assert run("evaluate", "--pred", dirs[0], "--ref", dirs[1], *extra,
+                       "--out", tmp_path / "e.csv") == 1
+            assert capsys.readouterr().err == (
+                f"error: {dirs[0]} was saved at dt 0.05 and {dirs[1]} at dt 0.5; "
+                "their steps are different times\n")
         assert not (tmp_path / "e.csv").exists()
 
     @pytest.mark.parametrize("dt", ["abc", "nan", "-1", "inf"])
@@ -543,7 +564,7 @@ class TestPostprocess:
 
     @pytest.mark.parametrize("option, value", [
         ("--upsample", 2**50), ("--upsample", 1), ("--sections", "y=5"), ("--sections", "q"),
-        ("--sections", "x=0.5,q"),
+        ("--sections", "x=0.5,q"), ("--sections", "x=0_0"),
     ])
     def test_refused_request_writes_nothing(self, tmp_path, smoke_cfg, capsys, option, value):
         """A request refused after the field loads exits 1 before --out is made."""
@@ -580,7 +601,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 class TestThreads:
     @pytest.mark.parametrize("args", [["--threads", "0"], ["--threads", "-2"], ["--threads=0"],
-                                      ["--threads", "abc"], ["--threads", "1.5"]])
+                                      ["--threads", "abc"], ["--threads", "1.5"],
+                                      ["--threads", "1_0"]])
     def test_non_positive_count_refused(self, tmp_path, capsys, args):
         before = dict(os.environ)
         assert run(*args, "gen-mesh", "--nx", 3, "--ny", 3, "--out", tmp_path / "m") == 1
@@ -668,6 +690,13 @@ class TestConfig:
         ("nx = 3", "nx = 5%", "[mesh] nx"),
         ("nx = 3", "nx = 3\nwidth = nan", "[mesh] width"),
         ("nx = 3", "nx = 3\nheight = -inf", "[mesh] height"),
+        # int() and float() read a `_` digit separator: dt 0_05 would be 5.0
+        ("epochs = 2", "epochs = 2\ndt = 0_05", "[train] dt"),
+        ("[run]", "[material]\nrho = 1_0\n\n[run]", "[material] rho"),
+        ("epochs = 2", "epochs = 2\nhidden = 1_0", "[train] hidden"),
+        ("n_terms = 4", "n_terms = 4\noffset_ranges = 0:0_5", "[samples] offset_ranges"),
+        ("[run]", "[conductivity]\nkind = inclusions\ncircles = 0.5,0.5,0_2\n\n[run]",
+         "[conductivity] circles"),
     ])
     def test_bad_value_names_file_and_key(self, tmp_path, capsys, old, new, key):
         cfg = tmp_path / "bad.cfg"

@@ -265,12 +265,12 @@ class TestAssembly:
         _, _, sys_mats = system11
         rng = np.random.default_rng(3)
         for _ in range(100):
-            x = rng.standard_normal(sys_mats.n)
+            x = rng.standard_normal(sys_mats.M.shape[0])
             assert float(x @ (sys_mats.M @ x)) > 0.0
 
     def test_stiffness_constant_kernel(self, system11):
         _, _, sys_mats = system11
-        assert np.abs(sys_mats.K @ np.ones(sys_mats.n)).max() < 1e-12
+        assert np.abs(sys_mats.K @ np.ones(sys_mats.M.shape[0])).max() < 1e-12
 
     def test_linearity_in_conductivity_and_material(self):
         m = build_structured_grid(4, 4, 1.0, 1.0)

@@ -140,6 +140,7 @@ class TestMeshFile:
     @pytest.mark.parametrize("old, new, message", [
         ("2 1.0 0.0", "2 1.0 zero", "line 5: expected finite y coordinate, got 'zero'"),
         ("2 1.0 0.0", "2 nan 0.0", "line 5: expected finite x coordinate, got 'nan'"),
+        ("2 1.0 0.0", "2 1_0.0 0.0", "line 5: expected finite x coordinate, got '1_0.0'"),
         ("2 1.0 0.0", "2 1.0 -1e999", "line 5: expected finite y coordinate, got '-1e999'"),
         ("2 1.0 0.0", "7 1.0 0.0", "line 5: node ids must be contiguous from 0, expected 2 got 7"),
         ("0 0 1 4 3", "0 0 1 4.0 3", "line 13: expected connectivity node id, got '4.0'"),
@@ -151,7 +152,8 @@ class TestMeshFile:
     ])
     def test_bad_token_names_its_line(self, old, new, message):
         text = serialize_mesh(build_structured_grid(3, 3, 1.0, 1.0))
-        text = text.replace("bset left", "bset empty 0\nbset left")  # an empty set first
+        # an empty set first, whose tag's `_` is no number
+        text = text.replace("bset left", "bset no_nodes 0\nbset left")
         assert old in text
         with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$"):
             load_mesh(text.replace(old, new, 1))

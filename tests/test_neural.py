@@ -12,6 +12,7 @@ from folheat.errors import FingerprintError, ValidationError
 from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid, load_mesh
 from folheat.neural import (
     ACTIVATIONS,
+    ARCHITECTURES,
     ModelBundle,
     NetGroup,
     Workspace,
@@ -226,6 +227,26 @@ class TestTape:
         out, peak = traced(forward_batch, model, x)
         assert peak <= 2.5 * 99 * 3000 * 10 * 8, peak
         assert np.array_equal(out, forward_with_tape(model, x)[0])
+
+    @pytest.mark.parametrize("arch, hidden", [("elementwise", None), ("fully_connected", (990, 990))])
+    def test_inference_of_every_wiring_keeps_no_tape(self, grid11, arch, hidden):
+        # the bound above; a hidden layer of either wiring holds 99 * 10 values per sample
+        mesh, dofs = grid11
+        model = init_model(arch, mesh, dofs, hidden, seed=5)
+        x = np.random.default_rng(5).uniform(0, 1, (3000, dofs.n_free))
+        out, peak = traced(forward_batch, model, x)
+        assert peak <= 2.5 * 99 * 3000 * 10 * 8, peak
+        assert np.array_equal(out, forward_with_tape(model, x)[0])
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("hidden", [None, (1,), (3, 1, 2), (2, 7)], ids=str)
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_inference_is_the_taped_pass(self, grid11, arch, activation, hidden, batch):
+        mesh, dofs = grid11
+        model = init_model(arch, mesh, dofs, hidden, activation, seed=8)
+        x = np.random.default_rng(batch).uniform(-0.5, 1.5, (batch, dofs.n_free))
+        assert forward_batch(model, x).tobytes() == forward_with_tape(model, x)[0].tobytes()
 
 
 class TestCheckpoint:

@@ -118,7 +118,8 @@ def test_float_block_reads_as_float_per_token(token_dir, tokens, tail, missing, 
     """A float block of len(tokens) + missing values, wrapped and commented at
     random and followed by tail, reads as float() of each token. Otherwise it
     fails at the end of the file, or else at the first token that float()
-    refuses or makes non-finite, naming its line."""
+    refuses or makes non-finite, or that holds a `_` digit separator, naming
+    its line."""
     text, lines, words = "", [], tokens + tail.split()
     for word in words:
         text += word
@@ -130,7 +131,7 @@ def test_float_block_reads_as_float_per_token(token_dir, tokens, tail, missing, 
         message = f"line {lines[-1]}: unexpected end of file, expected weight"
     for word, lineno in zip(words[:n], lines):
         try:
-            value = float(word)
+            value = float(word) if "_" not in word else None  # float("1_0") is 10.0
         except ValueError:
             value = None
         if message is None and (value is None or not np.isfinite(value)):

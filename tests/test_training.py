@@ -9,7 +9,7 @@ from folheat.errors import FingerprintError, NumericalError, ValidationError
 from folheat.fe_solver import steady_state, step_fe
 from folheat.fem import ConductivityField, MaterialParams, assemble, reduce_system
 from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid
-from folheat import neural
+from folheat import neural, training
 from folheat.neural import (
     ACTIVATIONS,
     ARCHITECTURES,
@@ -268,7 +268,7 @@ class TestLbfgs:
 
         x = np.array([1.0, 1.0])
         x, state = lbfgs_step(x, f_and_g, LbfgsState())
-        assert state.history == 0  # s.y < 0 must not enter the history
+        assert len(state.s_pairs) == 0  # s.y < 0 must not enter the history
 
     def test_line_search_failure_flag(self):
         def f_and_g(x):
@@ -341,6 +341,32 @@ class TestTrain:
         cfg = TrainConfig(epochs=20, batch_size=4, optimizer="lbfgs", seed=7)
         model, record = train(model, rs, dofs, samples, cfg)
         assert record[-1] < record[0] * 0.5
+
+    def test_lbfgs_stops_at_a_failed_line_search(self, monkeypatch, capsys):
+        # no trial passes Armijo: each epoch would re-run the same 20 trials
+        mesh, dofs, rs, samples = self._setup()
+        monkeypatch.setattr(training, "ARMIJO_C", 1e30)
+        model, probe = (init_model("separated", mesh, dofs, seed=7) for _ in range(2))
+        point, state, unstopped = model.params_flat(), LbfgsState(), []
+
+        def f_and_g(p):  # the loop train would run without the stop
+            probe.set_params_flat(p)
+            return _loss_and_grad(rs, dofs, samples.samples, probe, True)
+
+        for _ in range(5):
+            point, state = lbfgs_step(point, f_and_g, state)
+            unstopped.append(state.last_loss)
+        assert state.line_search_failed
+        evaluations = []
+        monkeypatch.setattr(training, "_loss_and_grad",
+                            lambda *a: evaluations.append(1) or _loss_and_grad(*a))
+        model, record = train(model, rs, dofs, samples,
+                              TrainConfig(epochs=5, batch_size=4, optimizer="lbfgs", seed=7))
+        assert len(evaluations) == 21
+        assert np.array_equal(record, unstopped)
+        assert np.array_equal(model.params_flat(), point)
+        assert capsys.readouterr().err == (
+            f"L-BFGS line search failed at epoch 1/5; training stops at loss {record[0]:.6e}\n")
 
     def test_checkpoint_round_trip_after_training(self, tmp_path):
         mesh, dofs, rs, samples = self._setup()
