@@ -141,13 +141,15 @@ def _git_hash() -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
-def _write_manifest(out_dir: Path, command: str, cfg, extra: dict | None = None) -> None:
+def _write_manifest(out_dir: Path, command: str, cfg, extra: dict, dt: float | None = None) -> None:
+    """out_dir/manifest.txt: command, build, the run's step as `dt <repr>` (read
+    back by _manifest_dt) when it has one, the command's extra keys, and the config."""
     from . import __version__
 
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["folheat run manifest", f"version {__version__}", f"build {_git_hash()}",
-             f"command {command}"]
-    lines += [f"{key} {value}" for key, value in (extra or {}).items()]
+             f"command {command}", *([] if dt is None else [f"dt {float(dt)!r}"])]
+    lines += [f"{key} {value}" for key, value in extra.items()]
     lines += ["config:", *("  " + cfg_line for cfg_line in cfg.raw_text.splitlines())]
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
@@ -169,14 +171,21 @@ def _manifest_dt(dir_path: Path) -> float | None:
     return None
 
 
-def _problem(cfg):
-    """mesh, dofs, assembled system from a config."""
-    from .fem import assemble
+def _problem(args):
+    """(cfg, mesh, dofs) of the --config a command was given."""
+    from .config import load_run_config
     from .mesh import build_dof_map
 
+    cfg = load_run_config(args.config)
     mesh = cfg.build_mesh()
-    dofs = build_dof_map(mesh, cfg.dirichlet())
-    return mesh, dofs, assemble(mesh, cfg.conductivity(mesh), cfg.material())
+    return cfg, mesh, build_dof_map(mesh, cfg.dirichlet())
+
+
+def _reduced(cfg, mesh, dofs, dt: float, alpha: float = 1.0):
+    """The config's system assembled on mesh and reduced to the free dofs at dt, alpha."""
+    from .fem import assemble, reduce_system
+
+    return reduce_system(assemble(mesh, cfg.conductivity(mesh), cfg.material()), dofs, dt, alpha)
 
 
 def _initial_field(spec: str, mesh, dofs):
@@ -220,13 +229,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen_samples(args) -> int:
-    from .config import load_run_config
-    from .mesh import build_dof_map
     from .sampling import build_sample_set, save_sample_set
 
-    cfg = load_run_config(args.config)
-    mesh = cfg.build_mesh()
-    dofs = build_dof_map(mesh, cfg.dirichlet())
+    cfg, mesh, dofs = _problem(args)
     counts = list(cfg.sample_counts())
     for i, override in enumerate((args.fourier, args.gaussian, args.constant)):
         if override is not None:
@@ -243,18 +248,15 @@ def cmd_gen_samples(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .config import load_run_config
-    from .fem import reduce_system
     from .neural import init_model, save_model
     from .sampling import build_sample_set, load_sample_set
     from .textio import write_csv
     from .training import TrainConfig, train
 
-    cfg = load_run_config(args.config)
+    cfg, mesh, dofs = _problem(args)
     tc = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
                      optimizer=cfg.optimizer, seed=cfg.seed, log_every=args.log_every)
-    mesh, dofs, sys_mats = _problem(cfg)
-    rs = reduce_system(sys_mats, dofs, cfg.dt, 1.0)
+    rs = _reduced(cfg, mesh, dofs, cfg.dt)
 
     if args.samples:
         samples = load_sample_set(args.samples)
@@ -273,50 +275,41 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.folmodel")
     write_csv(out / "loss_history.csv", ["epoch", "mean_loss"], [range(len(record)), record])
-    _write_manifest(out, "train", cfg, {"seed": cfg.seed, "dt": repr(cfg.dt),
-                                        "final_loss": repr(float(record[-1]))})
+    _write_manifest(out, "train", cfg, {"seed": cfg.seed, "final_loss": repr(float(record[-1]))},
+                    cfg.dt)
     print(f"wrote {out}/model.folmodel ({cfg.arch}, {cfg.activation}); "
           f"final mean loss {record[-1]:.6e}")
     return 0
 
 
 def cmd_predict(args) -> int:
-    from .config import load_run_config
     from .evaluation import rollout
-    from .mesh import build_dof_map
     from .fe_solver import Trajectory, save_trajectory
     from .neural import load_model
 
-    cfg = load_run_config(args.config)
-    mesh = cfg.build_mesh()
-    dofs = build_dof_map(mesh, cfg.dirichlet())
+    cfg, mesh, dofs = _problem(args)
     model = load_model(args.checkpoint, dofs)
     t0 = _initial_field(args.init, mesh, dofs)
     result = rollout(model, dofs, t0, args.steps)
     out = Path(args.out)
-    save_trajectory(out, mesh, Trajectory(result.trajectory, model.dt))
-    _write_manifest(out, "predict", cfg,
-                    {"dt": repr(float(model.dt)), "steps": args.steps, "init": args.init})
+    save_trajectory(out, mesh, Trajectory(result.trajectory))
+    _write_manifest(out, "predict", cfg, {"steps": args.steps, "init": args.init}, model.dt)
     print(f"wrote {out}: {len(result.trajectory)} fields (dt {model.dt})")
     return 0
 
 
 def cmd_solve_fem(args) -> int:
-    from .fem import reduce_system
-    from .config import load_run_config
     from .fe_solver import save_trajectory, solve_transient
 
-    cfg = load_run_config(args.config)
-    mesh, dofs, sys_mats = _problem(cfg)
+    cfg, mesh, dofs = _problem(args)
     dt = args.dt if args.dt is not None else cfg.dt
-    rs = reduce_system(sys_mats, dofs, dt, args.alpha)
+    rs = _reduced(cfg, mesh, dofs, dt, args.alpha)
     t0 = _initial_field(args.init, mesh, dofs)
     traj = solve_transient(rs, dofs, t0, args.steps)
     out = Path(args.out)
     save_trajectory(out, mesh, traj)
     _write_manifest(out, "solve-fem", cfg,
-                    {"dt": repr(float(dt)), "steps": args.steps, "alpha": args.alpha,
-                     "init": args.init})
+                    {"steps": args.steps, "alpha": args.alpha, "init": args.init}, dt)
     print(f"wrote {out}: {len(traj.fields)} fields (dt {dt}, alpha {args.alpha})")
     return 0
 
@@ -329,18 +322,22 @@ def cmd_evaluate(args) -> int:
     from .textio import write_csv
 
     pred_dir, ref_dir = Path(args.pred), Path(args.ref)
-    pred_dt, ref_dt = _manifest_dt(pred_dir), _manifest_dt(ref_dir)
-    if None not in (pred_dt, ref_dt) and pred_dt != ref_dt:
-        raise ValidationError(f"{pred_dir} was saved at dt {pred_dt!r} and {ref_dir} at dt "
-                              f"{ref_dt!r}; their steps are different times")
-    dt = args.dt if args.dt is not None else pred_dt or ref_dt
-    if dt is None:
+    # every dt on record must agree, and there must be one
+    on_record = [(name, value) for name, value in ((pred_dir, _manifest_dt(pred_dir)),
+                                                   (ref_dir, _manifest_dt(ref_dir)),
+                                                   ("--dt", args.dt)) if value is not None]
+    if not on_record:
         raise ValidationError(
             f"no dt: pass --dt, or evaluate directories with a manifest.txt giving dt "
             f"({pred_dir}, {ref_dir} have none)"
         )
-    pred = load_trajectory(pred_dir, dt)
-    ref = load_trajectory(ref_dir, dt)
+    (first, dt), *others = on_record
+    for name, other in others:
+        if other != dt:
+            raise ValidationError(f"{first} was saved at dt {dt!r} and {name} at dt "
+                                  f"{other!r}; their steps are different times")
+    pred = load_trajectory(pred_dir)
+    ref = load_trajectory(ref_dir)
     if len(pred.fields) != len(ref.fields):
         raise ValidationError(
             f"step-count mismatch: {len(pred.fields)} predicted vs {len(ref.fields)} reference"
@@ -365,15 +362,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    from .fem import reduce_system
-    from .config import load_run_config
     from .evaluation import benchmark_speed
     from .neural import load_model
 
-    cfg = load_run_config(args.config)
-    mesh, dofs, sys_mats = _problem(cfg)
+    cfg, mesh, dofs = _problem(args)
     model = load_model(args.checkpoint, dofs)
-    rs = reduce_system(sys_mats, dofs, model.dt, 1.0)
+    rs = _reduced(cfg, mesh, dofs, model.dt)
     t0 = _initial_field(args.init, mesh, dofs)
     res = benchmark_speed(model, rs, dofs, t0, n_steps=args.steps, repeats=args.repeats)
     threads = os.environ.get("OMP_NUM_THREADS", "unset")
@@ -402,7 +396,7 @@ def cmd_postprocess(args) -> int:
     from .textio import write_csv
 
     cfg = load_run_config(args.config)
-    mesh = cfg.build_mesh()
+    mesh = cfg.build_mesh()  # no dof map: postprocess needs no Dirichlet tags
     k = cfg.conductivity(mesh)
     field = load_field(args.field, mesh)
 

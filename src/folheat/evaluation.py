@@ -34,7 +34,6 @@ class RolloutResult:
     """Autoregressive prediction; trajectory[0] is the initial full field."""
 
     trajectory: list[np.ndarray]
-    dt: float
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ def rollout(model: ModelBundle, dofs: DofMap, t0: np.ndarray, n_steps: int) -> R
     for _ in range(n_steps):
         free = neural.forward_batch(model, free[None, :])[0]
         fields.append(dofs.merge(free))
-    return RolloutResult(fields, model.dt)
+    return RolloutResult(fields)
 
 
 def relative_l2(t_nn: np.ndarray, t_fe: np.ndarray) -> float:

@@ -29,7 +29,6 @@ class Trajectory:
     """Time series of full nodal fields; fields[0] is the initial condition."""
 
     fields: list[np.ndarray]
-    dt: float
     nodes: list[np.ndarray] | None = None  # each step's node x, y, when read from files
 
 
@@ -98,7 +97,7 @@ def solve_transient(rs: ReducedSystem, dofs: DofMap, t0: np.ndarray, n_steps: in
     fields = [np.array(t0, dtype=np.float64)]
     for _ in range(n_steps):
         fields.append(step_fe(rs, dofs, fields[-1]))
-    return Trajectory(fields, rs.dt)
+    return Trajectory(fields)
 
 
 def steady_state(sys: SystemMatrices, dofs: DofMap) -> np.ndarray:
@@ -164,7 +163,7 @@ def save_trajectory(out_dir, mesh: Mesh, traj: Trajectory) -> None:
                      [range(mesh.n_nodes), *mesh.nodes.T], fields)
 
 
-def load_trajectory(in_dir, dt: float, mesh: Mesh | None = None) -> Trajectory:
+def load_trajectory(in_dir, mesh: Mesh | None = None) -> Trajectory:
     in_path = Path(in_dir)
     fields, nodes = [], []
     while (in_path / step_filename(len(fields))).exists():
@@ -173,4 +172,4 @@ def load_trajectory(in_dir, dt: float, mesh: Mesh | None = None) -> Trajectory:
         nodes.append(xy)
     if not fields:
         raise ValidationError(f"no step_*.csv files found in {in_path}")
-    return Trajectory(fields, dt, nodes)
+    return Trajectory(fields, nodes)

@@ -498,6 +498,20 @@ class TestEvaluate:
                 f"error: {dirs[0]} was saved at dt 0.05 and {dirs[1]} at dt 0.5; "
                 "their steps are different times\n")
         assert not (tmp_path / "e.csv").exists()
+        # a --dt that disagrees with the one manifest on record is refused too
+        ref, bare = tmp_path / "ref", tmp_path / "bare"
+        assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:sin10y",
+                   "--steps", 2, "--dt", "0.05", "--out", ref) == 0
+        shutil.copytree(ref, bare, ignore=shutil.ignore_patterns("manifest.txt"))
+        capsys.readouterr()
+        assert run("evaluate", "--pred", bare, "--ref", ref, "--dt", 0.5,
+                   "--out", tmp_path / "e.csv") == 1
+        assert capsys.readouterr().err == (
+            f"error: {ref} was saved at dt 0.05 and --dt at dt 0.5; "
+            "their steps are different times\n")
+        assert not (tmp_path / "e.csv").exists()
+        assert run("evaluate", "--pred", bare, "--ref", ref, "--dt", 0.05,
+                   "--out", tmp_path / "e.csv") == 0
 
     @pytest.mark.parametrize("dt", ["abc", "nan", "-1", "inf"])
     def test_bad_manifest_dt_is_validation_error(self, two_dirs, capsys, dt):
@@ -676,6 +690,22 @@ class TestManifest:
                   for line in (tmp_path / name / "manifest.txt").read_text().splitlines()
                   if line.startswith("build ")]
         assert len(builds) == 2 and builds[0] == builds[1]
+
+    def test_dt_line_is_the_step_the_command_used(self, tmp_path, smoke_cfg):
+        def manifest_dt(out):
+            return [line for line in (out / "manifest.txt").read_text().splitlines()
+                    if line.startswith("dt ")]
+
+        assert run("train", "--config", smoke_cfg, "--out", tmp_path / "run", "--log-every", 0) == 0
+        assert manifest_dt(tmp_path / "run") == ["dt 0.05"]
+        assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:const05",
+                   "--steps", 1, "--dt", 0.1, "--out", tmp_path / "fe") == 0
+        assert manifest_dt(tmp_path / "fe") == ["dt 0.1"]
+        other = tmp_path / "other.cfg"
+        other.write_text(SMOKE_CONFIG.replace("[train]\n", "[train]\ndt = 0.2\n"))
+        assert run("predict", "--config", other, "--checkpoint", tmp_path / "run" / "model.folmodel",
+                   "--init", "canonical:const05", "--steps", 1, "--out", tmp_path / "pred") == 0
+        assert manifest_dt(tmp_path / "pred") == ["dt 0.05"]
 
 
 class TestConfig:

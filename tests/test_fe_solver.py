@@ -228,14 +228,14 @@ class TestFieldIO:
         rng = np.random.default_rng(9)
         values = rng.uniform(-1, 2, mesh.n_nodes)
         path = tmp_path / step_filename(0)
-        save_trajectory(tmp_path, mesh, Trajectory([values], 0.05))
+        save_trajectory(tmp_path, mesh, Trajectory([values]))
         assert np.array_equal(load_field(path, mesh), values)
 
     def test_field_of_another_mesh_refused(self, tmp_path, grid11):
         mesh, _ = grid11
         wide = build_structured_grid(11, 11, 2.0, 1.0)  # same node count, other coordinates
         path = tmp_path / step_filename(0)
-        save_trajectory(tmp_path, wide, Trajectory([np.zeros(wide.n_nodes)], 0.05))
+        save_trajectory(tmp_path, wide, Trajectory([np.zeros(wide.n_nodes)]))
         assert load_field(path).shape == (mesh.n_nodes,)
         with pytest.raises(ValidationError, match=f"{path} line 3: node 1 lies at"):
             load_field(path, mesh)
@@ -244,14 +244,14 @@ class TestFieldIO:
         mesh, dofs, _, rs = reduced11
         traj = solve_transient(rs, dofs, np.full(dofs.n_nodes, 0.5), 3)
         save_trajectory(tmp_path / "traj", mesh, traj)
-        back = load_trajectory(tmp_path / "traj", rs.dt, mesh)
+        back = load_trajectory(tmp_path / "traj", mesh)
         assert len(back.fields) == 4
         for a, b in zip(traj.fields, back.fields):
             assert np.array_equal(a, b)
 
     def test_missing_dir(self, tmp_path):
         with pytest.raises(ValidationError):
-            load_trajectory(tmp_path / "nope", 0.05)
+            load_trajectory(tmp_path / "nope")
 
 
 def rowwise_save_trajectory(out_dir, mesh, traj):
@@ -307,7 +307,7 @@ class TestTrajectoryBytes:
                   0.1 + 0.2, 1 / 3, -1e300]
         fields = [np.resize(np.roll(values, shift), mesh.n_nodes) for shift in range(3)]
         fields.append(np.arange(mesh.n_nodes))  # integers are written as floats
-        self.assert_same_bytes(tmp_path, mesh, Trajectory(fields, 0.05))
+        self.assert_same_bytes(tmp_path, mesh, Trajectory(fields))
         text = (tmp_path / "new" / step_filename(0)).read_text().splitlines()
         assert text[1:5] == ["0,0.0,0.0,-0.0", "1,0.1,0.0,0.0", "2,0.2,0.0,1e-300",
                              "3,0.30000000000000004,0.0,5e-324"]
@@ -315,12 +315,12 @@ class TestTrajectoryBytes:
 
     def test_empty_trajectory_writes_no_file(self, tmp_path, grid11):
         mesh, _ = grid11
-        save_trajectory(tmp_path / "t", mesh, Trajectory([], 0.05))
+        save_trajectory(tmp_path / "t", mesh, Trajectory([]))
         assert list((tmp_path / "t").iterdir()) == []
 
     def test_wrong_shape_refused_before_writing(self, tmp_path, grid11):
         mesh, _ = grid11
-        traj = Trajectory([np.zeros(mesh.n_nodes), np.zeros(3)], 0.05)
+        traj = Trajectory([np.zeros(mesh.n_nodes), np.zeros(3)])
         with pytest.raises(ValidationError, match=r"field shape \(3,\) does not match mesh \(121\)"):
             save_trajectory(tmp_path / "t", mesh, traj)
         assert not (tmp_path / "t").exists()
