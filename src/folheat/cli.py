@@ -77,10 +77,6 @@ def _build_parser() -> _Parser:
 
     q = sub.add_parser("gen-samples", help="generate the training sample set")
     q.add_argument("--config", default=None)
-    q.add_argument("--fourier", type=_INT, default=None)
-    q.add_argument("--gaussian", type=_INT, default=None)
-    q.add_argument("--constant", type=_INT, default=None)
-    q.add_argument("--seed", type=_INT, default=None)
     q.add_argument("--out", required=True)
 
     q = sub.add_parser("train", help="train a model per the config")
@@ -232,13 +228,9 @@ def cmd_gen_samples(args) -> int:
     from .sampling import build_sample_set, save_sample_set
 
     cfg, mesh, dofs = _problem(args)
-    counts = list(cfg.sample_counts())
-    for i, override in enumerate((args.fourier, args.gaussian, args.constant)):
-        if override is not None:
-            counts[i] = override
-    seed = cfg.seed if args.seed is None else args.seed
+    counts, seed = cfg.sample_counts(), cfg.seed
     fp = cfg.fourier_params()
-    ss = build_sample_set(tuple(counts), fp, mesh, dofs, seed)
+    ss = build_sample_set(counts, fp, mesh, dofs, seed)
     out = Path(args.out)
     save_sample_set(out, ss, fp)
     _write_manifest(out, "gen-samples", cfg, {"seed": seed, "counts": "/".join(map(str, counts))})
@@ -411,7 +403,7 @@ def cmd_postprocess(args) -> int:
     sections = {f"section_{axis}_{value}.csv": cross_section(mesh, field, axis, value)
                 for axis, value in requests}
     flux = heat_flux(mesh, k, field)
-    grid = upsample_field(mesh, field, args.upsample, args.upsample, fill=math.nan)
+    grid = upsample_field(mesh, field, args.upsample, args.upsample)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -421,7 +413,8 @@ def cmd_postprocess(args) -> int:
         write_csv(out / name, ["coord", "value"], sec.T)
     write_csv(out / "upsampled.csv", None, grid.T)
     write_pgm(out / "upsampled.pgm", grid)
-    _write_manifest(out, "postprocess", cfg, {"field": args.field})
+    _write_manifest(out, "postprocess", cfg,
+                    {"field": args.field, "sections": args.sections, "upsample": args.upsample})
     print(f"wrote {out}: flux.csv, section CSVs, upsampled.csv/.pgm")
     return 0
 

@@ -187,14 +187,14 @@ def _invert_bilinear(coords: np.ndarray, p: np.ndarray, tol: float = 1e-12):
     return ~dropped & inside, np.clip(xi, -1.0, 1.0)
 
 
-def upsample_field(mesh: Mesh, field: np.ndarray, rx: int, ry: int, fill: float | None = None) -> np.ndarray:
+def upsample_field(mesh: Mesh, field: np.ndarray, rx: int, ry: int) -> np.ndarray:
     """Resample onto an rx-by-ry grid over the mesh bounding box.
 
     Row i is the i-th y level (ascending), column j the j-th x position.
     Each element is tried at the grid points inside its bounding box,
     widened by 1e-6 of its extent. A point on several elements takes the
     lowest-numbered element that accepts it. Query points outside the mesh
-    raise unless `fill` is given.
+    are NaN.
     """
     field = np.asarray(field, dtype=np.float64)
     if field.shape != (mesh.n_nodes,):
@@ -213,7 +213,7 @@ def upsample_field(mesh: Mesh, field: np.ndarray, rx: int, ry: int, fill: float 
     nrow = np.searchsorted(ys, box_hi[:, 1], "right") - row0
     counts = ncol * nrow  # (element, point) pairs of each element
 
-    out = np.full(rx * ry, np.nan if fill is None else fill, dtype=np.float64)
+    out = np.full(rx * ry, np.nan)
     done = np.zeros(rx * ry, dtype=bool)
     # runs of whole elements in element order, a run starting every UPSAMPLE_PAIRS pairs
     starts = np.searchsorted(np.cumsum(counts) - counts, np.arange(0, counts.sum(), UPSAMPLE_PAIRS))
@@ -232,9 +232,6 @@ def upsample_field(mesh: Mesh, field: np.ndarray, rx: int, ry: int, fill: float 
         n = shape_values(xi[pick, 0], xi[pick, 1])
         out[found] = np.einsum("pi,pi->p", n, field[nodes[pick]])
         done[found] = True
-    if fill is None and not done.all():
-        i = np.flatnonzero(~done)[0]
-        raise ValidationError(f"point ({xs[i % rx]}, {ys[i // rx]}) lies outside the mesh")
     return out.reshape(ry, rx)
 
 

@@ -110,7 +110,7 @@ def steady_state(sys: SystemMatrices, dofs: DofMap) -> np.ndarray:
     return dofs.merge(t_free)
 
 
-def load_field(path_or_file, mesh: Mesh | None = None) -> np.ndarray:
+def load_field(path, mesh: Mesh | None = None) -> np.ndarray:
     """Read a `node_id,x,y,T` CSV back into a nodal array.
 
     A malformed row or a non-finite T is a ValidationError naming the source
@@ -118,13 +118,13 @@ def load_field(path_or_file, mesh: Mesh | None = None) -> np.ndarray:
     coordinates (to 1e-12 of the mesh extent): the field was saved for
     another mesh.
     """
-    return _read_field(path_or_file, mesh)[0]
+    return _read_field(path, mesh)[0]
 
 
-def _read_field(path_or_file, mesh: Mesh | None):
+def _read_field(path, mesh: Mesh | None):
     """(T, x y) of a field CSV, checked as load_field describes."""
     columns = ["node_id", "x", "y", "T"]
-    source, values, lines = read_nodal_csv(path_or_file, columns, None if mesh is None else mesh.n_nodes)
+    source, values, lines = read_nodal_csv(path, columns, None if mesh is None else mesh.n_nodes)
     bad = ~np.isfinite(values[:, 2])
     if bad.any():
         raise ValidationError(f"{source} line {lines[bad].min()}: T must be finite")
@@ -152,7 +152,9 @@ def step_filename(i: int) -> str:
 
 
 def save_trajectory(out_dir, mesh: Mesh, traj: Trajectory) -> None:
-    """Write field i of traj as out_dir/step_<i>.csv, in `node_id,x,y,T` rows."""
+    """Write field i of traj as out_dir/step_<i>.csv, in `node_id,x,y,T` rows,
+    then remove the step files of an earlier, longer run that load_trajectory
+    would read on past the last field."""
     fields = [np.asarray(values, dtype=np.float64) for values in traj.fields]
     for values in fields:
         if values.shape != (mesh.n_nodes,):
@@ -161,6 +163,10 @@ def save_trajectory(out_dir, mesh: Mesh, traj: Trajectory) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_csv_series([out / step_filename(i) for i in range(len(fields))], ["node_id", "x", "y", "T"],
                      [range(mesh.n_nodes), *mesh.nodes.T], fields)
+    i = len(fields)
+    while (out / step_filename(i)).exists():
+        (out / step_filename(i)).unlink()
+        i += 1
 
 
 def load_trajectory(in_dir, mesh: Mesh | None = None) -> Trajectory:

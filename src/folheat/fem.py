@@ -107,10 +107,6 @@ class ReducedSystem:
     dt: float
     alpha: float
 
-    @property
-    def n_free(self) -> int:
-        return self.A_ff.shape[0]
-
 
 def gauss_rule_2x2() -> QuadratureRule:
     """Tensor 2x2 Gauss rule on [-1, 1]^2 (exact through cubic per axis)."""
@@ -241,13 +237,13 @@ def reduce_system(sys: SystemMatrices, dofs: DofMap, dt: float, alpha: float) ->
     return ReducedSystem(a_ff, b_ff, rhs_const, float(dt), float(alpha))
 
 
-def load_conductivity(path_or_file, n_nodes: int | None = None) -> ConductivityField:
+def load_conductivity(path, n_nodes: int | None = None) -> ConductivityField:
     """Read the `node_id,k` CSV; rows must cover ids 0..n-1 exactly once.
 
     A malformed row or a non-finite or non-positive k is a ValidationError
     naming the source and line.
     """
-    source, values, lines = read_nodal_csv(path_or_file, ["node_id", "k"], n_nodes)
+    source, values, lines = read_nodal_csv(path, ["node_id", "k"], n_nodes)
     k = values[:, 0]
     bad = ~(np.isfinite(k) & (k > 0))
     if bad.any():

@@ -275,35 +275,3 @@ def load_mesh(text: str) -> Mesh:
     if diags:
         raise ValidationError("invalid mesh:\n  " + "\n  ".join(diags))
     return mesh
-
-
-def demo_irregular_mesh(nr: int = 7, narc: int = 13) -> Mesh:
-    """Hand-built unstructured demo domain: a quarter annulus of general quads.
-
-    Radial spacing is mildly graded so no two quads are congruent; boundary
-    tags are "inner", "outer", "start" (y = 0 edge), "end" (x = 0 edge).
-    """
-    if nr < 2 or narc < 2:
-        raise ValidationError("demo mesh needs nr >= 2 and narc >= 2")
-    r0, r1 = 0.45, 1.0
-    # grading pushes nodes toward the inner arc
-    s = np.linspace(0.0, 1.0, nr) ** 1.2
-    radii = r0 + (r1 - r0) * s
-    thetas = np.linspace(0.0, np.pi / 2.0, narc)
-    nodes = np.zeros((nr * narc, 2))
-    for j, r in enumerate(radii):
-        for i, t in enumerate(thetas):
-            nodes[j * narc + i] = (r * np.cos(t), r * np.sin(t))
-    ix, iy = np.meshgrid(np.arange(narc - 1), np.arange(nr - 1), indexing="xy")
-    n0 = (iy * narc + ix).ravel()
-    # radius runs first in each quad: the polar map flips orientation, so the
-    # grid-style ordering would come out clockwise
-    elems = np.column_stack([n0, n0 + narc, n0 + narc + 1, n0 + 1])
-    ids = np.arange(nr * narc).reshape(nr, narc)
-    boundary_sets = {
-        "inner": ids[0, :],
-        "outer": ids[-1, :],
-        "start": ids[:, 0],
-        "end": ids[:, -1],
-    }
-    return Mesh(nodes, elems, boundary_sets)

@@ -212,7 +212,7 @@ def write_csv_series(paths, header: list[str] | None, shared, varying) -> None:
         Path(path).write_text(text, newline="\n")  # no os.linesep translation
 
 
-def read_nodal_csv(path_or_file, columns: list[str], n_nodes: int | None = None):
+def read_nodal_csv(path, columns: list[str], n_nodes: int | None = None):
     """Read a CSV whose header starts with `columns`, the first being node_id.
 
     Returns (source, values, lines): the other columns as floats in node
@@ -222,12 +222,7 @@ def read_nodal_csv(path_or_file, columns: list[str], n_nodes: int | None = None)
     field longer than ``csv.field_size_limit()`` is a ValidationError naming
     the source and, for a row, its line.
     """
-    if hasattr(path_or_file, "read"):
-        source = getattr(path_or_file, "name", "CSV stream")
-        with decoding(source):
-            text = path_or_file.read()
-    else:
-        source, text = str(path_or_file), read_text(path_or_file)
+    source, text = str(path), read_text(path)
     reader, rows = csv.reader(io.StringIO(text)), []
     try:
         header = next(reader, None)

@@ -155,9 +155,10 @@ class LbfgsState:
 
 ARMIJO_C = 1e-4
 LINE_SEARCH_TRIALS = 20
+LBFGS_HISTORY = 10  # curvature pairs an L-BFGS step keeps
 
 
-def lbfgs_step(params: np.ndarray, grad_fn, state: LbfgsState, m: int = 10):
+def lbfgs_step(params: np.ndarray, grad_fn, state: LbfgsState):
     """One L-BFGS step: two-loop recursion plus backtracking Armijo search.
 
     grad_fn(params) must return (loss, gradient). Pairs with non-positive
@@ -209,7 +210,7 @@ def lbfgs_step(params: np.ndarray, grad_fn, state: LbfgsState, m: int = 10):
             if float(s_new @ y_new) > 0:  # curvature guard
                 new_state.s_pairs.append(s_new)
                 new_state.y_pairs.append(y_new)
-                if len(new_state.s_pairs) > m:
+                if len(new_state.s_pairs) > LBFGS_HISTORY:
                     new_state.s_pairs.pop(0)
                     new_state.y_pairs.pop(0)
             return trial, new_state

@@ -2,6 +2,7 @@
 and bitwise-reproducibility tests behave the same on any box."""
 
 import os
+from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -9,9 +10,17 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import pytest  # noqa: E402
 
 from folheat.fem import ConductivityField, MaterialParams, assemble, reduce_system  # noqa: E402
-from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid  # noqa: E402
+from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid, load_mesh  # noqa: E402
 
 LEFT_RIGHT = DirichletSpec({"left": 1.0, "right": 0.0})
+IRREGULAR_MESH = Path(__file__).resolve().parent.parent / "data" / "irregular.folmesh"
+
+
+@pytest.fixture(scope="session")
+def irregular_mesh():
+    """The shipped unstructured domain: a quarter annulus of radii 0.45 and 1,
+    7 graded rings of 13 nodes (72 general quads), tagged inner/outer/start/end."""
+    return load_mesh(IRREGULAR_MESH.read_text())
 
 @pytest.fixture(scope="session")
 def grid11():

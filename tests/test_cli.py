@@ -97,14 +97,23 @@ class TestGenMesh:
 
 
 class TestGenSamples:
-    def test_counts_and_metadata(self, tmp_path, smoke_cfg):
+    def test_counts_and_metadata(self, tmp_path):
+        cfg = tmp_path / "gaussian.cfg"
+        cfg.write_text(SMOKE_CONFIG.replace("fourier = 6\ngaussian = 6\nconstant = 2",
+                                            "fourier = 0\ngaussian = 10\nconstant = 0"))
         out = tmp_path / "samples"
-        assert run("gen-samples", "--config", smoke_cfg, "--fourier", 0,
-                   "--gaussian", 10, "--constant", 0, "--out", out) == 0
+        assert run("gen-samples", "--config", cfg, "--out", out) == 0
         samples = np.load(out / "samples.npy")
         assert samples.shape == (10, 3)
         assert (out / "samples.json").exists()
-        assert (out / "manifest.txt").exists()
+        assert {"seed 9", "counts 0/10/0"} <= set((out / "manifest.txt").read_text().splitlines())
+
+    @pytest.mark.parametrize("flag", ["--fourier", "--gaussian", "--constant", "--seed"])
+    def test_config_keys_are_no_flags(self, tmp_path, smoke_cfg, capsys, flag):
+        out = tmp_path / "samples"
+        assert run("gen-samples", "--config", smoke_cfg, flag, 3, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} 3\n"
+        assert not out.exists()
 
     def test_seed_reproducibility_bytes(self, tmp_path, smoke_cfg):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -246,6 +255,22 @@ class TestPredictAndSolve:
         assert run("predict", "--config", smoke_cfg, "--checkpoint", trained,
                    "--init", "canonical:sin10y", "--steps", 10, "--out", out) == 0
         assert len(list(out.glob("step_*.csv"))) == 11
+
+    @pytest.mark.parametrize("command", ["solve-fem", "predict"])
+    def test_shorter_rerun_removes_stale_steps(self, tmp_path, smoke_cfg, trained, capsys, command):
+        """A 3-step run into the directory of a 6-step one leaves 4 step files,
+        so evaluate sees 4 fields, not the earlier run's 7."""
+        ref, out = tmp_path / "ref", tmp_path / "out"
+        assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:sin10y",
+                   "--steps", 6, "--out", ref) == 0
+        source = ["--checkpoint", trained] if command == "predict" else []
+        for steps in (6, 3):
+            assert run(command, "--config", smoke_cfg, *source, "--init", "canonical:sin10y",
+                       "--steps", steps, "--out", out) == 0
+        assert sorted(p.name for p in out.glob("step_*.csv")) == [step_filename(i) for i in range(4)]
+        capsys.readouterr()
+        assert run("evaluate", "--pred", out, "--ref", ref, "--out", tmp_path / "e.csv") == 1
+        assert capsys.readouterr().err == "error: step-count mismatch: 4 predicted vs 7 reference\n"
 
     def test_predict_zero_steps(self, tmp_path, smoke_cfg, trained):
         out = tmp_path / "pred0"
@@ -557,6 +582,15 @@ class TestPostprocess:
         grid = upsample_field(mesh, load_field(ref / "step_0001.csv", mesh), 9, 9)
         assert np.array_equal(np.loadtxt(out / "upsampled.csv", delimiter=","), grid)
 
+    def test_manifest_records_the_request(self, tmp_path, smoke_cfg):
+        ref = tmp_path / "ref"
+        run("solve-fem", "--config", smoke_cfg, "--init", "canonical:sin10y", "--steps", 0, "--out", ref)
+        out, field = tmp_path / "post", ref / "step_0000.csv"
+        assert run("postprocess", "--config", smoke_cfg, "--field", field, "--sections", "x=0.25, y=0.5",
+                   "--upsample", 9, "--out", out) == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert [f"field {field}", "sections x=0.25, y=0.5", "upsample 9"] == lines[4:7]
+
     @pytest.mark.parametrize("bad", ["id:x", "T:abc", "T:nan", "T:-inf", "id:1", "x:abc", "y:0.7"])
     def test_bad_field_value_is_validation_error(self, tmp_path, smoke_cfg, capsys, bad):
         ref = tmp_path / "ref"
@@ -768,8 +802,8 @@ class TestConfig:
         assert run("postprocess", "--config", cfg, "--field", ref / "step_0003.csv",
                    "--upsample", n, "--out", post) == 0
         mesh = load_run_config(cfg).build_mesh()
-        placed = upsample_field(mesh, load_field(ref / "step_0003.csv", mesh), n, n, fill=np.inf)
-        off = np.isinf(placed)
+        placed = upsample_field(mesh, load_field(ref / "step_0003.csv", mesh), n, n)
+        off = np.isnan(placed)
         assert off[0, 0] and not off[0, -1] and 0 < off.sum() < n * n
         grid = np.loadtxt(post / "upsampled.csv", delimiter=",")
         assert np.array_equal(np.isnan(grid), off)

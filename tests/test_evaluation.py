@@ -1,5 +1,4 @@
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,12 +31,8 @@ from folheat.mesh import (
     Mesh,
     build_dof_map,
     build_structured_grid,
-    demo_irregular_mesh,
-    load_mesh,
 )
 from folheat.neural import init_model
-
-DATA_MESH = Path(__file__).resolve().parent.parent / "data" / "irregular.folmesh"
 
 
 class TestRollout:
@@ -151,11 +146,10 @@ class TestHeatFlux:
         assert np.abs(np.diff(totals)).max() < 1e-6
 
     @pytest.mark.parametrize("mesh_name", ["inclusions81", "irregular"])
-    def test_matches_add_at_scatter_bitwise(self, mesh_name):
+    def test_matches_add_at_scatter_bitwise(self, irregular_mesh, mesh_name):
         """The nodal sums add each element's mean in element order, as the
         np.add.at scatter they replaced did."""
-        mesh = (build_structured_grid(81, 81, 1.0, 1.0) if mesh_name == "inclusions81"
-                else load_mesh(DATA_MESH.read_text()))
+        mesh = build_structured_grid(81, 81, 1.0, 1.0) if mesh_name == "inclusions81" else irregular_mesh
         k = ConductivityField.inclusions(mesh)
         t = np.random.default_rng(4).uniform(-1.0, 1.0, mesh.n_nodes)
         coords, t_e, k_e = mesh.nodes[mesh.elems], t[mesh.elems], k.values[mesh.elems]
@@ -202,8 +196,8 @@ class TestCrossSection:
         with pytest.raises(ValidationError, match="outside"):
             cross_section(mesh, mesh.nodes[:, 0], "y", float("nan"))
 
-    def test_irregular_mesh_section(self):
-        mesh = demo_irregular_mesh()
+    def test_irregular_mesh_section(self, irregular_mesh):
+        mesh = irregular_mesh
         field = mesh.nodes[:, 0]
         sec = cross_section(mesh, field, "y", 0.6)
         assert sec.shape[0] > 2
@@ -233,12 +227,12 @@ def loop_cross_section(mesh, field, axis, value, tol=1e-9):
 
 
 @pytest.mark.parametrize("mesh_name", ["inclusions", "irregular"])
-def test_cross_section_matches_edge_loop_bitwise(mesh_name):
+def test_cross_section_matches_edge_loop_bitwise(irregular_mesh, mesh_name):
     if mesh_name == "inclusions":
         mesh = build_structured_grid(41, 41, 1.0, 1.0)
         fields = [ConductivityField.inclusions(mesh).values]
     else:
-        mesh = demo_irregular_mesh()
+        mesh = irregular_mesh
         fields = []
     # a rough field: edges shared by two elements interpolate it in opposite
     # directions, so duplicate points can differ in their last bits
@@ -271,20 +265,17 @@ class TestUpsample:
         xs = np.linspace(0, 1, 165)
         assert np.abs(grid - (1.0 - xs)[None, :]).max() < 1e-12
 
-    def test_outside_point_raises_and_fill_works(self):
-        mesh = demo_irregular_mesh()
+    def test_outside_point_raises_and_fill_works(self, irregular_mesh):
+        mesh = irregular_mesh
         field = mesh.nodes[:, 0]
-        with pytest.raises(ValidationError, match="outside"):
-            upsample_field(mesh, field, 20, 20)
-        grid = upsample_field(mesh, field, 20, 20, fill=np.nan)
+        grid = upsample_field(mesh, field, 20, 20)
         assert np.isnan(grid).any()
         assert np.isfinite(grid).any()
 
-    def test_linear_field_exact_on_annulus(self):
-        mesh = demo_irregular_mesh()  # quarter annulus, radii 0.45 and 1, 12 arcs
+    def test_linear_field_exact_on_annulus(self, irregular_mesh):
+        mesh = irregular_mesh  # quarter annulus, radii 0.45 and 1, 12 arcs
         a, b, c = 0.3, 1.7, -0.9
-        grid = upsample_field(mesh, a + b * mesh.nodes[:, 0] + c * mesh.nodes[:, 1], 97, 89,
-                              fill=np.nan)
+        grid = upsample_field(mesh, a + b * mesh.nodes[:, 0] + c * mesh.nodes[:, 1], 97, 89)
         xx, yy = np.meshgrid(np.linspace(0, 1, 97), np.linspace(0, 1, 89))
         inside = np.isfinite(grid)
         assert 0 < inside.sum() < grid.size
@@ -296,11 +287,12 @@ class TestUpsample:
         assert np.all((r[inside] >= 0.45 * chord - 1e-12) & (r[inside] <= 1.0 + 1e-12))
 
 
-def bucket_upsample_field(mesh, field, rx, ry, fill=None):
+def bucket_upsample_field(mesh, field, rx, ry):
     """The bucket-grid locator upsample_field replaced, kept as the bitwise
     reference: elements are binned by bounding box into sqrt(n_elems)^2
     uniform buckets, and each block of 1024 points runs Newton on every
-    element of its buckets, lowest-numbered accepted element first."""
+    element of its buckets, lowest-numbered accepted element first; a point
+    no element accepts is NaN."""
     field = np.asarray(field, dtype=np.float64)
     if field.shape != (mesh.n_nodes,):
         raise ValidationError(f"field shape {field.shape} does not match mesh")
@@ -344,7 +336,7 @@ def bucket_upsample_field(mesh, field, rx, ry, fill=None):
 
     xx, yy = np.meshgrid(np.linspace(lo[0], hi[0], rx), np.linspace(lo[1], hi[1], ry))
     queries = np.column_stack([xx.ravel(), yy.ravel()])
-    out = np.full(queries.shape[0], np.nan if fill is None else fill, dtype=np.float64)
+    out = np.full(queries.shape[0], np.nan)
     for q0 in range(0, queries.shape[0], 1024):
         q = queries[q0:q0 + 1024]
         bucket = bucket_of(q) @ np.array([nb, 1])
@@ -354,9 +346,6 @@ def bucket_upsample_field(mesh, field, rx, ry, fill=None):
         hit = np.flatnonzero(accepted)
         found, first = np.unique(owner[hit], return_index=True)
         pick = hit[first]
-        if fill is None and found.size < q.shape[0]:
-            x, y = q[np.setdiff1d(np.arange(q.shape[0]), found)[0]]
-            raise ValidationError(f"point ({x}, {y}) lies outside the mesh")
         n = shape_values(xi[pick, 0], xi[pick, 1])
         out[q0 + found] = np.einsum("pi,pi->p", n, field[mesh.elems[elem[pick]]])
     return out.reshape(ry, rx)
@@ -372,33 +361,26 @@ def jittered_grid(n: int, seed: int) -> Mesh:
     return Mesh(nodes, mesh.elems, mesh.boundary_sets)
 
 
-@pytest.mark.parametrize("name, rx, ry, fill", [
-    ("grid81", 165, 165, None),
-    ("grid11x5", 300, 7, None),
-    ("grid11x5", 2, 2, None),
-    ("irregular", 60, 50, None),
-    ("irregular", 60, 50, np.nan),
-    ("irregular", 97, 89, -1.0),
-    ("jittered81", 165, 165, None),
+@pytest.mark.parametrize("name, rx, ry", [
+    ("grid81", 165, 165),
+    ("grid11x5", 300, 7),
+    ("grid11x5", 2, 2),
+    ("irregular", 60, 50),
+    ("irregular", 97, 89),
+    ("jittered81", 165, 165),
 ])
-def test_upsample_matches_bucket_locator_bitwise(name, rx, ry, fill):
+def test_upsample_matches_bucket_locator_bitwise(irregular_mesh, name, rx, ry):
     mesh = {
         "grid81": lambda: build_structured_grid(81, 81, 1.0, 1.0),
         "grid11x5": lambda: build_structured_grid(11, 5, 2.0, 0.5),
-        "irregular": lambda: load_mesh(DATA_MESH.read_text()),
+        "irregular": lambda: irregular_mesh,
         "jittered81": lambda: jittered_grid(81, 7),
     }[name]()
     field = np.random.default_rng(3).uniform(-1.0, 1.0, mesh.n_nodes)
-    try:
-        want = bucket_upsample_field(mesh, field, rx, ry, fill)
-    except ValidationError as exc:
-        assert "lies outside the mesh" in str(exc)
-        with pytest.raises(ValidationError) as got:
-            upsample_field(mesh, field, rx, ry, fill)
-        assert str(got.value) == str(exc)
-        return
-    got = upsample_field(mesh, field, rx, ry, fill)
+    want = bucket_upsample_field(mesh, field, rx, ry)
+    got = upsample_field(mesh, field, rx, ry)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.isnan(got).any() == (name == "irregular")  # only the annulus leaves its box part empty
 
 
 class TestCanonicalFields:

@@ -24,9 +24,7 @@ from folheat.fem import (
     reduce_system,
     split_blocks,
 )
-from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid, load_mesh
-
-DATA_MESH = Path(__file__).resolve().parent.parent / "data" / "irregular.folmesh"
+from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid
 
 
 class CountingCSR(sp.csr_array):
@@ -52,7 +50,7 @@ class TestLinearSolve:
     def test_reduced_system_residual(self, reduced11):
         _, _, _, rs = reduced11
         rng = np.random.default_rng(5)
-        b = rng.standard_normal(rs.n_free)
+        b = rng.standard_normal(rs.A_ff.shape[0])
         x = linear_solve_spd(rs.A_ff, b)
         assert np.linalg.norm(rs.A_ff @ x - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -74,7 +72,7 @@ class TestLinearSolve:
     def test_non_finite_rhs_fails_at_once(self, reduced11, bad):
         _, _, _, rs = reduced11
         a = CountingCSR(rs.A_ff)
-        b = np.ones(rs.n_free)
+        b = np.ones(rs.A_ff.shape[0])
         b[3] = bad  # 1e200 is finite, but the norm of b overflows
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="right-hand side"):
             linear_solve_spd(a, b)
@@ -93,19 +91,19 @@ class TestLinearSolve:
 
     def test_non_convergence_reports_residual(self, reduced11):
         _, _, _, rs = reduced11
-        b = np.random.default_rng(11).standard_normal(rs.n_free)
+        b = np.random.default_rng(11).standard_normal(rs.A_ff.shape[0])
         with pytest.raises(ConvergenceError, match="residual"):
             linear_solve_spd(rs.A_ff, b, tol=1e-15, max_iter=2)
 
     def test_agrees_with_sparse_direct_solve(self, reduced11):
         _, _, _, rs = reduced11
         rng = np.random.default_rng(6)
-        b = rng.standard_normal(rs.n_free)
+        b = rng.standard_normal(rs.A_ff.shape[0])
         assert np.abs(spsolve(rs.A_ff.tocsc(), b) - linear_solve_spd(rs.A_ff, b)).max() < 1e-10
 
     def test_determinism(self, reduced11):
         _, _, _, rs = reduced11
-        b = np.random.default_rng(7).standard_normal(rs.n_free)
+        b = np.random.default_rng(7).standard_normal(rs.A_ff.shape[0])
         assert np.array_equal(linear_solve_spd(rs.A_ff, b), linear_solve_spd(rs.A_ff, b))
 
 
@@ -296,8 +294,8 @@ class TestTrajectoryBytes:
         traj = march(mesh, {"left": 1.0, "right": 0.0}, ConductivityField.inclusions(mesh), 3)
         self.assert_same_bytes(tmp_path, mesh, traj)
 
-    def test_irregular_mesh(self, tmp_path):
-        mesh = load_mesh(DATA_MESH.read_text())
+    def test_irregular_mesh(self, tmp_path, irregular_mesh):
+        mesh = irregular_mesh
         traj = march(mesh, {"inner": 1.0, "outer": 0.0}, ConductivityField.homogeneous(mesh), 3)
         self.assert_same_bytes(tmp_path, mesh, traj)
 

@@ -19,7 +19,7 @@ from folheat.config import load_run_config
 from folheat.errors import ValidationError
 from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid, load_mesh, serialize_mesh
 from folheat.neural import forward_batch, init_model, load_model, save_model
-from folheat.textio import decoding, read_nodal_csv, read_text, write_csv
+from folheat.textio import read_nodal_csv, read_text, write_csv
 
 FUZZ = settings(database=None, derandomize=True, max_examples=300, deadline=None)
 
@@ -223,15 +223,10 @@ def test_config_mutants_load_and_answer_or_refuse(work, text):
             pass
 
 
-def rowwise_read_nodal_csv(path_or_file, columns, n_nodes=None):
+def rowwise_read_nodal_csv(path, columns, n_nodes=None):
     """The row-by-row reader read_nodal_csv replaced, kept as its reference:
     one dict entry per row, checked as it is read."""
-    if hasattr(path_or_file, "read"):
-        source = getattr(path_or_file, "name", "CSV stream")
-        with decoding(source):
-            text = path_or_file.read()
-    else:
-        source, text = str(path_or_file), read_text(path_or_file)
+    source, text = str(path), read_text(path)
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header[: len(columns)]] != columns:

@@ -1,8 +1,6 @@
-"""End-to-end behavior on the unstructured demo domain (general quads):
+"""End-to-end behavior on the shipped unstructured domain (general quads):
 the same training recipe, reference solver, and post-processing must work
 without any structured-grid assumptions."""
-
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,24 +8,15 @@ import pytest
 from folheat.evaluation import cross_section, per_step_errors, rollout
 from folheat.fe_solver import solve_transient, steady_state
 from folheat.fem import ConductivityField, MaterialParams, assemble, reduce_system
-from folheat.mesh import (
-    DirichletSpec,
-    build_dof_map,
-    demo_irregular_mesh,
-    load_mesh,
-    serialize_mesh,
-    validate_mesh,
-)
+from folheat.mesh import DirichletSpec, build_dof_map, validate_mesh
 from folheat.neural import init_model
 from folheat.sampling import FourierParams, build_sample_set
 from folheat.training import TrainConfig, train
 
-DATA_MESH = Path(__file__).resolve().parent.parent / "data" / "irregular.folmesh"
-
 
 @pytest.fixture(scope="module")
-def annulus():
-    mesh = demo_irregular_mesh()
+def annulus(irregular_mesh):
+    mesh = irregular_mesh
     dofs = build_dof_map(mesh, DirichletSpec({"inner": 1.0, "outer": 0.0}))
     k = ConductivityField.inclusions(
         mesh, circles=((0.55, 0.55, 0.12),), background=1.0, inclusion=0.1
@@ -36,16 +25,8 @@ def annulus():
     return mesh, dofs, reduce_system(sys_mats, dofs, 0.05, 1.0), sys_mats
 
 
-def test_shipped_mesh_file_matches_generator():
-    mesh = demo_irregular_mesh()
-    shipped = load_mesh(DATA_MESH.read_text())
-    assert np.array_equal(shipped.nodes, mesh.nodes)
-    assert np.array_equal(shipped.elems, mesh.elems)
-    assert serialize_mesh(shipped) == DATA_MESH.read_text()
-
-
-def test_mesh_is_valid_general_quads():
-    mesh = demo_irregular_mesh()
+def test_mesh_is_valid_general_quads(irregular_mesh):
+    mesh = irregular_mesh
     assert validate_mesh(mesh) == []
     # genuinely non-axis-aligned elements
     coords = mesh.nodes[mesh.elems[0]]

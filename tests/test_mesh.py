@@ -10,7 +10,6 @@ from folheat.mesh import (
     Mesh,
     build_dof_map,
     build_structured_grid,
-    demo_irregular_mesh,
     load_mesh,
     serialize_mesh,
     validate_mesh,
@@ -116,8 +115,8 @@ class TestMeshFile:
         for tag in m.boundary_sets:
             assert np.array_equal(m2.boundary_sets[tag], m.boundary_sets[tag])
 
-    def test_irregular_demo_round_trip(self):
-        m = demo_irregular_mesh()
+    def test_irregular_demo_round_trip(self, irregular_mesh):
+        m = irregular_mesh
         assert validate_mesh(m) == []
         m2 = load_mesh(serialize_mesh(m))
         assert np.array_equal(m2.nodes, m.nodes)

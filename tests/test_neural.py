@@ -3,13 +3,12 @@ import io
 import math
 import re
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from folheat.errors import FingerprintError, ValidationError
-from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid, load_mesh
+from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid
 from folheat.neural import (
     ACTIVATIONS,
     ARCHITECTURES,
@@ -28,7 +27,6 @@ from folheat.neural import (
 )
 
 
-DATA_MESH = Path(__file__).resolve().parent.parent / "data" / "irregular.folmesh"
 LEFT_RIGHT = DirichletSpec({"left": 1.0, "right": 0.0})
 
 
@@ -106,9 +104,9 @@ class TestInitAndCounts:
         assert sizes == [4, 6, 9]  # near both boundaries, near one, interior
 
     @pytest.mark.parametrize("grid", [21, 81, None], ids=["21x21", "81x81", "irregular"])
-    def test_elementwise_stencils_match_node_set_loop(self, grid):
+    def test_elementwise_stencils_match_node_set_loop(self, irregular_mesh, grid):
         if grid is None:
-            mesh = load_mesh(DATA_MESH.read_text())
+            mesh = irregular_mesh
             dofs = build_dof_map(mesh, DirichletSpec({"inner": 1.0, "outer": 0.0}))
         else:
             mesh = build_structured_grid(grid, grid, 1.0, 1.0)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from folheat import sampling
 from folheat.errors import ValidationError
-from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid, demo_irregular_mesh
+from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid
 from folheat.sampling import (
     FourierParams,
     build_sample_set,
@@ -204,13 +204,13 @@ def test_desk_corpus_matches_row_by_row_generators(grid11, seed):
 MESHES = {}
 
 
-def small_problem(kind):
+def small_problem(kind, irregular_mesh):
     if kind not in MESHES:
         if kind == "structured":
             mesh = build_structured_grid(5, 4, 1.0, 0.7)
             MESHES[kind] = mesh, build_dof_map(mesh, DirichletSpec({"left": 1.0}))
         else:
-            mesh = demo_irregular_mesh(nr=3, narc=5)
+            mesh = irregular_mesh
             MESHES[kind] = mesh, build_dof_map(mesh, DirichletSpec({"inner": 1.0, "outer": 0.0}))
     return MESHES[kind]
 
@@ -225,8 +225,9 @@ small_params = st.builds(FourierParams, n_terms=st.integers(1, 6), offset_ranges
 @settings(database=None, derandomize=True, max_examples=60, deadline=None)
 @given(fp=small_params, seed=st.integers(0, 2**32), n_fourier=st.integers(1, 9),
        kind=st.sampled_from(["structured", "irregular"]), block_values=st.integers(1, 200))
-def test_batched_fourier_rows_match_scalar_reference(fp, seed, n_fourier, kind, block_values):
-    mesh, dofs = small_problem(kind)
+def test_batched_fourier_rows_match_scalar_reference(irregular_mesh, fp, seed, n_fourier, kind,
+                                                    block_values):
+    mesh, dofs = small_problem(kind, irregular_mesh)
     assert sampling._RawReplica(fp).matches_scalar(seed)  # else every row took the scalar path
     saved, sampling.BLOCK_VALUES = sampling.BLOCK_VALUES, block_values
     try:

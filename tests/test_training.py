@@ -21,6 +21,7 @@ from folheat.neural import (
 )
 from folheat.sampling import FourierParams, build_sample_set
 from folheat.training import (
+    LBFGS_HISTORY,
     AdamState,
     LbfgsState,
     TrainConfig,
@@ -261,6 +262,20 @@ class TestLbfgs:
         cosine = float(move @ -grad0) / (np.linalg.norm(move) * np.linalg.norm(grad0))
         assert cosine == pytest.approx(1.0, abs=1e-12)
         assert not state.line_search_failed
+
+    def test_history_keeps_the_last_pairs(self):
+        d = np.linspace(1.0, 100.0, 40)
+
+        def f_and_g(x):
+            return 0.5 * float(x @ (d * x)), d * x
+
+        x, state, moves = np.ones(40), LbfgsState(), []
+        for k in range(LBFGS_HISTORY + 3):
+            x_in = x
+            x, state = lbfgs_step(x, f_and_g, state)
+            moves.append(x - x_in)
+            assert len(state.s_pairs) == min(k + 1, LBFGS_HISTORY)
+        assert all(np.array_equal(s, m) for s, m in zip(state.s_pairs, moves[-LBFGS_HISTORY:]))
 
     def test_negative_curvature_pair_rejected(self):
         def f_and_g(x):  # concave: moving along -grad always decreases f
