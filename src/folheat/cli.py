@@ -16,7 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from .errors import FingerprintError, NumericalError, ValidationError, number
+from .errors import NumericalError, ValidationError, number
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
     q = sub.add_parser("train", help="train a model per the config")
     q.add_argument("--config", default=None)
     q.add_argument("--samples", default=None,
-                   help="reuse a gen-samples directory instead of regenerating")
+                   help="reuse a gen-samples directory this config's recipe made")
     q.add_argument("--log-every", type=_INT, default=50)
     q.add_argument("--out", required=True)
 
@@ -99,7 +99,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--init", required=True)
     q.add_argument("--steps", type=_INT, required=True)
     q.add_argument("--alpha", type=_alpha, default=1.0)
-    q.add_argument("--dt", type=_positive_float, default=None, help="override config dt")
     q.add_argument("--out", required=True)
 
     q = sub.add_parser("evaluate", help="per-step relative L2 error of pred vs ref")
@@ -243,24 +242,19 @@ def cmd_train(args) -> int:
     from .neural import init_model, save_model
     from .sampling import build_sample_set, load_sample_set
     from .textio import write_csv
-    from .training import TrainConfig, train
+    from .training import train
 
     cfg, mesh, dofs = _problem(args)
-    tc = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-                     optimizer=cfg.optimizer, seed=cfg.seed, log_every=args.log_every)
+    tc = cfg.train_config(args.log_every)
     rs = _reduced(cfg, mesh, dofs, cfg.dt)
-
-    if args.samples:
-        samples = load_sample_set(args.samples)
-        if samples.fingerprint != dofs.fingerprint:
-            raise FingerprintError(
-                f"sample set {args.samples} was generated for a different grid"
-            )
+    counts, fp = cfg.sample_counts(), cfg.fourier_params()
+    if args.samples:  # refused unless this config's recipe made it, for this grid
+        samples = load_sample_set(args.samples, counts, fp, dofs, cfg.seed)
     else:
-        samples = build_sample_set(cfg.sample_counts(), cfg.fourier_params(), mesh, dofs, cfg.seed)
+        samples = build_sample_set(counts, fp, mesh, dofs, cfg.seed)
 
     model = init_model(cfg.arch, mesh, dofs, cfg.hidden_spec(), cfg.activation,
-                       seed=cfg.seed, dt=cfg.dt)
+                       seed=cfg.seed, dt=rs.dt)
     model, record = train(model, rs, dofs, samples, tc)
 
     out = Path(args.out)
@@ -268,7 +262,7 @@ def cmd_train(args) -> int:
     save_model(model, out / "model.folmodel")
     write_csv(out / "loss_history.csv", ["epoch", "mean_loss"], [range(len(record)), record])
     _write_manifest(out, "train", cfg, {"seed": cfg.seed, "final_loss": repr(float(record[-1]))},
-                    cfg.dt)
+                    rs.dt)
     print(f"wrote {out}/model.folmodel ({cfg.arch}, {cfg.activation}); "
           f"final mean loss {record[-1]:.6e}")
     return 0
@@ -294,15 +288,14 @@ def cmd_solve_fem(args) -> int:
     from .fe_solver import save_trajectory, solve_transient
 
     cfg, mesh, dofs = _problem(args)
-    dt = args.dt if args.dt is not None else cfg.dt
-    rs = _reduced(cfg, mesh, dofs, dt, args.alpha)
+    rs = _reduced(cfg, mesh, dofs, cfg.dt, args.alpha)
     t0 = _initial_field(args.init, mesh, dofs)
     traj = solve_transient(rs, dofs, t0, args.steps)
     out = Path(args.out)
     save_trajectory(out, mesh, traj)
     _write_manifest(out, "solve-fem", cfg,
-                    {"steps": args.steps, "alpha": args.alpha, "init": args.init}, dt)
-    print(f"wrote {out}: {len(traj.fields)} fields (dt {dt}, alpha {args.alpha})")
+                    {"steps": args.steps, "alpha": args.alpha, "init": args.init}, rs.dt)
+    print(f"wrote {out}: {len(traj.fields)} fields (dt {rs.dt}, alpha {args.alpha})")
     return 0
 
 
@@ -407,6 +400,9 @@ def cmd_postprocess(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in out.glob("section_*.csv"):  # an earlier request's, which the manifest will not name
+        if stale.name not in sections:
+            stale.unlink()
     write_csv(out / "flux.csv", ["node_id", "x", "y", "qx", "qy"],
               [range(mesh.n_nodes), *mesh.nodes.T, *flux.T])
     for name, sec in sections.items():

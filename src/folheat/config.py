@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ValidationError, number
 from .fem import ConductivityField, MaterialParams, load_conductivity
 from .mesh import DirichletSpec, Mesh, build_structured_grid, load_mesh
-from .sampling import FourierParams
+from .sampling import KINDS, FourierParams
 from .textio import read_text
 
 DEFAULT_CONFIG = """\
@@ -168,21 +168,14 @@ class RunConfig:
         return MaterialParams(self._get("material", "rho", float), self._get("material", "c", float))
 
     def fourier_params(self) -> FourierParams:
-        return FourierParams(
-            n_terms=self._get("samples", "n_terms", int),
-            offset_ranges=self._get("samples", "offset_ranges", _parse_ranges),
-            amp_x_ranges=self._get("samples", "amp_x_ranges", _parse_ranges),
-            amp_y_ranges=self._get("samples", "amp_y_ranges", _parse_ranges),
-            freq_x_ranges=self._get("samples", "freq_x_ranges", _parse_ranges),
-            freq_y_ranges=self._get("samples", "freq_y_ranges", _parse_ranges),
-        )
+        """FourierParams from the [samples] keys named after its fields."""
+        n_terms, *menus = fields(FourierParams)
+        return FourierParams(self._get("samples", n_terms.name, int),
+                             *(self._get("samples", menu.name, _parse_ranges) for menu in menus))
 
     def sample_counts(self) -> tuple[int, int, int]:
-        return (
-            self._get("samples", "fourier", int),
-            self._get("samples", "gaussian", int),
-            self._get("samples", "constant", int),
-        )
+        """The [samples] count of each kind of field, in sampling.KINDS order."""
+        return tuple(self._get("samples", kind, int) for kind in KINDS)
 
     @property
     def seed(self) -> int:
@@ -200,21 +193,15 @@ class RunConfig:
     def activation(self) -> str:
         return self._get("train", "activation")
 
-    @property
-    def optimizer(self) -> str:
-        return self._get("train", "optimizer")
+    def train_config(self, log_every: int):
+        """training.TrainConfig of the [train] optimizer settings and the [run] seed."""
+        from .training import TrainConfig  # loads neural, which only training commands need
 
-    @property
-    def epochs(self) -> int:
-        return self._get("train", "epochs", int)
-
-    @property
-    def batch_size(self) -> int:
-        return self._get("train", "batch_size", int)
-
-    @property
-    def lr(self) -> float:
-        return self._get("train", "lr", float)
+        return TrainConfig(epochs=self._get("train", "epochs", int),
+                           batch_size=self._get("train", "batch_size", int),
+                           lr=self._get("train", "lr", float),
+                           optimizer=self._get("train", "optimizer"),
+                           seed=self.seed, log_every=log_every)
 
     def hidden_spec(self):
         """Layer widths, or None (the architecture default) when blank."""

@@ -239,9 +239,7 @@ def canonical_test_fields(mesh: Mesh, dofs: DofMap) -> dict[str, np.ndarray]:
     """The five evaluation initial fields, Dirichlet entries overwritten."""
     x = mesh.nodes[:, 0]
     y = mesh.nodes[:, 1]
-    gaussian_free = sampling.gen_gaussian(
-        mesh, dofs, np.random.default_rng(CANONICAL_GAUSSIAN_SEED)
-    )
+    gaussian_free = sampling.gen_gaussian(dofs, np.random.default_rng(CANONICAL_GAUSSIAN_SEED))
     raw = {
         "sin10y": 0.5 * (np.sin(10.0 * y) + 1.0),
         "gaussian": dofs.merge(gaussian_free),

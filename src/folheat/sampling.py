@@ -18,16 +18,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FingerprintError, ValidationError
 from .mesh import DofMap, Mesh
 from .textio import read_record
 
 DEGENERATE_SPAN = 1e-12
+# the corpus's three kinds of field, in row order; the sidecar's provenance keys
+KINDS = ("fourier", "gaussian", "constant")
 # build_sample_set evaluates Fourier rows in blocks of about this many values
 BLOCK_VALUES = 1 << 16
 
@@ -58,7 +60,9 @@ def _check_ranges(name, ranges):
 
 @dataclass(frozen=True)
 class FourierParams:
-    """Term count and interval menus for the trigonometric-series generator."""
+    """Term count, then the interval menus of the trigonometric-series
+    generator in the order each term draws from them. The fields name the
+    [samples] config keys and the sidecar's `fourier` entries."""
 
     n_terms: int = 50
     offset_ranges: tuple = DEFAULT_OFFSET_RANGES
@@ -70,11 +74,12 @@ class FourierParams:
     def __post_init__(self):
         if self.n_terms < 1:
             raise ValidationError(f"n_terms must be >= 1, got {self.n_terms}")
-        _check_ranges("offset_ranges", self.offset_ranges)
-        _check_ranges("amp_x_ranges", self.amp_x_ranges)
-        _check_ranges("amp_y_ranges", self.amp_y_ranges)
-        _check_ranges("freq_x_ranges", self.freq_x_ranges)
-        _check_ranges("freq_y_ranges", self.freq_y_ranges)
+        for field, menu in zip(fields(self)[1:], self.menus()):
+            _check_ranges(field.name, menu)
+
+    def menus(self) -> tuple:
+        """The interval menus: every field after n_terms, in draw order."""
+        return tuple(getattr(self, field.name) for field in fields(self)[1:])
 
 
 @dataclass(frozen=True)
@@ -104,11 +109,6 @@ def _minmax_rows(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _menus(fp: FourierParams) -> tuple:
-    """The five interval menus in the order each term draws from them."""
-    return (fp.offset_ranges, fp.amp_x_ranges, fp.amp_y_ranges, fp.freq_x_ranges, fp.freq_y_ranges)
-
-
 def _draw(ranges, rng) -> float:
     lo, hi = ranges[rng.integers(len(ranges))]
     return float(rng.uniform(lo, hi))
@@ -116,7 +116,7 @@ def _draw(ranges, rng) -> float:
 
 def _scalar_draws(fp: FourierParams, rng: np.random.Generator) -> np.ndarray:
     """(n_terms, 5) term parameters (offset, amp_x, amp_y, freq_x, freq_y) from rng."""
-    menus = _menus(fp)
+    menus = fp.menus()
     return np.array([[_draw(menu, rng) for menu in menus] for _ in range(fp.n_terms)])
 
 
@@ -152,7 +152,7 @@ def gen_fourier(fp: FourierParams, mesh: Mesh, dofs: DofMap, rng: np.random.Gene
     return _fourier_rows(_scalar_draws(fp, rng)[None], xy[:, 0], xy[:, 1])[0]
 
 
-def gen_gaussian(mesh: Mesh, dofs: DofMap, rng: np.random.Generator) -> np.ndarray:
+def gen_gaussian(dofs: DofMap, rng: np.random.Generator) -> np.ndarray:
     """One white-noise field: i.i.d. standard normals per free node, normalized."""
     return _minmax_rows(rng.standard_normal((1, dofs.n_free)))[0]
 
@@ -177,7 +177,7 @@ class _RawReplica:
     """
 
     def __init__(self, fp: FourierParams):
-        menus = _menus(fp)
+        menus = fp.menus()
         slots = [([], [], []) for _ in menus]  # per menu: integer words, their shifts, uniform words
         n_words = n_ints = 0
         for _ in range(fp.n_terms):
@@ -262,13 +262,12 @@ def build_sample_set(
         samples[start:rows.stop] = _fourier_rows(_fourier_draws(fp, replica, seed, rows), xy[:, 0], xy[:, 1])
     row = n_fourier
     for _ in range(n_gaussian):
-        samples[row] = gen_gaussian(mesh, dofs, _sample_rng(seed, row))
+        samples[row] = gen_gaussian(dofs, _sample_rng(seed, row))
         row += 1
     for _ in range(n_constant):
         samples[row] = gen_constant(dofs, _sample_rng(seed, row))
         row += 1
-    provenance = {"fourier": n_fourier, "gaussian": n_gaussian, "constant": n_constant}
-    return SampleSet(samples, provenance, seed, dofs.fingerprint)
+    return SampleSet(samples, dict(zip(KINDS, counts)), seed, dofs.fingerprint)
 
 
 def save_sample_set(out_dir, ss: SampleSet, fp: FourierParams) -> None:
@@ -282,32 +281,38 @@ def save_sample_set(out_dir, ss: SampleSet, fp: FourierParams) -> None:
         "fingerprint": ss.fingerprint,
         "n_samples": int(ss.n_samples),
         "n_free": int(ss.samples.shape[1]),
-        "fourier": {
-            "n_terms": fp.n_terms,
-            "offset_ranges": [list(r) for r in fp.offset_ranges],
-            "amp_x_ranges": [list(r) for r in fp.amp_x_ranges],
-            "amp_y_ranges": [list(r) for r in fp.amp_y_ranges],
-            "freq_x_ranges": [list(r) for r in fp.freq_x_ranges],
-            "freq_y_ranges": [list(r) for r in fp.freq_y_ranges],
-        },
+        "fourier": asdict(fp),
     }
     (out / "samples.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def load_sample_set(in_dir) -> SampleSet:
-    """Read save_sample_set's output; a sidecar that is not a JSON object with
-    every key, a samples.npy that is not a float64 array of the sidecar's
-    shape (checked before its data is read), or a sample that is not finite,
-    is a ValidationError."""
+def load_sample_set(in_dir, counts: tuple[int, int, int], fp: FourierParams, dofs: DofMap,
+                    seed: int) -> SampleSet:
+    """Read the set that build_sample_set(counts, fp, mesh, dofs, seed) made and
+    save_sample_set wrote. A sidecar that is not a JSON object with every key,
+    one that records another grid (a FingerprintError), seed, counts or Fourier
+    setting, a samples.npy that is not a float64 array of the sidecar's shape
+    (checked before its data is read), or a sample that is not finite, is a
+    ValidationError."""
     in_path = Path(in_dir)
     sidecar, npy = in_path / "samples.json", in_path / "samples.npy"
     try:
         meta = json.loads(sidecar.read_text())
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ValidationError(f"{sidecar}: not JSON: {exc}") from None
-    for key in ("n_samples", "n_free", "provenance", "seed", "fingerprint"):
+    for key in ("n_samples", "n_free", "provenance", "seed", "fingerprint", "fourier"):
         if not isinstance(meta, dict) or key not in meta:
             raise ValidationError(f"{sidecar}: missing key {key!r}")
+    if meta["fingerprint"] != dofs.fingerprint:
+        raise FingerprintError(f"sample set {in_dir} was generated for a different grid")
+    # the recipe as the sidecar would record it, and as JSON reads it back (lists for tuples)
+    recipe = json.loads(json.dumps({"seed": seed, "counts": dict(zip(KINDS, counts)), **asdict(fp)}))
+    recorded = {**(meta["fourier"] if isinstance(meta["fourier"], dict) else {}),
+                "seed": meta["seed"], "counts": meta["provenance"]}
+    for item, wanted in recipe.items():
+        if (got := recorded.get(item)) != wanted:
+            got, wanted = (json.dumps(value, sort_keys=True) for value in (got, wanted))
+            raise ValidationError(f"sample set {in_dir} was generated with {item} {got}, not {wanted}")
     with npy.open("rb") as f:
         samples = read_record(f, npy, "samples", "<f8", (meta["n_samples"], meta["n_free"]))
     bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from folheat import cli, fem
 from folheat.cli import main
 from folheat.config import load_run_config
+from folheat.errors import ValidationError
 from folheat.evaluation import canonical_test_fields, cross_section, heat_flux, upsample_field
 from folheat.fe_solver import load_field, solve_transient, step_filename
 from folheat.fem import assemble, reduce_system
@@ -48,6 +50,13 @@ def smoke_cfg(tmp_path):
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def dt_cfg(tmp_path, dt):
+    """The smoke config at [train] dt = dt, the step solve-fem takes."""
+    cfg = tmp_path / f"dt_{dt}.cfg"
+    cfg.write_text(SMOKE_CONFIG.replace("[train]\n", f"[train]\ndt = {dt}\n"))
+    return cfg
 
 
 class TestGenMesh:
@@ -161,7 +170,24 @@ class TestTrain:
         assert run("train", "--config", smoke_cfg, "--samples", sdir,
                    "--out", out, "--log-every", 0) == 0
 
-    @pytest.mark.parametrize("key", ["fingerprint", "n_samples", "provenance"])
+    @pytest.mark.parametrize("old, new, refusal", [
+        ("nx = 3", "nx = 4", "for a different grid"),
+        ("seed = 9", "seed = 3", "with seed 3, not 9"),
+        ("fourier = 6", "fourier = 5", 'with counts {"constant": 2, "fourier": 5, "gaussian": 6}, '
+                                      'not {"constant": 2, "fourier": 6, "gaussian": 6}'),
+        ("n_terms = 4", "n_terms = 5", "with n_terms 5, not 4"),
+    ], ids=["grid", "seed", "counts", "n_terms"])
+    def test_set_of_another_recipe_is_refused(self, tmp_path, smoke_cfg, capsys, old, new, refusal):
+        other, sdir = tmp_path / "other.cfg", tmp_path / "samples"
+        other.write_text(SMOKE_CONFIG.replace(old, new))
+        assert run("gen-samples", "--config", other, "--out", sdir) == 0
+        capsys.readouterr()
+        assert run("train", "--config", smoke_cfg, "--samples", sdir,
+                   "--out", tmp_path / "run", "--log-every", 0) == 1
+        assert capsys.readouterr().err == f"error: sample set {sdir} was generated {refusal}\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["fingerprint", "n_samples", "provenance", "fourier"])
     def test_sidecar_missing_key_is_validation_error(self, tmp_path, smoke_cfg, capsys, key):
         sdir = tmp_path / "samples"
         run("gen-samples", "--config", smoke_cfg, "--out", sdir)
@@ -358,11 +384,12 @@ class TestPredictAndSolve:
             raise AssertionError("assembled before dt was checked")
 
         monkeypatch.setattr(fem, "assemble", assemble)
+        cfg = dt_cfg(tmp_path, dt)
         capsys.readouterr()
-        assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:const05",
-                   "--steps", 1, "--dt", dt, "--out", tmp_path / "x") == 1
+        assert run("solve-fem", "--config", cfg, "--init", "canonical:const05",
+                   "--steps", 1, "--out", tmp_path / "x") == 1
         err = capsys.readouterr().err
-        assert f"argument --dt: must be a positive finite number, got '{dt}'" in err
+        assert f"error: {cfg}: [train] dt = '{dt}': " in err
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
@@ -381,26 +408,32 @@ class TestPredictAndSolve:
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
-    def test_solve_fem_overflowing_dt_fails_at_once(self, tmp_path, smoke_cfg, capsys):
+    def test_solve_fem_overflowing_dt_fails_at_once(self, tmp_path, capsys):
         capsys.readouterr()
-        assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:const05",
-                   "--steps", 1, "--dt", "1e308", "--out", tmp_path / "x") == 2
+        assert run("solve-fem", "--config", dt_cfg(tmp_path, "1e308"), "--init", "canonical:const05",
+                   "--steps", 1, "--out", tmp_path / "x") == 2
         err = capsys.readouterr().err
         assert "dt 1e+308 makes A_ff of the reduced system non-finite" in err
         assert "did not converge" not in err
 
     @pytest.mark.parametrize("dt", ["1e200", "1e308"])
-    def test_solve_fem_huge_dt_prints_one_error_line(self, tmp_path, smoke_cfg, dt):
+    def test_solve_fem_huge_dt_prints_one_error_line(self, tmp_path, dt):
         # a child process: pytest would catch numpy's RuntimeWarnings before stderr
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.run(
-            [sys.executable, "-m", "folheat.cli", "solve-fem", "--config", str(smoke_cfg),
-             "--init", "canonical:const05", "--steps", "1", "--dt", dt,
-             "--out", str(tmp_path / "x")],
+            [sys.executable, "-m", "folheat.cli", "solve-fem", "--config", str(dt_cfg(tmp_path, dt)),
+             "--init", "canonical:const05", "--steps", "1", "--out", str(tmp_path / "x")],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("numerical failure: ")
+
+    def test_solve_fem_has_no_dt_option(self, tmp_path, smoke_cfg, capsys):
+        capsys.readouterr()
+        assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:const05",
+                   "--steps", 1, "--dt", 0.1, "--out", tmp_path / "x") == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --dt 0.1\n"
+        assert not (tmp_path / "x").exists()
 
     def test_init_from_field_file(self, tmp_path, smoke_cfg, trained):
         ref = tmp_path / "ref"
@@ -512,8 +545,8 @@ class TestEvaluate:
     def test_trajectories_at_different_dt_refused(self, tmp_path, smoke_cfg, capsys):
         dirs = [tmp_path / "fine", tmp_path / "coarse"]
         for out, dt in zip(dirs, ("0.05", "0.5")):
-            assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:sin10y",
-                       "--steps", 2, "--dt", dt, "--out", out) == 0
+            assert run("solve-fem", "--config", dt_cfg(tmp_path, dt), "--init", "canonical:sin10y",
+                       "--steps", 2, "--out", out) == 0
         (dirs[0] / "step_0001.csv").write_text("no field\n")  # refused before a step is read
         for extra in ([], ["--dt", 0.05]):
             capsys.readouterr()
@@ -525,8 +558,8 @@ class TestEvaluate:
         assert not (tmp_path / "e.csv").exists()
         # a --dt that disagrees with the one manifest on record is refused too
         ref, bare = tmp_path / "ref", tmp_path / "bare"
-        assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:sin10y",
-                   "--steps", 2, "--dt", "0.05", "--out", ref) == 0
+        assert run("solve-fem", "--config", dt_cfg(tmp_path, "0.05"), "--init", "canonical:sin10y",
+                   "--steps", 2, "--out", ref) == 0
         shutil.copytree(ref, bare, ignore=shutil.ignore_patterns("manifest.txt"))
         capsys.readouterr()
         assert run("evaluate", "--pred", bare, "--ref", ref, "--dt", 0.5,
@@ -623,6 +656,20 @@ class TestPostprocess:
                    "--out", tmp_path / "post", option, value) == 1
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "post").exists()
+
+    def test_reused_out_holds_only_this_request(self, tmp_path, smoke_cfg):
+        ref, out = tmp_path / "ref", tmp_path / "post"
+        run("solve-fem", "--config", smoke_cfg, "--init", "canonical:sin10y", "--steps", 0, "--out", ref)
+        for sections in ("x=0.25", "y=0.5"):
+            assert run("postprocess", "--config", smoke_cfg, "--field", ref / "step_0000.csv",
+                       "--sections", sections, "--upsample", 9, "--out", out) == 0
+        listing = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(listing) == ["flux.csv", "manifest.txt", "section_y_0.5.csv",
+                                   "upsampled.csv", "upsampled.pgm"]
+        # a refused request removes nothing either
+        assert run("postprocess", "--config", smoke_cfg, "--field", ref / "step_0000.csv",
+                   "--sections", "y=5", "--upsample", 9, "--out", out) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == listing
 
 
 class TestDeterminismPipeline:
@@ -732,12 +779,11 @@ class TestManifest:
 
         assert run("train", "--config", smoke_cfg, "--out", tmp_path / "run", "--log-every", 0) == 0
         assert manifest_dt(tmp_path / "run") == ["dt 0.05"]
-        assert run("solve-fem", "--config", smoke_cfg, "--init", "canonical:const05",
-                   "--steps", 1, "--dt", 0.1, "--out", tmp_path / "fe") == 0
+        assert run("solve-fem", "--config", dt_cfg(tmp_path, 0.1), "--init", "canonical:const05",
+                   "--steps", 1, "--out", tmp_path / "fe") == 0
         assert manifest_dt(tmp_path / "fe") == ["dt 0.1"]
-        other = tmp_path / "other.cfg"
-        other.write_text(SMOKE_CONFIG.replace("[train]\n", "[train]\ndt = 0.2\n"))
-        assert run("predict", "--config", other, "--checkpoint", tmp_path / "run" / "model.folmodel",
+        assert run("predict", "--config", dt_cfg(tmp_path, 0.2),
+                   "--checkpoint", tmp_path / "run" / "model.folmodel",
                    "--init", "canonical:const05", "--steps", 1, "--out", tmp_path / "pred") == 0
         assert manifest_dt(tmp_path / "pred") == ["dt 0.05"]
 
@@ -822,6 +868,46 @@ class TestConfig:
         cfg.write_text("[mesh]\nsource = file\npath = ring.folmesh\n[dirichlet]\nInner = 1.0\n")
         assert run("solve-fem", "--config", cfg, "--init", "canonical:const05",
                    "--steps", 1, "--out", tmp_path / "ref") == 0
+
+
+def documented_argvs(text):
+    """The argument list of each `folheat <command> ...` line in text, or of each
+    `"${FOLHEAT[@]}" <command> ...` line of a script, with continuation lines
+    joined and what follows a `;`, `||` or `#` dropped."""
+    argvs = []
+    for line in text.replace("\\\n", " ").splitlines():
+        if found := re.search(r'(?:\bfolheat|"\$\{FOLHEAT\[@\]\}")\s+([a-z].*)', line):
+            argvs.append(shlex.split(re.split(r";|\|\|", found.group(1))[0], comments=True))
+    return argvs
+
+
+def fenced_blocks(markdown):
+    return "".join(re.findall(r"```[^\n]*\n(.*?)```", markdown, re.S))
+
+
+class TestDocumentedCommands:
+    """Every folheat command line in README.md's fenced blocks and in
+    scripts/reproduce.sh names a command and options the parser accepts."""
+
+    @pytest.mark.parametrize("doc, commands", [
+        ("README.md", set(cli._COMMANDS)),
+        ("scripts/reproduce.sh", {"gen-mesh", "validate", "gen-samples", "train", "predict",
+                                  "solve-fem", "evaluate", "benchmark"}),
+    ])
+    def test_parser_accepts_each_documented_command(self, doc, commands):
+        text = (REPO / doc).read_text()
+        argvs = documented_argvs(fenced_blocks(text) if doc.endswith(".md") else text)
+        for argv in argvs:
+            cli._build_parser().parse_args(argv)
+        assert {argv[0] for argv in argvs} == commands
+
+    def test_an_option_the_parser_lacks_is_caught(self):
+        readme = (REPO / "README.md").read_text()
+        stale = readme.replace("folheat solve-fem --init", "folheat solve-fem --dt 0.1 --init")
+        assert stale != readme
+        with pytest.raises(ValidationError, match="unrecognized arguments: --dt 0.1"):
+            for argv in documented_argvs(fenced_blocks(stale)):
+                cli._build_parser().parse_args(argv)
 
 
 class TestCsvOutputs:

@@ -196,8 +196,10 @@ def test_model_record_overwrites_load_or_refuse(checkpoints, work, data):
     assert [whole[d:e] for _, d, e in ck.spans] == [a.tobytes() for a in stored]
 
 
-GETTERS = ("dirichlet", "material", "fourier_params", "sample_counts", "hidden_spec")
-PROPERTIES = ("seed", "dt", "arch", "activation", "optimizer", "epochs", "batch_size", "lr")
+# accessor name -> the arguments it is called with
+GETTERS = {"dirichlet": (), "material": (), "fourier_params": (), "sample_counts": (),
+           "hidden_spec": (), "train_config": (0,)}
+PROPERTIES = ("seed", "dt", "arch", "activation")
 
 
 @FUZZ
@@ -209,7 +211,7 @@ def test_config_mutants_load_and_answer_or_refuse(work, text):
         cfg = load_run_config(path)
     except ValidationError:
         return
-    calls = [lambda name=name: getattr(cfg, name)() for name in GETTERS]
+    calls = [lambda name=name, args=args: getattr(cfg, name)(*args) for name, args in GETTERS.items()]
     calls += [lambda name=name: getattr(cfg, name) for name in PROPERTIES]
     try:
         mesh = cfg.build_mesh()

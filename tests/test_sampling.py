@@ -47,7 +47,7 @@ def reference_fourier(fp, mesh, dofs, rng):
 
 def reference_corpus(counts, fp, mesh, dofs, seed, fourier=gen_fourier):
     rows = [fourier(fp, mesh, dofs, row_rng(seed, r)) for r in range(counts[0])]
-    rows += [gen_gaussian(mesh, dofs, row_rng(seed, r)) for r in range(counts[0], sum(counts[:2]))]
+    rows += [gen_gaussian(dofs, row_rng(seed, r)) for r in range(counts[0], sum(counts[:2]))]
     rows += [gen_constant(dofs, row_rng(seed, r)) for r in range(sum(counts[:2]), sum(counts))]
     return np.array(rows).reshape(sum(counts), dofs.n_free)
 
@@ -113,14 +113,14 @@ class TestFourier:
 
 class TestGaussian:
     def test_minmax_exact(self, grid11):
-        mesh, dofs = grid11
-        field = gen_gaussian(mesh, dofs, rng(4))
+        _, dofs = grid11
+        field = gen_gaussian(dofs, rng(4))
         assert field.min() == 0.0
         assert field.max() == 1.0
 
     def test_reproducible(self, grid11):
-        mesh, dofs = grid11
-        assert np.array_equal(gen_gaussian(mesh, dofs, rng(5)), gen_gaussian(mesh, dofs, rng(5)))
+        _, dofs = grid11
+        assert np.array_equal(gen_gaussian(dofs, rng(5)), gen_gaussian(dofs, rng(5)))
 
     def test_large_sample_mean_near_half(self):
         # normalized iid normals concentrate around 0.5 for many nodes
@@ -128,7 +128,7 @@ class TestGaussian:
 
         mesh = build_structured_grid(340, 300, 1.0, 1.0)  # ~1e5 nodes
         dofs = build_dof_map(mesh, DirichletSpec({}))
-        field = gen_gaussian(mesh, dofs, rng(6))
+        field = gen_gaussian(dofs, rng(6))
         assert 0.45 <= field.mean() <= 0.55
 
 
@@ -186,7 +186,7 @@ class TestSampleSet:
         fp = FourierParams(n_terms=3)
         ss = build_sample_set((3, 2, 1), fp, mesh, dofs, seed=5)
         save_sample_set(tmp_path / "s", ss, fp)
-        back = load_sample_set(tmp_path / "s")
+        back = load_sample_set(tmp_path / "s", (3, 2, 1), fp, dofs, seed=5)
         assert np.array_equal(back.samples, ss.samples)
         assert back.provenance == ss.provenance
         assert back.seed == ss.seed
