@@ -4,9 +4,13 @@
 # working tree, the side that runs first alternating from pair to pair. Then
 # print each side's correct runs and its attempted and failed operations
 # summed over the runs, then, for each workload and end-to-end metric, both
-# sides' median and quartiles over the pairs and the number of pairs the
+# sides' median and quartiles over the pairs, the number of pairs the
 # working tree won (strictly better in the direction BENCHMARK.json gives;
-# ties count for neither side).
+# ties count for neither side), and two verdicts:
+#   gain   yes when the working tree won at least 9/10 of the pairs and its
+#          median beats the base median by more than the base's q3 - q1
+#   bound  yes when the working tree's median is no worse than the base
+#          median by more than the metric's BENCHMARK.json bound (a fraction)
 #
 # Usage: scripts/ab_pairs.sh BASE FIRST_SEED N [WORKLOAD] [SECONDS]
 #   BASE        commit to compare with, e.g. HEAD or a hash
@@ -22,7 +26,7 @@
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 BASE=$1 FIRST=$2 N=$3 WORKLOAD=${4:-all} RUN_SECONDS=${5:-20}
@@ -53,7 +57,7 @@ import statistics
 import sys
 
 runs_path, bench_path, workload = sys.argv[1:]
-better = {m["name"]: m["better"] for m in json.load(open(bench_path))["end_to_end"]}
+metrics = {m["name"]: m for m in json.load(open(bench_path))["end_to_end"]}
 runs = {}  # (seed, side) -> {"workload.metric": value}
 correct = {"base": [], "change": []}
 ops = {"base": [0, 0], "change": [0, 0]}  # attempted, failed
@@ -77,12 +81,17 @@ print(f"{len(pairs)} pairs, seeds {seeds[0] if seeds else '-'}..{seeds[-1] if se
       f"change {sum(correct['change'])}/{len(correct['change'])}")
 print(f"operations attempted/failed: base {ops['base'][0]}/{ops['base'][1]}, "
       f"change {ops['change'][0]}/{ops['change'][1]}")
-print(f"{'metric':34s} {'base median [q1, q3]':>28s} {'change median [q1, q3]':>28s} {'won':>7s}")
+print(f"{'metric':34s} {'base median [q1, q3]':>28s} {'change median [q1, q3]':>28s} "
+      f"{'won':>7s} {'gain':>5s} {'bound':>5s}")
 
 
 def stats(values):
     med = statistics.median(values)
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (med, med, med)
+    return med, q1, q3
+
+
+def show(med, q1, q3):
     return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
@@ -91,10 +100,13 @@ for name in names:
     metric = name.rsplit(".", 1)[-1]
     got = [(runs[s, "base"][name], runs[s, "change"][name]) for s in pairs
            if name in runs[s, "base"] and name in runs[s, "change"]]
-    if not got or metric not in better:
+    if not got or metric not in metrics:
         continue
-    sign = 1 if better[metric] == "lower" else -1
+    sign = 1 if metrics[metric]["better"] == "lower" else -1
     won = sum(sign * (c - b) < 0 for b, c in got)
-    print(f"{name:34s} {stats([b for b, _ in got]):>28s} {stats([c for _, c in got]):>28s} "
-          f"{won:>3d}/{len(got)}")
+    base, change = stats([b for b, _ in got]), stats([c for _, c in got])  # median, q1, q3
+    gain = won >= 0.9 * len(got) and sign * (base[0] - change[0]) > base[2] - base[1]
+    bound = sign * (change[0] - base[0]) <= metrics[metric]["bound"] * abs(base[0])
+    print(f"{name:34s} {show(*base):>28s} {show(*change):>28s} "
+          f"{won:>3d}/{len(got):<3d} {'yes' if gain else 'no':>5s} {'yes' if bound else 'no':>5s}")
 EOF

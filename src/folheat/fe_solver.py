@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .fem import ReducedSystem, SystemMatrices, split_blocks
@@ -52,7 +51,7 @@ def linear_solve_spd(A, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int |
     if max_iter is None:
         max_iter = 10 * n
 
-    diag = A.diagonal() if sp.issparse(A) else np.diagonal(np.asarray(A))
+    diag = A.diagonal()
     if not np.all(diag > 0):
         raise NumericalError("matrix diagonal has entries that are not positive; not SPD")
 

@@ -213,10 +213,8 @@ def assemble(m: Mesh, k: ConductivityField, mat: MaterialParams) -> SystemMatric
 
 def split_blocks(mat: sp.csr_array, dofs: DofMap):
     """(free x free, free x constrained) blocks of a global matrix."""
-    csr = sp.csr_array(mat)
-    ff = csr[dofs.free][:, dofs.free]
-    fd = csr[dofs.free][:, dofs.constrained_nodes]
-    return sp.csr_array(ff), sp.csr_array(fd)
+    rows = mat[dofs.free]
+    return rows[:, dofs.free], rows[:, dofs.constrained_nodes]
 
 
 def reduce_system(sys: SystemMatrices, dofs: DofMap, dt: float, alpha: float) -> ReducedSystem:
@@ -225,12 +223,12 @@ def reduce_system(sys: SystemMatrices, dofs: DofMap, dt: float, alpha: float) ->
         raise ValidationError(f"dt must be positive and finite, got {dt}")
     if alpha not in VALID_ALPHAS:
         raise ValidationError(f"alpha must be one of {VALID_ALPHAS}, got {alpha}")
-    m_ff, _ = split_blocks(sys.M, dofs)
+    m_ff = sys.M[dofs.free][:, dofs.free]
     k_ff, k_fd = split_blocks(sys.K, dofs)
     with np.errstate(over="ignore"):  # a dt that overflows is refused below, by name
-        a_ff = sp.csr_array(m_ff + (alpha * dt) * k_ff)
-        b_ff = sp.csr_array(m_ff - ((1.0 - alpha) * dt) * k_ff)
-        rhs_const = np.asarray(-dt * (k_fd @ dofs.constrained_values))
+        a_ff = m_ff + (alpha * dt) * k_ff
+        b_ff = m_ff - ((1.0 - alpha) * dt) * k_ff
+        rhs_const = -dt * (k_fd @ dofs.constrained_values)
     for name, values in (("A_ff", a_ff.data), ("B_ff", b_ff.data), ("rhs_const", rhs_const)):
         if not np.isfinite(values).all():
             raise NumericalError(f"dt {dt!r} makes {name} of the reduced system non-finite")

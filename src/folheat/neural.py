@@ -44,38 +44,31 @@ DEFAULT_HIDDEN = {
 }
 
 
-def _act_forward(kind: str, z, out=None):
-    """activation(z), written into `out` (which may be z); None allocates."""
-    if kind == "swish":
-        return np.multiply(z, expit(z), out=out)
-    if kind == "tanh":
-        return np.tanh(z, out=out)
-    if kind == "sigmoid":
-        return expit(z, out=out)
-    return np.maximum(z, 0.0, out=out)
-
-
-def _act_in_place(kind: str, z, d, s) -> None:
-    """Overwrite z with activation(z), by _act_forward's operations, and write
-    its exact derivative into d one operation at a time (relu's subgradient
-    at 0 is 0); swish keeps expit(z) in s."""
+def _act_in_place(kind: str, z, d=None, s=None) -> None:
+    """Overwrite z with activation(z) and, when d is given, write its exact
+    derivative into d one operation at a time (relu's subgradient at 0 is 0);
+    swish keeps expit(z) in s (a fresh buffer when None)."""
     if kind == "swish":  # d = s * (1 + z * (1 - s)), then z * s
-        expit(z, out=s)
-        np.subtract(1.0, s, out=d)
-        d *= z
-        d += 1.0
-        d *= s
+        s = expit(z, out=s)
+        if d is not None:
+            np.subtract(1.0, s, out=d)
+            d *= z
+            d += 1.0
+            d *= s
         z *= s
     elif kind == "tanh":  # t = tanh(z), then d = 1 - t * t
         np.tanh(z, out=z)
-        np.multiply(z, z, out=d)
-        np.subtract(1.0, d, out=d)
+        if d is not None:
+            np.multiply(z, z, out=d)
+            np.subtract(1.0, d, out=d)
     elif kind == "sigmoid":  # s = expit(z), then d = s * (1 - s)
         expit(z, out=z)
-        np.subtract(1.0, z, out=d)
-        d *= z
+        if d is not None:
+            np.subtract(1.0, z, out=d)
+            d *= z
     else:  # d = (z > 0), then max(z, 0)
-        np.greater(z, 0.0, out=d)
+        if d is not None:
+            np.greater(z, 0.0, out=d)
         np.maximum(z, 0.0, out=z)
 
 
@@ -351,7 +344,7 @@ def _group_forward(group: NetGroup, X: np.ndarray, activation: str, out: np.ndar
         z += b[:, None, :]
         a = z  # the spent layer is dropped before the activation
         if hidden and ws is None:
-            _act_forward(activation, z, z)
+            _act_in_place(activation, z)
         elif hidden:  # z becomes a in place, a cache-sized block at a time
             grads.append(ws.take(shape, batch_major))
             z_mem, g_mem = z.ravel("K"), grads[-1].ravel("K")  # views: tape slots are contiguous

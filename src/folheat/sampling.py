@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import FingerprintError, ValidationError
 from .mesh import DofMap, Mesh
-from .textio import read_record
+from .textio import read_record, write_record
 
 DEGENERATE_SPAN = 1e-12
 # the corpus's three kinds of field, in row order; the sidecar's provenance keys
@@ -274,7 +274,8 @@ def save_sample_set(out_dir, ss: SampleSet, fp: FourierParams) -> None:
     """Write samples.npy plus a JSON sidecar with provenance and generator setup."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    np.save(out / "samples.npy", ss.samples)
+    with (out / "samples.npy").open("wb") as f:
+        write_record(f, ss.samples, "<f8")
     meta = {
         "provenance": ss.provenance,
         "seed": ss.seed,
@@ -291,9 +292,9 @@ def load_sample_set(in_dir, counts: tuple[int, int, int], fp: FourierParams, dof
     """Read the set that build_sample_set(counts, fp, mesh, dofs, seed) made and
     save_sample_set wrote. A sidecar that is not a JSON object with every key,
     one that records another grid (a FingerprintError), seed, counts or Fourier
-    setting, a samples.npy that is not a float64 array of the sidecar's shape
-    (checked before its data is read), or a sample that is not finite, is a
-    ValidationError."""
+    setting, or a shape that its counts and grid do not make, a samples.npy that
+    is not a float64 array of that shape (checked before its data is read), or
+    a sample that is not finite, is a ValidationError."""
     in_path = Path(in_dir)
     sidecar, npy = in_path / "samples.json", in_path / "samples.npy"
     try:
@@ -313,8 +314,12 @@ def load_sample_set(in_dir, counts: tuple[int, int, int], fp: FourierParams, dof
         if (got := recorded.get(item)) != wanted:
             got, wanted = (json.dumps(value, sort_keys=True) for value in (got, wanted))
             raise ValidationError(f"sample set {in_dir} was generated with {item} {got}, not {wanted}")
+    shape = (sum(counts), dofs.n_free)
+    if (meta["n_samples"], meta["n_free"]) != shape:
+        raise ValidationError(f"sample set {in_dir} records {meta['n_samples']} samples of "
+                              f"{meta['n_free']} free values, not {shape[0]} of {shape[1]}")
     with npy.open("rb") as f:
-        samples = read_record(f, npy, "samples", "<f8", (meta["n_samples"], meta["n_free"]))
+        samples = read_record(f, npy, "samples", "<f8", shape)
     bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
     if bad.size:
         raise ValidationError(f"{npy}: sample {bad[0]} holds a non-finite value")

@@ -227,17 +227,19 @@ class TestTrain:
     # samples.npy edits, and the reason each is refused for
     BAD_SAMPLES = {
         "huge-shape":
-            "samples is a <f8 array of shape (10000000000000, 3), expected <f8 of shape (14, 3)",
-        "huge-shape-and-sidecar": "samples needs 240000000000000 bytes, the file has 336 left",
-        "unicode": "samples is a <U1 array of shape (14, 3), expected <f8 of shape (14, 3)",
-        "complex": "samples is a <c16 array of shape (14, 3), expected <f8 of shape (14, 3)",
-        "int64": "samples is a <i8 array of shape (14, 3), expected <f8 of shape (14, 3)",
+            "{npy}: samples is a <f8 array of shape (10000000000000, 3), expected <f8 of shape (14, 3)",
+        "huge-shape-and-sidecar":
+            "sample set {sdir} records 10000000000000 samples of 3 free values, not 14 of 3",
+        "unicode": "{npy}: samples is a <U1 array of shape (14, 3), expected <f8 of shape (14, 3)",
+        "complex": "{npy}: samples is a <c16 array of shape (14, 3), expected <f8 of shape (14, 3)",
+        "int64": "{npy}: samples is a <i8 array of shape (14, 3), expected <f8 of shape (14, 3)",
     }
 
     @pytest.mark.parametrize("kind", list(BAD_SAMPLES))
     def test_bad_samples_array_is_validation_error(self, tmp_path, smoke_cfg, capsys, kind):
-        """A samples.npy whose header is not a float64 array of the sidecar's
-        shape is refused before its data is read."""
+        """A samples.npy whose header is not a float64 array of the shape that
+        the recipe's counts and the grid make, or a sidecar that records
+        another shape, is refused before the data is read."""
         sdir = tmp_path / "samples"
         run("gen-samples", "--config", smoke_cfg, "--out", sdir)
         npy, sidecar = sdir / "samples.npy", sdir / "samples.json"
@@ -254,7 +256,26 @@ class TestTrain:
         capsys.readouterr()
         assert run("train", "--config", smoke_cfg, "--samples", sdir,
                    "--out", tmp_path / "run", "--log-every", 0) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: {npy}: {self.BAD_SAMPLES[kind]}"]
+        assert capsys.readouterr().err.splitlines() == [
+            "error: " + self.BAD_SAMPLES[kind].format(npy=npy, sdir=sdir)]
+
+    @pytest.mark.parametrize("n_samples, n_free", [(3, 3), (14, 1)], ids=["rows", "columns"])
+    def test_set_cut_to_another_shape_is_refused(self, tmp_path, smoke_cfg, capsys, n_samples,
+                                                 n_free):
+        """A set cut to its first rows or columns, its sidecar's shape edited
+        to match, is not the set its recorded counts and grid make."""
+        sdir = tmp_path / "samples"
+        run("gen-samples", "--config", smoke_cfg, "--out", sdir)
+        npy, sidecar = sdir / "samples.npy", sdir / "samples.json"
+        np.save(npy, np.load(npy)[:n_samples, :n_free])
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**meta, "n_samples": n_samples, "n_free": n_free}))
+        capsys.readouterr()
+        assert run("train", "--config", smoke_cfg, "--samples", sdir,
+                   "--out", tmp_path / "run", "--log-every", 0) == 1
+        assert capsys.readouterr().err == (f"error: sample set {sdir} records {n_samples} samples "
+                                           f"of {n_free} free values, not 14 of 3\n")
+        assert not (tmp_path / "run").exists()
 
     def test_non_finite_sample_is_validation_error(self, tmp_path, smoke_cfg, capsys):
         sdir = tmp_path / "samples"

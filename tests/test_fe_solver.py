@@ -47,6 +47,10 @@ class TestLinearSolve:
         a = sp.diags_array([2.0, 2.0], format="csr")
         assert np.allclose(linear_solve_spd(a, np.array([4.0, 6.0])), [2.0, 3.0])
 
+    def test_dense_matrix(self):
+        a, b = np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0])
+        assert np.allclose(linear_solve_spd(a, b), np.linalg.solve(a, b), rtol=0, atol=1e-14)
+
     def test_reduced_system_residual(self, reduced11):
         _, _, _, rs = reduced11
         rng = np.random.default_rng(5)

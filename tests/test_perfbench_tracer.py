@@ -1,17 +1,30 @@
 """The benchmark's tracer patches package names by hand (perfbench/tracer.py).
 A deletion or rename of one of them fails here, in the package's own tests,
-rather than in a benchmark run."""
+rather than in a benchmark run; so does a solver change that its PCG
+iteration counter no longer sees."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from folheat import fe_solver, fem
+from folheat.errors import ConvergenceError
+from folheat.fem import ConductivityField, MaterialParams
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def test_tracer_installs_every_patch_and_restores_it():
+@pytest.fixture(scope="module")
+def tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer_module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_module)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_every_patch_and_restores_it(tracer_module):
     tracer = tracer_module.Tracer()
     with tracer.installed():
         patches = list(tracer._patches)
@@ -19,3 +32,34 @@ def test_tracer_installs_every_patch_and_restores_it():
     assert patches and all(wrapped)
     assert len(patches) == len(tracer._targets())
     assert tracer.restored()
+
+
+def _iterations_to_converge(A, b) -> int:
+    """The smallest max_iter with which linear_solve_spd solves A x = b; with
+    one fewer it raises ConvergenceError."""
+    max_iter = 0
+    while True:
+        try:
+            fe_solver.linear_solve_spd(A, b, max_iter=max_iter)
+            return max_iter
+        except ConvergenceError:
+            max_iter += 1
+
+
+def test_pcg_counter_counts_every_iteration(tracer_module, grid11):
+    """The tracer counts PCG iterations as the A @ p products of a counting
+    A_ff, so a solver that stops calling A @ p reads 0 iterations here."""
+    mesh, dofs = grid11
+    sys_mats = fem.assemble(mesh, ConductivityField(np.ones(mesh.n_nodes)), MaterialParams())
+    t0 = np.sin(np.pi * mesh.nodes[:, 1])
+    rs = fem.reduce_system(sys_mats, dofs, 0.05, 1.0)
+    fields = fe_solver.solve_transient(rs, dofs, t0, 3).fields
+    expected = sum(_iterations_to_converge(rs.A_ff, rs.B_ff @ dofs.extract_free(t) + rs.rhs_const)
+                   for t in fields[:-1])
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        traced = fe_solver.solve_transient(fem.reduce_system(sys_mats, dofs, 0.05, 1.0), dofs, t0, 3)
+    assert tracer.restored()
+    assert all(np.array_equal(a, b) for a, b in zip(traced.fields, fields))
+    assert tracer.counts["pcg_solves"] == 3
+    assert tracer.counts["pcg_iters"] == expected > 0

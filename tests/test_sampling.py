@@ -186,6 +186,8 @@ class TestSampleSet:
         fp = FourierParams(n_terms=3)
         ss = build_sample_set((3, 2, 1), fp, mesh, dofs, seed=5)
         save_sample_set(tmp_path / "s", ss, fp)
+        np.save(tmp_path / "np.npy", ss.samples)
+        assert (tmp_path / "s" / "samples.npy").read_bytes() == (tmp_path / "np.npy").read_bytes()
         back = load_sample_set(tmp_path / "s", (3, 2, 1), fp, dofs, seed=5)
         assert np.array_equal(back.samples, ss.samples)
         assert back.provenance == ss.provenance
