@@ -53,14 +53,6 @@ def _threads_parser() -> _Parser:
     return p
 
 
-def _alpha(text: str) -> float:
-    """argparse type of --alpha: one of the theta-scheme weights reduce_system
-    takes (NaN and inf match none of them)."""
-    from .fem import VALID_ALPHAS
-
-    return _number_type(float, VALID_ALPHAS.__contains__, f"one of {VALID_ALPHAS}")(text)
-
-
 def _build_parser() -> _Parser:
     p = _Parser(prog="folheat", description=__doc__, parents=[_threads_parser()])
     sub = p.add_subparsers(dest="command", required=True)
@@ -98,7 +90,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--config", default=None)
     q.add_argument("--init", required=True)
     q.add_argument("--steps", type=_INT, required=True)
-    q.add_argument("--alpha", type=_alpha, default=1.0)
     q.add_argument("--out", required=True)
 
     q = sub.add_parser("evaluate", help="per-step relative L2 error of pred vs ref")
@@ -176,11 +167,12 @@ def _problem(args):
     return cfg, mesh, build_dof_map(mesh, cfg.dirichlet())
 
 
-def _reduced(cfg, mesh, dofs, dt: float, alpha: float = 1.0):
-    """The config's system assembled on mesh and reduced to the free dofs at dt, alpha."""
+def _reduced(cfg, mesh, dofs, dt: float):
+    """The config's system assembled on mesh and reduced to the free dofs for
+    the implicit-Euler step dt, the step the network learns."""
     from .fem import assemble, reduce_system
 
-    return reduce_system(assemble(mesh, cfg.conductivity(mesh), cfg.material()), dofs, dt, alpha)
+    return reduce_system(assemble(mesh, cfg.conductivity(mesh), cfg.material()), dofs, dt, 1.0)
 
 
 def _initial_field(spec: str, mesh, dofs):
@@ -288,14 +280,14 @@ def cmd_solve_fem(args) -> int:
     from .fe_solver import save_trajectory, solve_transient
 
     cfg, mesh, dofs = _problem(args)
-    rs = _reduced(cfg, mesh, dofs, cfg.dt, args.alpha)
+    rs = _reduced(cfg, mesh, dofs, cfg.dt)
     t0 = _initial_field(args.init, mesh, dofs)
     traj = solve_transient(rs, dofs, t0, args.steps)
     out = Path(args.out)
     save_trajectory(out, mesh, traj)
     _write_manifest(out, "solve-fem", cfg,
-                    {"steps": args.steps, "alpha": args.alpha, "init": args.init}, rs.dt)
-    print(f"wrote {out}: {len(traj.fields)} fields (dt {rs.dt}, alpha {args.alpha})")
+                    {"steps": args.steps, "init": args.init}, rs.dt)
+    print(f"wrote {out}: {len(traj.fields)} fields (dt {rs.dt})")
     return 0
 
 
@@ -360,13 +352,13 @@ def cmd_benchmark(args) -> int:
         "folheat benchmark report",
         f"grid_free_dofs {dofs.n_free}",
         f"arch {model.arch}",
-        f"n_steps {res.n_steps}",
-        f"repeats {res.repeats}",
+        f"n_steps {args.steps}",
+        f"repeats {args.repeats}",
         f"thread_budget {threads}",
         f"median_nn_seconds {res.t_nn!r}",
         f"median_fe_seconds {res.t_fe!r}",
         f"ratio_fe_over_nn {res.ratio!r}",
-        f"ratio_defined {res.ratio_defined}",
+        f"ratio_defined {not math.isnan(res.ratio)}",
     ]) + "\n"
     print(report, end="")
     if args.out:

@@ -41,15 +41,12 @@ class BenchmarkResult:
     t_nn: float  # median seconds for n_steps network inferences
     t_fe: float  # median seconds for n_steps FE solves
     ratio: float  # t_fe / t_nn; NaN when undefined
-    n_steps: int
-    repeats: int
-    ratio_defined: bool
 
 
 def rollout(model: ModelBundle, dofs: DofMap, t0: np.ndarray, n_steps: int) -> RolloutResult:
     """March the learned operator: free values through the net, Dirichlet
     values re-inserted each step. Out-of-range temperatures are kept as-is."""
-    neural.check_fingerprint(model, dofs)
+    dofs.check(model.fingerprint, model.n_free, "model")
     if n_steps < 0:
         raise ValidationError(f"n_steps must be >= 0, got {n_steps}")
     t0 = np.asarray(t0, dtype=np.float64)
@@ -279,9 +276,8 @@ def benchmark_speed(
         times_fe.append(time.perf_counter() - tic)
     t_nn = float(np.median(times_nn))
     t_fe = float(np.median(times_fe))
-    defined = n_steps > 0 and t_nn > 0
-    ratio = t_fe / t_nn if defined else float("nan")
-    return BenchmarkResult(t_nn, t_fe, ratio, n_steps, repeats, defined)
+    ratio = t_fe / t_nn if n_steps > 0 and t_nn > 0 else float("nan")
+    return BenchmarkResult(t_nn, t_fe, ratio)
 
 
 def write_pgm(path, grid: np.ndarray) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FingerprintError, ValidationError
 from .textio import TokenReader, write_block
 
 MESH_FORMAT = "folmesh"
@@ -72,7 +72,7 @@ class DofMap:
     Both lists are ascending in node index. ``node_to_slot[i]`` is the free
     slot for free nodes and ``-(k+1)`` for the k-th constrained node.
     ``fingerprint`` identifies the (mesh, constraint) pair; models and sample
-    sets carry it so stale artifacts are rejected instead of misused.
+    sets carry it, and ``check`` refuses one built for another problem.
     """
 
     free: np.ndarray  # (n_free,) node ids
@@ -93,6 +93,13 @@ class DofMap:
     @property
     def n_nodes(self) -> int:
         return self.node_to_slot.shape[0]
+
+    def check(self, fingerprint: str, n_free: int, what: str) -> None:
+        """Refuse an artifact (a model, a sample set) recorded as made for another
+        problem. Its n_free is only named: widths are checked where arrays enter."""
+        if fingerprint != self.fingerprint:
+            raise FingerprintError(f"{what} was built for grid {fingerprint} ({n_free} free dofs), "
+                                   f"not for {self.fingerprint} ({self.n_free} free dofs)")
 
     def extract_free(self, full: np.ndarray) -> np.ndarray:
         """Free-node values of a full nodal field, in dof order."""

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .errors import FingerprintError, ValidationError
+from .errors import ValidationError
 from .mesh import DofMap, Mesh
 from .textio import TokenReader, decoding, read_record, write_record
 
@@ -103,7 +103,7 @@ class ModelBundle:
     activation: str
     n_free: int
     groups: list[NetGroup]
-    grid_meta: str  # DofMap fingerprint of the training mesh
+    fingerprint: str  # DofMap fingerprint of the problem it was built for
     dt: float
 
     def params_flat(self) -> np.ndarray:
@@ -421,7 +421,7 @@ def save_model(m: ModelBundle, path) -> None:
     its layers' weights and biases as ``.npy`` records (exact bits), in
     params_flat order."""
     head = [f"{CHECKPOINT_FORMAT} {CHECKPOINT_VERSION}\narch {m.arch}\nactivation {m.activation}\n"
-            f"n_free {m.n_free}\nfingerprint {m.grid_meta}\ndt {float(m.dt)!r}\ngroups {len(m.groups)}\n"]
+            f"n_free {m.n_free}\nfingerprint {m.fingerprint}\ndt {float(m.dt)!r}\ngroups {len(m.groups)}\n"]
     for gi, g in enumerate(m.groups):
         head.append(f"group {gi} nets {g.n_nets} layers {g.n_layers}\noutslots {g.out_slots.size}\n"
                     f"input {'full' if g.in_slots is None else g.in_slots.shape[1]}\n")
@@ -446,7 +446,7 @@ def load_model(path, dofs: DofMap | None = None) -> ModelBundle:
         model = _read_model(f, source)
     _check_wiring(model, source)
     if dofs is not None:
-        check_fingerprint(model, dofs)
+        dofs.check(model.fingerprint, model.n_free, f"model {source}")
     return model
 
 
@@ -533,10 +533,3 @@ def _check_wiring(m: ModelBundle, source: str) -> None:
             raise ValidationError(f"{source}: group {gi} has {g.n_nets} nets of {width} outputs "
                                   f"for {g.out_slots.size} output slots")
 
-
-def check_fingerprint(m: ModelBundle, dofs: DofMap) -> None:
-    if m.grid_meta != dofs.fingerprint or m.n_free != dofs.n_free:
-        raise FingerprintError(
-            f"model was built for grid {m.grid_meta} ({m.n_free} free dofs), "
-            f"got {dofs.fingerprint} ({dofs.n_free} free dofs)"
-        )

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FingerprintError, ValidationError
+from .errors import ValidationError
 from .mesh import DofMap, Mesh
 from .textio import read_record, write_record
 
@@ -101,8 +101,8 @@ class SampleSet:
 
 def _minmax_rows(values: np.ndarray) -> np.ndarray:
     """Min-max normalize each row; a row spanning under DEGENERATE_SPAN becomes 0.5."""
-    lo = values.min(axis=1, keepdims=True)
-    span = values.max(axis=1, keepdims=True) - lo
+    lo = values.min(axis=1, keepdims=True, initial=np.inf)  # a 0-wide row has no minimum
+    span = values.max(axis=1, keepdims=True, initial=-np.inf) - lo
     flat = span < DEGENERATE_SPAN
     out = (values - lo) / np.where(flat, 1.0, span)
     out[flat[:, 0]] = 0.5
@@ -250,6 +250,8 @@ def build_sample_set(
         raise ValidationError(f"sample counts must be >= 0, got {counts}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    if dofs.n_free < 1:
+        raise ValidationError("sample set needs at least one free dof")
     n_total = n_fourier + n_gaussian + n_constant
     samples = np.zeros((n_total, dofs.n_free))
     xy = mesh.nodes[dofs.free]
@@ -304,8 +306,7 @@ def load_sample_set(in_dir, counts: tuple[int, int, int], fp: FourierParams, dof
     for key in ("n_samples", "n_free", "provenance", "seed", "fingerprint", "fourier"):
         if not isinstance(meta, dict) or key not in meta:
             raise ValidationError(f"{sidecar}: missing key {key!r}")
-    if meta["fingerprint"] != dofs.fingerprint:
-        raise FingerprintError(f"sample set {in_dir} was generated for a different grid")
+    dofs.check(meta["fingerprint"], meta["n_free"], f"sample set {in_dir}")
     # the recipe as the sidecar would record it, and as JSON reads it back (lists for tuples)
     recipe = json.loads(json.dumps({"seed": seed, "counts": dict(zip(KINDS, counts)), **asdict(fp)}))
     recorded = {**(meta["fourier"] if isinstance(meta["fourier"], dict) else {}),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import neural
-from .errors import FingerprintError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .fem import ReducedSystem
 from .mesh import DofMap
 from .neural import ModelBundle
@@ -232,13 +232,11 @@ def train(
     L-BFGS runs one full-batch step per epoch, and stops at a failed line
     search, whose point and loss fill the rest of the record. Both are
     deterministic under cfg.seed. A non-finite loss aborts with a
-    NumericalError.
+    NumericalError. A model or sample set made for another problem (another
+    fingerprint than dofs) is a FingerprintError.
     """
-    if samples.fingerprint != model.grid_meta:
-        raise FingerprintError(
-            f"sample set was generated for grid {samples.fingerprint}, "
-            f"model expects {model.grid_meta}"
-        )
+    dofs.check(model.fingerprint, model.n_free, "model")
+    dofs.check(samples.fingerprint, samples.samples.shape[1], "sample set")
     model.dt = rs.dt  # the trained operator is specific to this step size
     data = samples.samples
     n_samples = data.shape[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -427,9 +428,9 @@ class TestBenchmark:
         rs = reduce_system(sys_mats, dofs, 0.05, 1.0)
         model = init_model("fully_connected", mesh, dofs, hidden_spec=(8, 8), seed=0)
         res = benchmark_speed(model, rs, dofs, np.full(mesh.n_nodes, 0.5), n_steps=2, repeats=5)
+        assert [f.name for f in dataclasses.fields(res)] == ["t_nn", "t_fe", "ratio"]  # measured only
         assert res.t_nn > 0 and res.t_fe > 0
-        assert res.ratio_defined
-        assert res.n_steps == 2 and res.repeats == 5
+        assert res.ratio == res.t_fe / res.t_nn
 
     def test_zero_steps_flagged(self, grid3):
         mesh, dofs = grid3
@@ -437,7 +438,6 @@ class TestBenchmark:
         rs = reduce_system(sys_mats, dofs, 0.05, 1.0)
         model = init_model("separated", mesh, dofs, seed=0)
         res = benchmark_speed(model, rs, dofs, np.full(mesh.n_nodes, 0.5), n_steps=0, repeats=5)
-        assert not res.ratio_defined
         assert np.isnan(res.ratio)
 
     def test_too_few_repeats(self, grid3):

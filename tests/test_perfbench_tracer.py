@@ -1,9 +1,12 @@
 """The benchmark's tracer patches package names by hand (perfbench/tracer.py).
 A deletion or rename of one of them fails here, in the package's own tests,
 rather than in a benchmark run; so does a solver change that its PCG
-iteration counter no longer sees."""
+iteration counter no longer sees, and so does a change to any package name
+or field the benchmark's own self-test (perfbench/selftest.py) reads."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,8 @@ from folheat import fe_solver, fem
 from folheat.errors import ConvergenceError
 from folheat.fem import ConductivityField, MaterialParams
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +67,12 @@ def test_pcg_counter_counts_every_iteration(tracer_module, grid11):
     assert all(np.array_equal(a, b) for a, b in zip(traced.fields, fields))
     assert tracer.counts["pcg_solves"] == 3
     assert tracer.counts["pcg_iters"] == expected > 0
+
+
+def test_benchmark_selftest_passes():
+    """perfbench/selftest.py runs the three workloads shrunken, traced and
+    untraced, through the package names and fields the benchmark reads."""
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]

@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from folheat.cli import main
 from folheat.errors import FingerprintError, NumericalError, ValidationError
+from folheat.evaluation import rollout
 from folheat.fe_solver import steady_state, step_fe
 from folheat.fem import ConductivityField, MaterialParams, assemble, reduce_system
 from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid
@@ -508,3 +510,71 @@ def test_full_batch_gradient_memory(desk):
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * unit, peak / unit
+
+
+def _left_right_5x5(left, right):
+    """The 5x5 unit-square grid, the dof map of left/right Dirichlet values and
+    its implicit-Euler system at dt 0.05."""
+    mesh = build_structured_grid(5, 5, 1.0, 1.0)
+    dofs = build_dof_map(mesh, DirichletSpec({"left": left, "right": right}))
+    sys_mats = assemble(mesh, ConductivityField.homogeneous(mesh), MaterialParams())
+    return mesh, dofs, reduce_system(sys_mats, dofs, 0.05, 1.0)
+
+
+LEFT_RIGHT_5X5_CONFIG = """\
+[mesh]
+nx = 5
+ny = 5
+
+[dirichlet]
+left = {left}
+right = {right}
+
+[samples]
+fourier = 2
+gaussian = 2
+constant = 1
+"""
+
+
+@pytest.mark.parametrize("case", ["load_model", "rollout", "train-model", "train-set",
+                                  "train-samples-cli"])
+def test_artifact_for_another_problem_is_refused(tmp_path, capsys, case):
+    """Problems A (left 1, right 0) and B (left 0, right 1) share the 5x5 grid
+    and its 15 free dofs. A model or sample set made for A is refused on B by
+    a FingerprintError that names the artifact and both fingerprints; `train`
+    compares both with the problem it trains on, not with each other."""
+    mesh, dofs_a, _ = _left_right_5x5(1.0, 0.0)
+    _, dofs_b, rs_b = _left_right_5x5(0.0, 1.0)
+    assert dofs_a.n_free == dofs_b.n_free == 15 and dofs_a.fingerprint != dofs_b.fingerprint
+    model_a, model_b = (init_model("separated", mesh, d, hidden_spec=(4,), seed=0)
+                        for d in (dofs_a, dofs_b))
+    set_a = build_sample_set((2, 2, 1), FourierParams(n_terms=2), mesh, dofs_a, seed=0)
+    cfg = TrainConfig(epochs=1, batch_size=5, log_every=0)
+    path, sdir = tmp_path / "a.folmodel", tmp_path / "samples_a"
+    save_model(model_a, path)
+
+    def another_problem():
+        {"load_model": lambda: load_model(path, dofs_b),
+         "rollout": lambda: rollout(model_a, dofs_b, np.zeros(dofs_b.n_nodes), 1),
+         "train-model": lambda: train(model_a, rs_b, dofs_b, set_a, cfg),  # model and set for A
+         "train-set": lambda: train(model_b, rs_b, dofs_b, set_a, cfg)}[case]()
+
+    what = {"load_model": f"model {path}", "train-set": "sample set",
+            "train-samples-cli": f"sample set {sdir}"}.get(case, "model")
+    refusal = (f"{what} was built for grid {dofs_a.fingerprint} (15 free dofs), "
+               f"not for {dofs_b.fingerprint} (15 free dofs)")
+    if case == "train-samples-cli":
+        cfg_a, cfg_b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        cfg_a.write_text(LEFT_RIGHT_5X5_CONFIG.format(left=1.0, right=0.0))
+        cfg_b.write_text(LEFT_RIGHT_5X5_CONFIG.format(left=0.0, right=1.0))
+        assert main(["gen-samples", "--config", str(cfg_a), "--out", str(sdir)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_b), "--samples", str(sdir),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+        assert not (tmp_path / "run").exists()
+    else:
+        with pytest.raises(FingerprintError) as refused:
+            another_problem()
+        assert str(refused.value) == refusal
