@@ -6,12 +6,18 @@ below 1e-12 collapses to the mid-range constant 0.5 instead of dividing by
 zero. Each sample draws from its own RNG stream derived from (seed, sample
 index), so generation is reproducible and order-independent.
 
-build_sample_set makes no scalar draw per term: it reads each trigonometric
-row's draws from the raw PCG64 words that the scalar draws would consume,
-and evaluates blocks of rows together, term by term in the scalar order. The
-corpus bits are those of gen_fourier row by row. A row where Lemire's integer
-bound could have rejected a draw takes the scalar draws, and so does every
-row of a call whose row 0 the raw words do not reproduce (numpy changed).
+build_sample_set seeds every row's PCG64 from one vectorised pass of numpy's
+SeedSequence((seed, row)) hash over all rows. The words are used only when
+rows 0 and last get numpy's own generator state from them; otherwise (another
+numpy, or a seed of 2**96 or more) every row takes numpy's SeedSequence.
+
+It makes no scalar draw per term either: it reads each trigonometric row's
+draws from the raw PCG64 words that the scalar draws would consume, and
+evaluates blocks of rows together, term by term in the scalar order, as it
+normalises blocks of white-noise rows. The corpus bits are those of
+gen_fourier and gen_gaussian row by row. A row where Lemire's integer bound
+could have rejected a draw takes the scalar draws, and so does every row of
+a call whose row 0 the raw words do not reproduce (numpy changed).
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ValidationError
 from .mesh import DofMap, Mesh
@@ -30,8 +37,11 @@ from .textio import read_record, write_record
 DEGENERATE_SPAN = 1e-12
 # the corpus's three kinds of field, in row order; the sidecar's provenance keys
 KINDS = ("fourier", "gaussian", "constant")
-# build_sample_set evaluates Fourier rows in blocks of about this many values
+# build_sample_set evaluates Fourier and Gaussian rows in blocks of about this many values
 BLOCK_VALUES = 1 << 16
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx, pool size 4)
+INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 # interval menus the per-term parameters are drawn from: first pick an
 # interval uniformly, then a value uniformly within it
@@ -166,6 +176,65 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
+class _Hash:
+    """numpy's hashmix (and generate_state's output hash) over uint32 arrays:
+    xor the running constant, advance it by mult, multiply, xor-shift by 16."""
+
+    def __init__(self, init: int, mult: int):
+        self.const, self.mult = init, mult
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        xor, self.const = self.const, self.const * self.mult & 0xFFFFFFFF
+        values = (values ^ xor) * self.const
+        return values ^ (values >> 16)
+
+
+def _seed_words(seed: int, n_rows: int) -> np.ndarray:
+    """(n_rows, 4) uint64: SeedSequence((seed, row)).generate_state(4, np.uint64)
+    of every row, for a seed below 2**96 and rows below 2**32, whose entropy
+    words (the seed's, little-endian, then the row's) fill at most the pool."""
+    rows = np.arange(n_rows, dtype=np.uint32)
+    entropy = [np.full_like(rows, seed >> shift & 0xFFFFFFFF)
+               for shift in range(0, max(seed.bit_length(), 1), 32)] + [rows]
+    hashmix = _Hash(INIT_A, MULT_A)
+    pool = [hashmix(word) for word in entropy + [np.zeros_like(rows)] * (4 - len(entropy))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * MIX_MULT_L - hashmix(pool[src]) * MIX_MULT_R
+                pool[dst] = mixed ^ (mixed >> 16)
+    output = _Hash(INIT_B, MULT_B)
+    state = np.stack([output(pool[i % 4]) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _RowWords(ISeedSequence):
+    """The seed sequence of one row, as the words it hands PCG64."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for 4 uint64 words; any other request seeds a state the vouch refuses
+        return self.words if n_words == 4 and dtype is np.uint64 else np.zeros(n_words, dtype)
+
+
+def _row_rngs(seed: int, n_rows: int):
+    """row -> a fresh generator equal to _sample_rng(seed, row), for rows below
+    n_rows. The rows are seeded from _seed_words when rows 0 and n_rows - 1
+    seed numpy's own generator state, and from _sample_rng otherwise."""
+    if n_rows and seed < 2**96:
+        words = _seed_words(seed, n_rows)
+
+        def fast(row):
+            return np.random.Generator(np.random.PCG64(_RowWords(words[row])))
+
+        if all(fast(row).bit_generator.state == _sample_rng(seed, row).bit_generator.state
+               for row in (0, n_rows - 1)):
+            return fast
+    return lambda row: _sample_rng(seed, row)
+
+
 class _RawReplica:
     """Reads a Fourier row's term draws from the raw PCG64 words that
     _scalar_draws would consume from the same fresh generator.
@@ -197,9 +266,9 @@ class _RawReplica:
             self.plan.append((len(menu), lo, hi - lo, np.array(int_words, dtype=np.intp),
                               np.array(shifts, dtype=np.uint64), np.array(uni_words, dtype=np.intp)))
 
-    def raw(self, seed: int, rows) -> np.ndarray:
+    def raw(self, rngs) -> np.ndarray:
         """(rows, n_words) raw words of each row's fresh generator."""
-        return np.stack([_sample_rng(seed, row).bit_generator.random_raw(self.n_words) for row in rows])
+        return np.stack([rng.bit_generator.random_raw(self.n_words) for rng in rngs])
 
     def draws(self, raw: np.ndarray):
         """(draws (rows, n_terms, 5), risky): a risky row is one where the
@@ -218,18 +287,19 @@ class _RawReplica:
 
     def matches_scalar(self, seed: int) -> bool:
         """Whether Fourier row 0's replica draws equal its scalar draws."""
-        draws, _ = self.draws(self.raw(seed, [0]))
+        draws, _ = self.draws(self.raw([_sample_rng(seed, 0)]))
         return np.array_equal(draws[0], _scalar_draws(self.fp, _sample_rng(seed, 0)))
 
 
-def _fourier_draws(fp: FourierParams, replica: _RawReplica | None, seed: int, rows: range) -> np.ndarray:
-    """(rows, n_terms, 5) draws of the given Fourier rows; rows the replica
-    cannot vouch for, or every row without a replica, take the scalar path."""
+def _fourier_draws(fp: FourierParams, replica: _RawReplica | None, rng, rows: range) -> np.ndarray:
+    """(rows, n_terms, 5) draws of the given Fourier rows, each from rng(row);
+    rows the replica cannot vouch for, or every row without a replica, take
+    the scalar path."""
     if replica is None:
-        return np.stack([_scalar_draws(fp, _sample_rng(seed, row)) for row in rows])
-    draws, risky = replica.draws(replica.raw(seed, rows))
+        return np.stack([_scalar_draws(fp, rng(row)) for row in rows])
+    draws, risky = replica.draws(replica.raw([rng(row) for row in rows]))
     for i in np.flatnonzero(risky):
-        draws[i] = _scalar_draws(fp, _sample_rng(seed, rows[i]))
+        draws[i] = _scalar_draws(fp, rng(rows[i]))
     return draws
 
 
@@ -242,8 +312,9 @@ def build_sample_set(
 ) -> SampleSet:
     """Generate (n_fourier, n_gaussian, n_constant) samples, in that order.
 
-    Fourier rows are built BLOCK_VALUES values at a time, from raw draws;
-    they equal gen_fourier with _sample_rng(seed, row) bitwise.
+    Fourier rows are built BLOCK_VALUES values at a time, from raw draws, and
+    Gaussian rows are normalised as many at a time; every row equals its
+    generator with _sample_rng(seed, row) bitwise.
     """
     n_fourier, n_gaussian, n_constant = counts
     if min(counts) < 0:
@@ -255,20 +326,20 @@ def build_sample_set(
     n_total = n_fourier + n_gaussian + n_constant
     samples = np.zeros((n_total, dofs.n_free))
     xy = mesh.nodes[dofs.free]
+    rng = _row_rngs(seed, n_total)
     replica = _RawReplica(fp)
     if n_fourier and not replica.matches_scalar(seed):
         replica = None  # numpy no longer draws as the replica assumes
     block = max(1, BLOCK_VALUES // dofs.n_free)
     for start in range(0, n_fourier, block):
         rows = range(start, min(start + block, n_fourier))
-        samples[start:rows.stop] = _fourier_rows(_fourier_draws(fp, replica, seed, rows), xy[:, 0], xy[:, 1])
-    row = n_fourier
-    for _ in range(n_gaussian):
-        samples[row] = gen_gaussian(dofs, _sample_rng(seed, row))
-        row += 1
-    for _ in range(n_constant):
-        samples[row] = gen_constant(dofs, _sample_rng(seed, row))
-        row += 1
+        samples[start:rows.stop] = _fourier_rows(_fourier_draws(fp, replica, rng, rows), xy[:, 0], xy[:, 1])
+    gaussian_stop = n_fourier + n_gaussian
+    for start in range(n_fourier, gaussian_stop, block):
+        rows = range(start, min(start + block, gaussian_stop))
+        samples[start:rows.stop] = _minmax_rows(np.stack([rng(row).standard_normal(dofs.n_free) for row in rows]))
+    for row in range(gaussian_stop, n_total):
+        samples[row] = gen_constant(dofs, rng(row))
     return SampleSet(samples, dict(zip(KINDS, counts)), seed, dofs.fingerprint)
 
 

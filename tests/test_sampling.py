@@ -243,14 +243,14 @@ class TestRawReplica:
     def test_reads_the_scalar_draws(self):
         fp = FourierParams(n_terms=7)
         replica = sampling._RawReplica(fp)
-        draws, risky = replica.draws(replica.raw(4, range(30)))
+        draws, risky = replica.draws(replica.raw([row_rng(4, row) for row in range(30)]))
         assert not risky.any()
         for row in range(30):
             assert_bitwise(draws[row], sampling._scalar_draws(fp, row_rng(4, row)))
 
     def test_flags_a_half_word_lemire_could_reject(self):
         replica = sampling._RawReplica(FourierParams(n_terms=2))
-        raw = replica.raw(0, range(3))
+        raw = replica.raw([row_rng(0, row) for row in range(3)])
         raw[1, 0] &= np.uint64(0xFFFFFFFF00000000)  # first integer draw: low half 0, (0 * k) mod 2**32 < k
         raw[2, 0] |= np.uint64(0xFFFFFFFF)  # low half 2**32 - 1: (half * k) mod 2**32 = 2**32 - k
         _, risky = replica.draws(raw)
@@ -279,3 +279,73 @@ class TestRawReplica:
         counts, fp = (6, 0, 0), FourierParams(n_terms=5)
         assert_bitwise(build_sample_set(counts, fp, mesh, dofs, 8).samples,
                        reference_corpus(counts, fp, mesh, dofs, 8, reference_fourier))
+
+
+class TestSeedWords:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**95 + 11])
+    def test_words_match_numpy_seed_sequence(self, seed):
+        n_rows = 70000
+        words = sampling._seed_words(seed, n_rows)
+        assert words.shape == (n_rows, 4) and words.dtype == np.uint64
+        for row in (0, 1, 65536, n_rows - 1):
+            assert_bitwise(words[row], np.random.SeedSequence((seed, row)).generate_state(4, np.uint64))
+
+    @pytest.mark.parametrize("seed", [2**96, 2**96 + 1, 2**130 + 5])
+    def test_seed_beyond_the_pool_takes_numpy_seed_sequences(self, grid11, monkeypatch, seed):
+        mesh, dofs = grid11
+
+        def refuse(seed, n_rows):
+            raise AssertionError("words computed for a seed of 2**96 or more")
+
+        monkeypatch.setattr(sampling, "_seed_words", refuse)
+        counts, fp = (4, 3, 2), FourierParams(n_terms=5)
+        assert_bitwise(build_sample_set(counts, fp, mesh, dofs, seed).samples,
+                       reference_corpus(counts, fp, mesh, dofs, seed, reference_fourier))
+
+    @pytest.mark.parametrize("flipped_row", [0, -1])
+    def test_words_that_disagree_are_not_used(self, grid11, monkeypatch, flipped_row):
+        mesh, dofs = grid11
+        compute = sampling._seed_words
+
+        def flip_one_bit(seed, n_rows):
+            words = compute(seed, n_rows)
+            words[flipped_row, 0] ^= np.uint64(1 << 17)
+            return words
+
+        monkeypatch.setattr(sampling, "_seed_words", flip_one_bit)
+        counts, fp = (6, 4, 2), FourierParams(n_terms=5)
+        assert_bitwise(build_sample_set(counts, fp, mesh, dofs, 8).samples,
+                       reference_corpus(counts, fp, mesh, dofs, 8, reference_fourier))
+
+    def test_desk_corpus_takes_the_vectorised_words(self, grid11, monkeypatch):
+        mesh, dofs = grid11
+        made, numpy_seed_sequence = [], np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return numpy_seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        build_sample_set((1200, 1500, 300), FourierParams(), mesh, dofs, 0)
+        assert 0 < len(made) <= 6  # the vouch and matches_scalar, not one per row
+
+
+ONE_FREE_DOF = DirichletSpec({"left": 1.0, "right": 1.0, "top": 1.0, "bottom": 1.0})
+
+
+@pytest.mark.parametrize("counts", [(0, 5, 0), (0, 0, 5), (0, 0, 0), (3, 700, 2)])  # 700: two Gaussian blocks
+def test_corpora_of_each_kind_match_row_by_row_generators(grid11, counts):
+    mesh, dofs = grid11
+    fp = FourierParams(n_terms=4)
+    assert_bitwise(build_sample_set(counts, fp, mesh, dofs, 11).samples,
+                   reference_corpus(counts, fp, mesh, dofs, 11, reference_fourier))
+
+
+def test_gaussian_rows_on_one_free_dof_are_mid_range():
+    mesh = build_structured_grid(3, 3, 1.0, 1.0)
+    dofs = build_dof_map(mesh, ONE_FREE_DOF)
+    assert dofs.n_free == 1
+    counts, fp = (2, 6, 2), FourierParams(n_terms=3)
+    got = build_sample_set(counts, fp, mesh, dofs, 12).samples
+    assert_bitwise(got, reference_corpus(counts, fp, mesh, dofs, 12, reference_fourier))
+    assert np.all(got[:8] == 0.5)
