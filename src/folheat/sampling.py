@@ -6,18 +6,19 @@ below 1e-12 collapses to the mid-range constant 0.5 instead of dividing by
 zero. Each sample draws from its own RNG stream derived from (seed, sample
 index), so generation is reproducible and order-independent.
 
-build_sample_set seeds every row's PCG64 from one vectorised pass of numpy's
-SeedSequence((seed, row)) hash over all rows. The words are used only when
-rows 0 and last get numpy's own generator state from them; otherwise (another
-numpy, or a seed of 2**96 or more) every row takes numpy's SeedSequence.
-
-It makes no scalar draw per term either: it reads each trigonometric row's
+build_sample_set makes the corpus that gen_fourier, gen_gaussian and
+gen_constant make row by row, without a SeedSequence or a scalar draw per
+row. It seeds every row's PCG64 from one vectorised pass of numpy's
+SeedSequence((seed, row)) hash over all rows, reads each trigonometric row's
 draws from the raw PCG64 words that the scalar draws would consume, and
 evaluates blocks of rows together, term by term in the scalar order, as it
-normalises blocks of white-noise rows. The corpus bits are those of
-gen_fourier and gen_gaussian row by row. A row where Lemire's integer bound
-could have rejected a draw takes the scalar draws, and so does every row of
-a call whose row 0 the raw words do not reproduce (numpy changed).
+normalises blocks of white-noise rows. A row where Lemire's integer bound
+could have rejected a draw takes the scalar draws.
+
+One check guards the rest: rows 0, the last trigonometric row and the last
+row are compared bit for bit with their generator run on numpy's own
+SeedSequence. On any mismatch (another numpy) every row is remade by those
+generators, the only fallback.
 """
 
 from __future__ import annotations
@@ -191,17 +192,19 @@ class _Hash:
 
 def _seed_words(seed: int, n_rows: int) -> np.ndarray:
     """(n_rows, 4) uint64: SeedSequence((seed, row)).generate_state(4, np.uint64)
-    of every row, for a seed below 2**96 and rows below 2**32, whose entropy
-    words (the seed's, little-endian, then the row's) fill at most the pool."""
+    of every row below 2**32. The entropy words are the seed's, little-endian,
+    then the row's; words beyond the pool of 4 are mixed into the pool after
+    its own mixing, as numpy's mix_entropy does."""
     rows = np.arange(n_rows, dtype=np.uint32)
     entropy = [np.full_like(rows, seed >> shift & 0xFFFFFFFF)
                for shift in range(0, max(seed.bit_length(), 1), 32)] + [rows]
     hashmix = _Hash(INIT_A, MULT_A)
-    pool = [hashmix(word) for word in entropy + [np.zeros_like(rows)] * (4 - len(entropy))]
-    for src in range(4):
+    pool = [hashmix(word) for word in (entropy + [np.zeros_like(rows)] * 4)[:4]]
+    for src in range(max(4, len(entropy))):  # the pool's own words, then entropy beyond it
+        word = pool[src] if src < 4 else entropy[src]
         for dst in range(4):
             if src != dst:
-                mixed = pool[dst] * MIX_MULT_L - hashmix(pool[src]) * MIX_MULT_R
+                mixed = pool[dst] * MIX_MULT_L - hashmix(word) * MIX_MULT_R
                 pool[dst] = mixed ^ (mixed >> 16)
     output = _Hash(INIT_B, MULT_B)
     state = np.stack([output(pool[i % 4]) for i in range(8)], axis=1)
@@ -215,24 +218,8 @@ class _RowWords(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 asks for 4 uint64 words; any other request seeds a state the vouch refuses
+        # PCG64 asks for 4 uint64 words; any other request seeds rows the check refuses
         return self.words if n_words == 4 and dtype is np.uint64 else np.zeros(n_words, dtype)
-
-
-def _row_rngs(seed: int, n_rows: int):
-    """row -> a fresh generator equal to _sample_rng(seed, row), for rows below
-    n_rows. The rows are seeded from _seed_words when rows 0 and n_rows - 1
-    seed numpy's own generator state, and from _sample_rng otherwise."""
-    if n_rows and seed < 2**96:
-        words = _seed_words(seed, n_rows)
-
-        def fast(row):
-            return np.random.Generator(np.random.PCG64(_RowWords(words[row])))
-
-        if all(fast(row).bit_generator.state == _sample_rng(seed, row).bit_generator.state
-               for row in (0, n_rows - 1)):
-            return fast
-    return lambda row: _sample_rng(seed, row)
 
 
 class _RawReplica:
@@ -285,23 +272,6 @@ class _RawReplica:
             out[:, :, p] = lo[idx] + span[idx] * unit
         return out, risky
 
-    def matches_scalar(self, seed: int) -> bool:
-        """Whether Fourier row 0's replica draws equal its scalar draws."""
-        draws, _ = self.draws(self.raw([_sample_rng(seed, 0)]))
-        return np.array_equal(draws[0], _scalar_draws(self.fp, _sample_rng(seed, 0)))
-
-
-def _fourier_draws(fp: FourierParams, replica: _RawReplica | None, rng, rows: range) -> np.ndarray:
-    """(rows, n_terms, 5) draws of the given Fourier rows, each from rng(row);
-    rows the replica cannot vouch for, or every row without a replica, take
-    the scalar path."""
-    if replica is None:
-        return np.stack([_scalar_draws(fp, rng(row)) for row in rows])
-    draws, risky = replica.draws(replica.raw([rng(row) for row in rows]))
-    for i in np.flatnonzero(risky):
-        draws[i] = _scalar_draws(fp, rng(rows[i]))
-    return draws
-
 
 def build_sample_set(
     counts: tuple[int, int, int],
@@ -310,11 +280,14 @@ def build_sample_set(
     dofs: DofMap,
     seed: int,
 ) -> SampleSet:
-    """Generate (n_fourier, n_gaussian, n_constant) samples, in that order.
+    """Generate (n_fourier, n_gaussian, n_constant) samples, in that order:
+    row r is gen_fourier, gen_gaussian or gen_constant run on
+    _sample_rng(seed, r), bitwise.
 
-    Fourier rows are built BLOCK_VALUES values at a time, from raw draws, and
-    Gaussian rows are normalised as many at a time; every row equals its
-    generator with _sample_rng(seed, row) bitwise.
+    Every row is built fast (see the module docstring), Fourier and Gaussian
+    rows BLOCK_VALUES values at a time. Rows 0, n_fourier - 1 and the last
+    are then compared bit for bit with their generator on _sample_rng; on any
+    mismatch every row is remade by the generators.
     """
     n_fourier, n_gaussian, n_constant = counts
     if min(counts) < 0:
@@ -324,22 +297,36 @@ def build_sample_set(
     if dofs.n_free < 1:
         raise ValidationError("sample set needs at least one free dof")
     n_total = n_fourier + n_gaussian + n_constant
+    gaussian_stop = n_fourier + n_gaussian
+    words = _seed_words(seed, n_total)
+
+    def rng(row):
+        return np.random.Generator(np.random.PCG64(_RowWords(words[row])))
+
+    def reference(row):
+        row_rng = _sample_rng(seed, row)
+        if row < n_fourier:
+            return gen_fourier(fp, mesh, dofs, row_rng)
+        return gen_gaussian(dofs, row_rng) if row < gaussian_stop else gen_constant(dofs, row_rng)
+
     samples = np.zeros((n_total, dofs.n_free))
     xy = mesh.nodes[dofs.free]
-    rng = _row_rngs(seed, n_total)
     replica = _RawReplica(fp)
-    if n_fourier and not replica.matches_scalar(seed):
-        replica = None  # numpy no longer draws as the replica assumes
     block = max(1, BLOCK_VALUES // dofs.n_free)
     for start in range(0, n_fourier, block):
         rows = range(start, min(start + block, n_fourier))
-        samples[start:rows.stop] = _fourier_rows(_fourier_draws(fp, replica, rng, rows), xy[:, 0], xy[:, 1])
-    gaussian_stop = n_fourier + n_gaussian
+        draws, risky = replica.draws(replica.raw([rng(row) for row in rows]))
+        for i in np.flatnonzero(risky):  # Lemire's bound could have rejected a draw
+            draws[i] = _scalar_draws(fp, rng(rows[i]))
+        samples[start:rows.stop] = _fourier_rows(draws, xy[:, 0], xy[:, 1])
     for start in range(n_fourier, gaussian_stop, block):
         rows = range(start, min(start + block, gaussian_stop))
         samples[start:rows.stop] = _minmax_rows(np.stack([rng(row).standard_normal(dofs.n_free) for row in rows]))
     for row in range(gaussian_stop, n_total):
         samples[row] = gen_constant(dofs, rng(row))
+    checked = {row for row in (0, n_fourier - 1, n_total - 1) if 0 <= row < n_total}
+    if any(samples[row].tobytes() != reference(row).tobytes() for row in checked):
+        samples = np.stack([reference(row) for row in range(n_total)])  # numpy draws otherwise
     return SampleSet(samples, dict(zip(KINDS, counts)), seed, dofs.fingerprint)
 
 

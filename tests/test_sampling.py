@@ -230,12 +230,15 @@ small_params = st.builds(FourierParams, n_terms=st.integers(1, 6), offset_ranges
 def test_batched_fourier_rows_match_scalar_reference(irregular_mesh, fp, seed, n_fourier, kind,
                                                     block_values):
     mesh, dofs = small_problem(kind, irregular_mesh)
-    assert sampling._RawReplica(fp).matches_scalar(seed)  # else every row took the scalar path
-    saved, sampling.BLOCK_VALUES = sampling.BLOCK_VALUES, block_values
+    calls = []
+    saved = sampling.BLOCK_VALUES, sampling.gen_fourier
+    sampling.BLOCK_VALUES = block_values
+    sampling.gen_fourier = lambda *args: calls.append(args) or saved[1](*args)
     try:
         got = build_sample_set((n_fourier, 1, 1), fp, mesh, dofs, seed).samples
     finally:
-        sampling.BLOCK_VALUES = saved
+        sampling.BLOCK_VALUES, sampling.gen_fourier = saved
+    assert len(calls) == len({0, n_fourier - 1})  # the checked rows only: the batched rows were kept
     assert_bitwise(got, reference_corpus((n_fourier, 1, 1), fp, mesh, dofs, seed, reference_fourier))
 
 
@@ -282,7 +285,8 @@ class TestRawReplica:
 
 
 class TestSeedWords:
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**95 + 11])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**95 + 11,
+                                      2**96, 2**96 + 1, 2**130 + 5, 2**300 + 7])
     def test_words_match_numpy_seed_sequence(self, seed):
         n_rows = 70000
         words = sampling._seed_words(seed, n_rows)
@@ -290,19 +294,7 @@ class TestSeedWords:
         for row in (0, 1, 65536, n_rows - 1):
             assert_bitwise(words[row], np.random.SeedSequence((seed, row)).generate_state(4, np.uint64))
 
-    @pytest.mark.parametrize("seed", [2**96, 2**96 + 1, 2**130 + 5])
-    def test_seed_beyond_the_pool_takes_numpy_seed_sequences(self, grid11, monkeypatch, seed):
-        mesh, dofs = grid11
-
-        def refuse(seed, n_rows):
-            raise AssertionError("words computed for a seed of 2**96 or more")
-
-        monkeypatch.setattr(sampling, "_seed_words", refuse)
-        counts, fp = (4, 3, 2), FourierParams(n_terms=5)
-        assert_bitwise(build_sample_set(counts, fp, mesh, dofs, seed).samples,
-                       reference_corpus(counts, fp, mesh, dofs, seed, reference_fourier))
-
-    @pytest.mark.parametrize("flipped_row", [0, -1])
+    @pytest.mark.parametrize("flipped_row", [0, 5, -1])  # 5: the last Fourier row
     def test_words_that_disagree_are_not_used(self, grid11, monkeypatch, flipped_row):
         mesh, dofs = grid11
         compute = sampling._seed_words
@@ -325,20 +317,24 @@ class TestSeedWords:
             made.append(args)
             return numpy_seed_sequence(*args, **kwargs)
 
+        fourier = []
         monkeypatch.setattr(np.random, "SeedSequence", counted)
+        monkeypatch.setattr(sampling, "gen_fourier", lambda *args: fourier.append(args) or gen_fourier(*args))
         build_sample_set((1200, 1500, 300), FourierParams(), mesh, dofs, 0)
-        assert 0 < len(made) <= 6  # the vouch and matches_scalar, not one per row
+        assert len(made) == 3 and len(fourier) == 2  # the checked rows 0, 1199 and 2999, not one per row
 
 
 ONE_FREE_DOF = DirichletSpec({"left": 1.0, "right": 1.0, "top": 1.0, "bottom": 1.0})
 
 
-@pytest.mark.parametrize("counts", [(0, 5, 0), (0, 0, 5), (0, 0, 0), (3, 700, 2)])  # 700: two Gaussian blocks
-def test_corpora_of_each_kind_match_row_by_row_generators(grid11, counts):
+@pytest.mark.parametrize(("counts", "seed"), [  # 700: two Gaussian blocks; 2**130 + 5: entropy beyond the pool
+    ((0, 5, 0), 11), ((0, 0, 5), 11), ((0, 0, 0), 11), ((3, 700, 2), 11), ((3, 700, 2), 2**130 + 5)],
+    ids=["counts0", "counts1", "counts2", "counts3", "counts3-seed-beyond-the-pool"])
+def test_corpora_of_each_kind_match_row_by_row_generators(grid11, counts, seed):
     mesh, dofs = grid11
     fp = FourierParams(n_terms=4)
-    assert_bitwise(build_sample_set(counts, fp, mesh, dofs, 11).samples,
-                   reference_corpus(counts, fp, mesh, dofs, 11, reference_fourier))
+    assert_bitwise(build_sample_set(counts, fp, mesh, dofs, seed).samples,
+                   reference_corpus(counts, fp, mesh, dofs, seed, reference_fourier))
 
 
 def test_gaussian_rows_on_one_free_dof_are_mid_range():
