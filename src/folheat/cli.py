@@ -45,6 +45,15 @@ _INT = _number_type(int, lambda v: True, "an integer")
 _FLOAT = _number_type(float, lambda v: True, "a number")
 
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")  # what --threads sets
+
+
+def _thread_budget() -> str:
+    """The thread caps in force, ``VAR=value`` for each variable --threads sets,
+    ``unset`` for one the environment lacks."""
+    return " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in _THREAD_VARS)
+
+
 def _threads_parser() -> _Parser:
     """The top-level --threads flag alone, read before any subcommand's options."""
     p = _Parser(add_help=False)
@@ -53,6 +62,7 @@ def _threads_parser() -> _Parser:
     return p
 
 
+@functools.cache  # the parser a process builds does not change while it runs
 def _build_parser() -> _Parser:
     p = _Parser(prog="folheat", description=__doc__, parents=[_threads_parser()])
     sub = p.add_subparsers(dest="command", required=True)
@@ -347,14 +357,13 @@ def cmd_benchmark(args) -> int:
     rs = _reduced(cfg, mesh, dofs, model.dt)
     t0 = _initial_field(args.init, mesh, dofs)
     res = benchmark_speed(model, rs, dofs, t0, n_steps=args.steps, repeats=args.repeats)
-    threads = os.environ.get("OMP_NUM_THREADS", "unset")
     report = "\n".join([
         "folheat benchmark report",
         f"grid_free_dofs {dofs.n_free}",
         f"arch {model.arch}",
         f"n_steps {args.steps}",
         f"repeats {args.repeats}",
-        f"thread_budget {threads}",
+        f"thread_budget {_thread_budget()}",
         f"median_nn_seconds {res.t_nn!r}",
         f"median_fe_seconds {res.t_fe!r}",
         f"ratio_fe_over_nn {res.ratio!r}",
@@ -425,7 +434,7 @@ def main(argv=None) -> int:
     try:
         # thread caps must land before numpy is imported by any subcommand
         if (threads := _threads_parser().parse_known_args(argv)[0].threads) is not None:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            for var in _THREAD_VARS:
                 os.environ[var] = str(threads)
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)

@@ -157,9 +157,10 @@ def _invert_bilinear(coords: np.ndarray, p: np.ndarray, tol: float = 1e-12):
     Every pair starts at (0, 0) and takes at most 25 steps; it stops once
     max |residual| < tol and is dropped once |xi|max exceeds 3 (the point is
     far from that element) or xi is not finite (a singular step). Each step
-    computes only the pairs still iterating. Returns (accepted, xi): accepted
-    pairs end within the reference square up to 1e-9, and their xi is
-    clipped onto it.
+    computes only the pairs still iterating; their arrays are filtered only
+    in a step where some pair stops. Returns (accepted, xi): accepted pairs
+    end within the reference square up to 1e-9, and their xi is clipped onto
+    it.
     """
     xi = np.zeros(p.shape)
     dropped = np.zeros(p.shape[0], dtype=bool)
@@ -167,7 +168,8 @@ def _invert_bilinear(coords: np.ndarray, p: np.ndarray, tol: float = 1e-12):
     for _ in range(25):
         res = np.einsum("pi,pij->pj", shape_values(x[:, 0], x[:, 1]), el) - q
         going = np.maximum(np.abs(res[:, 0]), np.abs(res[:, 1])) >= tol
-        live, el, q, x, res = live[going], el[going], q[going], x[going], res[going]
+        if not going.all():
+            live, el, q, x, res = live[going], el[going], q[going], x[going], res[going]
         if not live.size:
             break
         # solve jac^T step = res in closed form; jac rows are d(x,y)/dxi, d(x,y)/deta
@@ -178,8 +180,9 @@ def _invert_bilinear(coords: np.ndarray, p: np.ndarray, tol: float = 1e-12):
                                  x[:, 1] - (a * res[:, 1] - b * res[:, 0]) / det])
         xi[live] = x
         near = np.maximum(np.abs(x[:, 0]), np.abs(x[:, 1])) <= 3.0
-        dropped[live[~near]] = True
-        live, el, q, x = live[near], el[near], q[near], x[near]
+        if not near.all():
+            dropped[live[~near]] = True
+            live, el, q, x = live[near], el[near], q[near], x[near]
     inside = np.maximum(np.abs(xi[:, 0]), np.abs(xi[:, 1])) <= 1.0 + 1e-9
     return ~dropped & inside, np.clip(xi, -1.0, 1.0)
 

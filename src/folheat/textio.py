@@ -17,6 +17,7 @@ import warnings
 from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +134,9 @@ class TokenReader:
         tokens = self._take(n_rows * width, columns[0][0])
         try:
             number(" ".join(tokens), str)  # one scan of the block
-            out = [np.fromiter(map(kind, tokens[j::width]), _DTYPES[kind], n_rows)
+            # numpy converts a str to int64 by int(); a float column is no faster that way
+            out = [np.array(tokens[j::width], np.int64) if kind is int
+                   else np.fromiter(map(float, tokens[j::width]), np.float64, n_rows)
                    for j, (_, kind) in enumerate(columns)]
             if all(np.isfinite(a).all() for a in out):
                 return out
@@ -221,45 +224,51 @@ def read_nodal_csv(path, columns: list[str], n_nodes: int | None = None):
     id, ids not contiguous from 0, (given n_nodes) another row count, or a
     field longer than ``csv.field_size_limit()`` is a ValidationError naming
     the source and, for a row, its line.
+
+    The rows are split in one ``csv.reader`` pass and convert a column at a
+    time; only a file that fails is read again, row by row.
     """
     source, text = str(path), read_text(path)
-    reader, rows = csv.reader(io.StringIO(text)), []
+    reader, lines, rows = csv.reader(io.StringIO(text)), [], []
     try:
         header = next(reader, None)
         if header is None or [h.strip() for h in header[: len(columns)]] != columns:
             raise ValidationError(f"{source} must start with {','.join(columns)!r}, got {header}")
         for row in reader:
             if row:
-                rows.append((reader.line_num, row))
+                lines.append(reader.line_num)
+                rows.append(row)
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-        _refuse_first_bad_row(source, columns, rows)
+        _refuse_first_bad_row(source, columns, lines, rows)
         raise ValidationError(f"{source} line {reader.line_num}: {exc}") from None
     n, width = len(rows), len(columns)
     try:  # the rows in one scan; the header may hold a `_`
         number(text.partition("\n")[2], str)
     except ValueError:  # a `_` beyond the read columns passes
-        _refuse_first_bad_row(source, columns, rows)
+        _refuse_first_bad_row(source, columns, lines, rows)
+    values = np.empty((n, width - 1))
     try:
-        ids = np.array([int(row[0]) for _, row in rows], dtype=np.int64)
-        values = np.array([float(row[j]) for _, row in rows for j in range(1, width)]).reshape(n, width - 1)
+        ids = np.fromiter(map(int, map(itemgetter(0), rows)), np.int64, n)
+        for j in range(1, width):
+            values[:, j - 1] = np.fromiter(map(float, map(itemgetter(j), rows)), np.float64, n)
         order = np.argsort(ids)
         contiguous = np.array_equal(ids[order], np.arange(n))
     except (ValueError, IndexError, OverflowError):  # OverflowError: an id beyond int64
         contiguous = False
     if not contiguous:
-        _refuse_first_bad_row(source, columns, rows)  # else an id is missing or out of range
+        _refuse_first_bad_row(source, columns, lines, rows)  # else an id is missing or out of range
         raise ValidationError(f"{source}: node ids must be contiguous from 0")
     if n_nodes is not None and n != n_nodes:
         raise ValidationError(f"{source} has {n} rows, the mesh has {n_nodes} nodes")
-    return source, values[order], np.array([line for line, _ in rows], dtype=np.int64)[order]
+    return source, values[order], np.array(lines, dtype=np.int64)[order]
 
 
-def _refuse_first_bad_row(source, columns: list[str], rows) -> None:
-    """Raise at the first of the (line, row) pairs that has no integer id and
+def _refuse_first_bad_row(source, columns: list[str], lines, rows) -> None:
+    """Raise at the first row, on its file line, that has no integer id and
     numbers in every column, or that repeats an earlier id. A cell is read by
     ``errors.number``."""
     seen = set()
-    for line, row in rows:
+    for line, row in zip(lines, rows):
         try:
             node, _ = number(row[0], int), [number(row[j]) for j in range(1, len(columns))]
         except (ValueError, IndexError):

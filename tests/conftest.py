@@ -7,6 +7,7 @@ from pathlib import Path
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from folheat.fem import ConductivityField, MaterialParams, assemble, reduce_system  # noqa: E402
@@ -14,6 +15,14 @@ from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid, lo
 
 LEFT_RIGHT = DirichletSpec({"left": 1.0, "right": 0.0})
 IRREGULAR_MESH = Path(__file__).resolve().parent.parent / "data" / "irregular.folmesh"
+
+
+def rowwise_csv(header, columns):
+    """The text of a CSV formatted row by row, every value the repr of its
+    Python scalar: the byte reference of write_csv and write_csv_series."""
+    head = "" if header is None else ",".join(header) + "\n"
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return head + "".join([",".join(map(repr, row)) + "\n" for row in rows])
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import IRREGULAR_MESH, rowwise_csv
 from folheat import cli, fem
 from folheat.cli import main
 from folheat.config import load_run_config
@@ -600,16 +601,21 @@ class TestEvaluate:
 
 
 class TestBenchmark:
-    def test_report_schema(self, tmp_path, smoke_cfg, capsys):
+    def test_report_schema(self, tmp_path, smoke_cfg, capsys, monkeypatch):
         out = tmp_path / "run"
         run("train", "--config", smoke_cfg, "--out", out, "--log-every", 0)
+        for var in THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)  # restored after the test
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # the budget is each cap, not OMP's alone
         report = tmp_path / "bench.txt"
         assert run("benchmark", "--config", smoke_cfg, "--checkpoint", out / "model.folmodel",
                    "--steps", 2, "--repeats", 5, "--out", report) == 0
         text = report.read_text()
         for key in ("median_nn_seconds", "median_fe_seconds", "ratio_fe_over_nn",
-                    "n_steps 2", "repeats 5", "thread_budget"):
+                    "n_steps 2", "repeats 5"):
             assert key in text
+        assert ("thread_budget OMP_NUM_THREADS=unset OPENBLAS_NUM_THREADS=2 MKL_NUM_THREADS=unset"
+                in text.splitlines())
 
 
 class TestPostprocess:
@@ -626,6 +632,25 @@ class TestPostprocess:
         mesh = load_run_config(smoke_cfg).build_mesh()
         grid = upsample_field(mesh, load_field(ref / "step_0001.csv", mesh), 9, 9)
         assert np.array_equal(np.loadtxt(out / "upsampled.csv", delimiter=","), grid)
+
+    def test_annulus_outputs_are_the_rowwise_bytes(self, tmp_path):
+        """On the shipped annulus, whose resampled grid has cells off the mesh,
+        flux.csv and upsampled.csv hold the bytes of a row-by-row writer."""
+        cfg = tmp_path / "annulus.cfg"
+        cfg.write_text(f"[mesh]\nsource = file\npath = {IRREGULAR_MESH}\n"
+                       "[dirichlet]\ninner = 1.0\nouter = 0.0\n")
+        ref, out = tmp_path / "ref", tmp_path / "post"
+        assert run("solve-fem", "--config", cfg, "--init", "canonical:sin10y", "--steps", 2, "--out", ref) == 0
+        assert run("postprocess", "--config", cfg, "--field", ref / "step_0002.csv", "--out", out) == 0
+        config = load_run_config(cfg)
+        mesh = config.build_mesh()
+        field = load_field(ref / "step_0002.csv", mesh)
+        flux = heat_flux(mesh, config.conductivity(mesh), field)
+        grid = upsample_field(mesh, field, 165, 165)
+        assert np.isnan(grid).any() and not np.isnan(grid).all()
+        assert (out / "flux.csv").read_bytes() == rowwise_csv(
+            ["node_id", "x", "y", "qx", "qy"], [range(mesh.n_nodes), *mesh.nodes.T, *flux.T]).encode()
+        assert (out / "upsampled.csv").read_bytes() == rowwise_csv(None, grid.T).encode()
 
     def test_manifest_records_the_request(self, tmp_path, smoke_cfg):
         ref = tmp_path / "ref"
@@ -724,6 +749,20 @@ class TestThreads:
             monkeypatch.delenv(var, raising=False)  # restored after the test
         assert run("--threads", 1, "gen-mesh", "--nx", 3, "--ny", 3, "--out", tmp_path / "m") == 0
         assert [os.environ[var] for var in THREAD_VARS] == ["1", "1", "1"]
+
+    def test_one_process_runs_each_command_as_alone(self, tmp_path, monkeypatch, capsys):
+        """The parser is built once per process; a refused command leaves nothing
+        in it that changes the next one."""
+        for var in THREAD_VARS:
+            monkeypatch.setenv(var, "1")  # restored after the test
+        cli._build_parser.cache_clear()
+        assert run("solve-fem", "--alpha", "0.5") == 1
+        assert capsys.readouterr().err == (
+            "error: the following arguments are required: --init, --steps, --out\n")
+        assert run("gen-mesh", "--nx", 3, "--ny", 3, "--out", tmp_path / "a") == 0
+        assert run("--threads", 1, "gen-mesh", "--nx", 3, "--ny", 3, "--out", tmp_path / "b") == 0
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+        assert cli._build_parser.cache_info().misses == 1
 
     def test_cli_import_leaves_numpy_unloaded(self):
         # OpenBLAS reads its thread budget once, when numpy loads it

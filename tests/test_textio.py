@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rowwise_csv
 from folheat import mesh as mesh_module
 from folheat import textio
 from folheat.cli import main
@@ -149,6 +150,53 @@ def test_float_block_reads_as_float_per_token(token_dir, tokens, tail, missing, 
             reader.expect("end")
 
 
+INT_TOKENS = st.one_of(
+    st.integers(-2**64, 2**64).map(str),
+    st.integers(-2**63, 2**63 - 1).map(lambda i: "%+d" % i),
+    st.sampled_from(["+5", "-0", "007", "٣٤", "0x1", "1e3", "1.0", "nan", "1_0",
+                     str(2**63), str(-2**63), str(2**63 - 1), str(-2**63 - 1)]),
+)
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(tokens=st.lists(INT_TOKENS, min_size=1, max_size=40), tail=st.sampled_from(["end", "7 end", ""]),
+       missing=st.sampled_from([0, 2]), data=st.data())
+def test_int_block_reads_as_int_per_token(token_dir, tokens, tail, missing, data):
+    """An int block of len(tokens) + missing values, wrapped and commented at
+    random and followed by tail, reads as int() of each token. Otherwise it
+    fails at the end of the file, or else at the first token that int()
+    refuses, that holds a `_` digit separator or that int64 cannot hold,
+    naming its line."""
+    text, lines, words = "", [], tokens + tail.split()
+    for word in words:
+        text += word
+        lines.append(len(text.splitlines()))
+        text += data.draw(SEPARATORS)
+    n = len(tokens) + missing
+    values, message = [], None
+    if len(words) < n:
+        message = f"line {lines[-1]}: unexpected end of file, expected node"
+    for word, lineno in zip(words[:n], lines):
+        try:
+            value = int(word) if "_" not in word else None  # int("1_0") is 10
+        except ValueError:
+            value = None
+        if message is None and (value is None or not -2**63 <= value < 2**63):
+            message = f"line {lineno}: expected node, got {word!r}"
+        values.append(value)
+    for reader in readers(text, token_dir, error_cls=ValidationError, source="block"):
+        if message is not None:
+            with pytest.raises(ValidationError, match=f"^block: {re.escape(message)}$"):
+                reader.next_block(n, ("node", int))
+            continue
+        (block,) = reader.next_block(n, ("node", int))
+        assert block.dtype == np.int64 and block.tolist() == values
+        assert [reader.next_token("tail") for _ in words[n:]] == words[n:]
+        assert reader.exhausted()
+        with pytest.raises(ValidationError, match=f"^block: line {lines[-1]}: unexpected end of file"):
+            reader.expect("end")
+
+
 @pytest.mark.parametrize("header, columns, text", [
     (["k"], [np.array([1.5, -0.0])], "k\n1.5\n-0.0\n"),
     (None, [range(2), np.array([0.1 + 0.2, 1e-300])], "0,0.30000000000000004\n1,1e-300\n"),
@@ -164,14 +212,6 @@ def rowwise_write_block(f, per_line, *columns):
     every Python scalar, one join per line."""
     items = [str(v) for row in zip(*(np.asarray(c).tolist() for c in columns)) for v in row]
     f.write("".join([" ".join(items[j : j + per_line]) + "\n" for j in range(0, len(items), per_line)]))
-
-
-def rowwise_csv(header, columns):
-    """The text of a CSV formatted row by row, every value the repr of its
-    Python scalar: the byte reference of write_csv and write_csv_series."""
-    head = "" if header is None else ",".join(header) + "\n"
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    return head + "".join([",".join(map(repr, row)) + "\n" for row in rows])
 
 
 def signed_zero_mesh():
