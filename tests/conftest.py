@@ -25,6 +25,55 @@ def rowwise_csv(header, columns):
     return head + "".join([",".join(map(repr, row)) + "\n" for row in rows])
 
 
+def row_rng(seed, row):
+    """The generator of corpus row `row` under the per-row seeding of the
+    first corpus (sidecar without "corpus"): SeedSequence((seed, row))."""
+    return np.random.default_rng(np.random.SeedSequence((seed, row)))
+
+
+def minmax(values):
+    """Min-max normalize into [0, 1]; a span under 1e-12 gives 0.5 everywhere."""
+    span = values.max() - values.min()
+    return np.full(values.shape, 0.5) if span < 1e-12 else (values - values.min()) / span
+
+
+def reference_fourier(fp, mesh, dofs, rng):
+    """Scalar draws and a per-term loop over one field: the generator's
+    definition, independent of the batched evaluator."""
+    xy = mesh.nodes[dofs.free]
+    x, y = xy[:, 0], xy[:, 1]
+    total = np.zeros(dofs.n_free)
+    for _ in range(fp.n_terms):
+        params = []
+        for ranges in (fp.offset_ranges, fp.amp_x_ranges, fp.amp_y_ranges, fp.freq_x_ranges, fp.freq_y_ranges):
+            lo, hi = ranges[rng.integers(len(ranges))]
+            params.append(float(rng.uniform(lo, hi)))
+        offset, amp_x, amp_y, freq_x, freq_y = params
+        sx, cx = np.sin(freq_x * x), np.cos(freq_x * x)
+        sy, cy = np.sin(freq_y * y), np.cos(freq_y * y)
+        total += offset + amp_x * sx * cy + amp_y * cx * sy + amp_x * sx * sy + amp_y * cx * cy
+    return minmax(total)
+
+
+def legacy_corpus(counts, fp, mesh, dofs, seed):
+    """The (n_fourier, n_gaussian, n_constant) corpus of the first corpus
+    contract, row by row: row r draws from row_rng(seed, r), a trigonometric
+    row as reference_fourier, a white-noise row as min-max normalized
+    standard normals, a constant row as one uniform level. The training bits
+    of tests/test_training.py are pinned on it."""
+    n_fourier, n_gaussian, _ = counts
+    rows = []
+    for row in range(sum(counts)):
+        rng = row_rng(seed, row)
+        if row < n_fourier:
+            rows.append(reference_fourier(fp, mesh, dofs, rng))
+        elif row < n_fourier + n_gaussian:
+            rows.append(minmax(rng.standard_normal(dofs.n_free)))
+        else:
+            rows.append(np.full(dofs.n_free, float(rng.uniform(0.0, 1.0))))
+    return np.array(rows).reshape(sum(counts), dofs.n_free)
+
+
 @pytest.fixture(scope="session")
 def irregular_mesh():
     """The shipped unstructured domain: a quarter annulus of radii 0.45 and 1,

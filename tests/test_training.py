@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import legacy_corpus
 
 from folheat.cli import main
 from folheat.errors import FingerprintError, NumericalError, ValidationError
@@ -21,7 +22,7 @@ from folheat.neural import (
     load_model,
     save_model,
 )
-from folheat.sampling import FourierParams, build_sample_set
+from folheat.sampling import KINDS, FourierParams, SampleSet, build_sample_set
 from folheat.training import (
     LBFGS_HISTORY,
     AdamState,
@@ -417,6 +418,12 @@ def _problem(n):
     return mesh, dofs, reduce_system(sys_mats, dofs, 0.05, 1.0)
 
 
+def _legacy_set(counts, fp, mesh, dofs, seed):
+    """The corpus the training bits below were pinned on, as a sample set."""
+    return SampleSet(legacy_corpus(counts, fp, mesh, dofs, seed), dict(zip(KINDS, counts)), seed,
+                     dofs.fingerprint)
+
+
 def _trained_sha256(model, rs, dofs, samples, adam_epochs, lbfgs_epochs, batch_size, seed):
     """sha256 of the parameters after Adam then L-BFGS, and of both loss records."""
     h = hashlib.sha256()
@@ -429,8 +436,9 @@ def _trained_sha256(model, rs, dofs, samples, adam_epochs, lbfgs_epochs, batch_s
 
 
 # Training's exact bits on this numpy/OpenBLAS build at 1 BLAS thread, recorded
-# from the taped pass that kept z, a and the expit/tanh cache per hidden layer.
-# A refactor of neural or training must reproduce them.
+# from the taped pass that kept z, a and the expit/tanh cache per hidden layer,
+# on the row-by-row corpus of conftest.legacy_corpus, which no change to
+# sampling moves. A refactor of neural or training must reproduce them.
 SMALL_SHA256 = {
     ("separated", "swish"): "ee01a571c0e8e3e61611853d578cff9a0a91b29e32ff413409c75014c419f13a",
     ("separated", "tanh"): "69820152e7de308537e3d0ee748a3c796c6260e408c91afa7f876f466ba3bf8c",
@@ -450,9 +458,10 @@ DESK_SHA256 = "0daf76b1dfb511530443fdd52076a38ee7719c0403f9aa78d55cdad9ef7bd67c"
 
 @pytest.fixture(scope="module")
 def desk():
-    """The desk recipe's 11x11 problem and its 3000-sample corpus (seed 0)."""
+    """The desk recipe's 11x11 problem and a 3000-sample corpus of its counts
+    (seed 0), made by legacy_corpus."""
     mesh, dofs, rs = _problem(11)
-    samples = build_sample_set((1200, 1500, 300), FourierParams(), mesh, dofs, seed=0)
+    samples = _legacy_set((1200, 1500, 300), FourierParams(), mesh, dofs, seed=0)
     return mesh, dofs, rs, samples
 
 
@@ -462,7 +471,7 @@ class TestTrainingBits:
     def test_small_grid(self, arch, activation):
         # 20 samples in batches of 6 end in a short batch of 2
         mesh, dofs, rs = _problem(5)
-        samples = build_sample_set((8, 8, 4), FourierParams(), mesh, dofs, seed=3)
+        samples = _legacy_set((8, 8, 4), FourierParams(), mesh, dofs, seed=3)
         model = init_model(arch, mesh, dofs, activation=activation, seed=4)
         assert _trained_sha256(model, rs, dofs, samples, 3, 3, 6, 5) == SMALL_SHA256[arch, activation]
 
