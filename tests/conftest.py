@@ -37,22 +37,26 @@ def minmax(values):
     return np.full(values.shape, 0.5) if span < 1e-12 else (values - values.min()) / span
 
 
-def reference_fourier(fp, mesh, dofs, rng):
-    """Scalar draws and a per-term loop over one field: the generator's
-    definition, independent of the batched evaluator."""
+def series(terms, mesh, dofs):
+    """The normalized trigonometric field of term parameters (offset, amp_x,
+    amp_y, freq_x, freq_y) at the free nodes, by a scalar loop over the terms:
+    the generator's definition, independent of the batched evaluator."""
     xy = mesh.nodes[dofs.free]
     x, y = xy[:, 0], xy[:, 1]
     total = np.zeros(dofs.n_free)
-    for _ in range(fp.n_terms):
-        params = []
-        for ranges in (fp.offset_ranges, fp.amp_x_ranges, fp.amp_y_ranges, fp.freq_x_ranges, fp.freq_y_ranges):
-            lo, hi = ranges[rng.integers(len(ranges))]
-            params.append(float(rng.uniform(lo, hi)))
-        offset, amp_x, amp_y, freq_x, freq_y = params
+    for offset, amp_x, amp_y, freq_x, freq_y in terms:
         sx, cx = np.sin(freq_x * x), np.cos(freq_x * x)
         sy, cy = np.sin(freq_y * y), np.cos(freq_y * y)
         total += offset + amp_x * sx * cy + amp_y * cx * sy + amp_x * sx * sy + amp_y * cx * cy
     return minmax(total)
+
+
+def reference_fourier(fp, mesh, dofs, rng):
+    """One trigonometric field of the first corpus contract: per term and
+    menu, a scalar interval index, then a scalar uniform value within it."""
+    menus = (fp.offset_ranges, fp.amp_x_ranges, fp.amp_y_ranges, fp.freq_x_ranges, fp.freq_y_ranges)
+    return series([[float(rng.uniform(*menu[rng.integers(len(menu))])) for menu in menus]
+                   for _ in range(fp.n_terms)], mesh, dofs)
 
 
 def legacy_corpus(counts, fp, mesh, dofs, seed):

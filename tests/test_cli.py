@@ -195,7 +195,7 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: sample set {sdir} {refusal}\n"
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("key", ["fingerprint", "n_samples", "provenance", "fourier"])
+    @pytest.mark.parametrize("key", ["fingerprint", "n_samples", "provenance", "fourier", "corpus"])
     def test_sidecar_missing_key_is_validation_error(self, tmp_path, smoke_cfg, capsys, key):
         sdir = tmp_path / "samples"
         run("gen-samples", "--config", smoke_cfg, "--out", sdir)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import series
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,6 @@ from folheat.mesh import DirichletSpec, build_dof_map, build_structured_grid
 from folheat.sampling import (
     FourierParams,
     build_sample_set,
-    gen_constant,
     gen_fourier,
     gen_gaussian,
     load_sample_set,
@@ -21,34 +21,30 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def row_rng(seed, row):
-    """The generator each corpus row draws from."""
-    return np.random.default_rng(np.random.SeedSequence((seed, row)))
+def kind_rng(seed, kind):
+    """The generator that corpus field kind `kind` (an index into KINDS) draws from."""
+    return np.random.default_rng(np.random.SeedSequence((seed, kind)))
 
 
-def reference_fourier(fp, mesh, dofs, rng):
-    """Scalar draws and a per-term loop over one field: the generator's
-    definition, independent of the batched evaluator."""
-    xy = mesh.nodes[dofs.free]
-    x, y = xy[:, 0], xy[:, 1]
-    total = np.zeros(dofs.n_free)
-    for _ in range(fp.n_terms):
-        params = []
-        for ranges in (fp.offset_ranges, fp.amp_x_ranges, fp.amp_y_ranges, fp.freq_x_ranges, fp.freq_y_ranges):
-            lo, hi = ranges[rng.integers(len(ranges))]
-            params.append(float(rng.uniform(lo, hi)))
-        offset, amp_x, amp_y, freq_x, freq_y = params
-        sx, cx = np.sin(freq_x * x), np.cos(freq_x * x)
-        sy, cy = np.sin(freq_y * y), np.cos(freq_y * y)
-        total += offset + amp_x * sx * cy + amp_y * cx * sy + amp_x * sx * sy + amp_y * cx * cy
-    span = total.max() - total.min()
-    return np.full(total.shape, 0.5) if span < 1e-12 else (total - total.min()) / span
+def reference_draws(fp, rng, n_rows):
+    """(n_rows, n_terms, 5) term parameters by scalar calls: one integers call
+    per interval index, then one uniform call per value, each in (row, term,
+    menu) order."""
+    menus = (fp.offset_ranges, fp.amp_x_ranges, fp.amp_y_ranges, fp.freq_x_ranges, fp.freq_y_ranges)
+    picks = [menu[rng.integers(len(menu))] for _ in range(n_rows * fp.n_terms) for menu in menus]
+    return np.array([float(rng.uniform(lo, hi)) for lo, hi in picks]).reshape(n_rows, fp.n_terms, 5)
 
 
-def reference_corpus(counts, fp, mesh, dofs, seed, fourier=gen_fourier):
-    rows = [fourier(fp, mesh, dofs, row_rng(seed, r)) for r in range(counts[0])]
-    rows += [gen_gaussian(dofs, row_rng(seed, r)) for r in range(counts[0], sum(counts[:2]))]
-    rows += [gen_constant(dofs, row_rng(seed, r)) for r in range(sum(counts[:2]), sum(counts))]
+def reference_corpus(counts, fp, mesh, dofs, seed):
+    """The corpus by scalar code: trigonometric rows by series of
+    reference_draws, white-noise rows by consecutive gen_gaussian calls,
+    constant rows by consecutive uniform(0, 1) calls, each kind on its own
+    generator."""
+    n_fourier, n_gaussian, n_constant = counts
+    rows = [series(terms, mesh, dofs) for terms in reference_draws(fp, kind_rng(seed, 0), n_fourier)]
+    gaussian, constant = kind_rng(seed, 1), kind_rng(seed, 2)
+    rows += [gen_gaussian(dofs, gaussian) for _ in range(n_gaussian)]
+    rows += [np.full(dofs.n_free, float(constant.uniform(0.0, 1.0))) for _ in range(n_constant)]
     return np.array(rows).reshape(sum(counts), dofs.n_free)
 
 
@@ -107,8 +103,15 @@ class TestFourier:
     @pytest.mark.parametrize("seed", [0, 3, 17])
     def test_matches_scalar_reference(self, grid11, seed):
         mesh, dofs = grid11
-        assert_bitwise(gen_fourier(FourierParams(), mesh, dofs, rng(seed)),
-                       reference_fourier(FourierParams(), mesh, dofs, rng(seed)))
+        fp = FourierParams()
+        assert_bitwise(gen_fourier(fp, mesh, dofs, rng(seed)),
+                       series(reference_draws(fp, rng(seed), 1)[0], mesh, dofs))
+
+    def test_is_row_zero_of_a_one_row_build(self, grid11):
+        mesh, dofs = grid11
+        fp = FourierParams()
+        assert_bitwise(gen_fourier(fp, mesh, dofs, kind_rng(3, 0)),
+                       build_sample_set((1, 0, 0), fp, mesh, dofs, seed=3).samples[0])
 
 
 class TestGaussian:
@@ -133,19 +136,22 @@ class TestGaussian:
 
 
 class TestConstant:
+    """The constant rows of a corpus."""
+
     def test_flat(self, grid11):
-        _, dofs = grid11
-        field = gen_constant(dofs, rng(7))
-        assert field.max() - field.min() == 0.0
-        assert field.shape == (dofs.n_free,)
+        mesh, dofs = grid11
+        rows = build_sample_set((0, 0, 4), FourierParams(), mesh, dofs, seed=7).samples
+        assert rows.shape == (4, dofs.n_free)
+        assert np.all(rows.max(axis=1) == rows.min(axis=1))
 
     def test_deterministic(self, grid11):
-        _, dofs = grid11
-        assert np.array_equal(gen_constant(dofs, rng(8)), gen_constant(dofs, rng(8)))
+        mesh, dofs = grid11
+        a, b = (build_sample_set((0, 0, 4), FourierParams(), mesh, dofs, seed=8).samples for _ in range(2))
+        assert np.array_equal(a, b)
 
     def test_levels_spread_over_unit_interval(self, grid11):
-        _, dofs = grid11
-        levels = [gen_constant(dofs, rng(seed))[0] for seed in range(300)]
+        mesh, dofs = grid11
+        levels = build_sample_set((0, 0, 300), FourierParams(), mesh, dofs, seed=9).samples[:, 0]
         assert 0.4 <= float(np.mean(levels)) <= 0.6
 
 
@@ -194,13 +200,42 @@ class TestSampleSet:
         assert back.seed == ss.seed
         assert back.fingerprint == ss.fingerprint
 
+    def test_set_of_another_corpus_contract_is_refused(self, tmp_path, grid11):
+        mesh, dofs = grid11
+        fp = FourierParams(n_terms=3)
+        save_sample_set(tmp_path, build_sample_set((3, 2, 1), fp, mesh, dofs, seed=5), fp)
+        sidecar = tmp_path / "samples.json"
+        sidecar.write_text(sidecar.read_text().replace('"corpus": 2', '"corpus": 1'))
+        with pytest.raises(ValidationError, match=f"^sample set {tmp_path} was generated with corpus 1, not 2$"):
+            load_sample_set(tmp_path, (3, 2, 1), fp, dofs, seed=5)
+
 
 @pytest.mark.parametrize("seed", [0, 7])
-def test_desk_corpus_matches_row_by_row_generators(grid11, seed):
+def test_desk_corpus_matches_scalar_reference(grid11, seed):
     mesh, dofs = grid11
     counts, fp = (1200, 1500, 300), FourierParams()
     assert_bitwise(build_sample_set(counts, fp, mesh, dofs, seed).samples,
                    reference_corpus(counts, fp, mesh, dofs, seed))
+
+
+def test_desk_corpus_seeds_one_generator_per_kind(grid11, monkeypatch):
+    mesh, dofs = grid11
+    made, numpy_seed_sequence = [], np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return numpy_seed_sequence(*args, **kwargs)
+
+    fourier = []
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    monkeypatch.setattr(sampling, "gen_fourier", lambda *args: fourier.append(args) or gen_fourier(*args))
+    build_sample_set((1200, 1500, 300), FourierParams(), mesh, dofs, 5)
+    assert made == [((5, 0),), ((5, 1),), ((5, 2),)] and fourier == []
+
+
+def test_fourier_draws_are_scalar_draws_in_order():
+    fp = FourierParams(n_terms=7, offset_ranges=((0.25, 0.25),))  # a one-interval menu draws no index
+    assert_bitwise(sampling._fourier_draws(fp, kind_rng(4, 0), 30), reference_draws(fp, kind_rng(4, 0), 30))
 
 
 MESHES = {}
@@ -230,98 +265,27 @@ small_params = st.builds(FourierParams, n_terms=st.integers(1, 6), offset_ranges
 def test_batched_fourier_rows_match_scalar_reference(irregular_mesh, fp, seed, n_fourier, kind,
                                                     block_values):
     mesh, dofs = small_problem(kind, irregular_mesh)
-    calls = []
-    saved = sampling.BLOCK_VALUES, sampling.gen_fourier
+    saved = sampling.BLOCK_VALUES
     sampling.BLOCK_VALUES = block_values
-    sampling.gen_fourier = lambda *args: calls.append(args) or saved[1](*args)
     try:
         got = build_sample_set((n_fourier, 1, 1), fp, mesh, dofs, seed).samples
     finally:
-        sampling.BLOCK_VALUES, sampling.gen_fourier = saved
-    assert len(calls) == len({0, n_fourier - 1})  # the checked rows only: the batched rows were kept
-    assert_bitwise(got, reference_corpus((n_fourier, 1, 1), fp, mesh, dofs, seed, reference_fourier))
-
-
-class TestRawReplica:
-    def test_reads_the_scalar_draws(self):
-        fp = FourierParams(n_terms=7)
-        replica = sampling._RawReplica(fp)
-        draws, risky = replica.draws(replica.raw([row_rng(4, row) for row in range(30)]))
-        assert not risky.any()
-        for row in range(30):
-            assert_bitwise(draws[row], sampling._scalar_draws(fp, row_rng(4, row)))
-
-    def test_flags_a_half_word_lemire_could_reject(self):
-        replica = sampling._RawReplica(FourierParams(n_terms=2))
-        raw = replica.raw([row_rng(0, row) for row in range(3)])
-        raw[1, 0] &= np.uint64(0xFFFFFFFF00000000)  # first integer draw: low half 0, (0 * k) mod 2**32 < k
-        raw[2, 0] |= np.uint64(0xFFFFFFFF)  # low half 2**32 - 1: (half * k) mod 2**32 = 2**32 - k
-        _, risky = replica.draws(raw)
-        assert risky.tolist() == [False, True, False]
-
-    def test_fallback_rows_match_reference(self, grid11, monkeypatch):
-        mesh, dofs = grid11
-        read = sampling._RawReplica.draws
-
-        def flag_odd_rows(self, raw):
-            draws, risky = read(self, raw)
-            odd = np.arange(len(risky)) % 2 == 1
-            draws[odd] = np.nan  # the fallback must overwrite these
-            return draws, risky | odd
-
-        monkeypatch.setattr(sampling._RawReplica, "draws", flag_odd_rows)
-        counts, fp = (9, 2, 1), FourierParams(n_terms=5)
-        assert_bitwise(build_sample_set(counts, fp, mesh, dofs, 3).samples,
-                       reference_corpus(counts, fp, mesh, dofs, 3, reference_fourier))
-
-    def test_replica_that_disagrees_is_not_used(self, grid11, monkeypatch):
-        mesh, dofs = grid11
-        read = sampling._RawReplica.draws
-        monkeypatch.setattr(sampling._RawReplica, "draws",
-                            lambda self, raw: (read(self, raw)[0] + 1.0, np.zeros(len(raw), dtype=bool)))
-        counts, fp = (6, 0, 0), FourierParams(n_terms=5)
-        assert_bitwise(build_sample_set(counts, fp, mesh, dofs, 8).samples,
-                       reference_corpus(counts, fp, mesh, dofs, 8, reference_fourier))
+        sampling.BLOCK_VALUES = saved
+    assert_bitwise(got, reference_corpus((n_fourier, 1, 1), fp, mesh, dofs, seed))
 
 
 class TestSeedWords:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**95 + 11,
                                       2**96, 2**96 + 1, 2**130 + 5, 2**300 + 7])
-    def test_words_match_numpy_seed_sequence(self, seed):
-        n_rows = 70000
-        words = sampling._seed_words(seed, n_rows)
-        assert words.shape == (n_rows, 4) and words.dtype == np.uint64
-        for row in (0, 1, 65536, n_rows - 1):
-            assert_bitwise(words[row], np.random.SeedSequence((seed, row)).generate_state(4, np.uint64))
-
-    @pytest.mark.parametrize("flipped_row", [0, 5, -1])  # 5: the last Fourier row
-    def test_words_that_disagree_are_not_used(self, grid11, monkeypatch, flipped_row):
-        mesh, dofs = grid11
-        compute = sampling._seed_words
-
-        def flip_one_bit(seed, n_rows):
-            words = compute(seed, n_rows)
-            words[flipped_row, 0] ^= np.uint64(1 << 17)
-            return words
-
-        monkeypatch.setattr(sampling, "_seed_words", flip_one_bit)
-        counts, fp = (6, 4, 2), FourierParams(n_terms=5)
-        assert_bitwise(build_sample_set(counts, fp, mesh, dofs, 8).samples,
-                       reference_corpus(counts, fp, mesh, dofs, 8, reference_fourier))
-
-    def test_desk_corpus_takes_the_vectorised_words(self, grid11, monkeypatch):
-        mesh, dofs = grid11
-        made, numpy_seed_sequence = [], np.random.SeedSequence
-
-        def counted(*args, **kwargs):
-            made.append(args)
-            return numpy_seed_sequence(*args, **kwargs)
-
-        fourier = []
-        monkeypatch.setattr(np.random, "SeedSequence", counted)
-        monkeypatch.setattr(sampling, "gen_fourier", lambda *args: fourier.append(args) or gen_fourier(*args))
-        build_sample_set((1200, 1500, 300), FourierParams(), mesh, dofs, 0)
-        assert len(made) == 3 and len(fourier) == 2  # the checked rows 0, 1199 and 2999, not one per row
+    def test_words_match_numpy_seed_sequence(self, grid3, seed):
+        """Each kind's generator is seeded by numpy's SeedSequence((seed, k)),
+        for seeds of any size."""
+        mesh, dofs = grid3
+        fp = FourierParams(n_terms=3)
+        assert_bitwise(build_sample_set((1, 1, 1), fp, mesh, dofs, seed).samples,
+                       np.stack([gen_fourier(fp, mesh, dofs, kind_rng(seed, 0)),
+                                 gen_gaussian(dofs, kind_rng(seed, 1)),
+                                 np.full(dofs.n_free, kind_rng(seed, 2).uniform(0.0, 1.0))]))
 
 
 ONE_FREE_DOF = DirichletSpec({"left": 1.0, "right": 1.0, "top": 1.0, "bottom": 1.0})
@@ -331,10 +295,15 @@ ONE_FREE_DOF = DirichletSpec({"left": 1.0, "right": 1.0, "top": 1.0, "bottom": 1
     ((0, 5, 0), 11), ((0, 0, 5), 11), ((0, 0, 0), 11), ((3, 700, 2), 11), ((3, 700, 2), 2**130 + 5)],
     ids=["counts0", "counts1", "counts2", "counts3", "counts3-seed-beyond-the-pool"])
 def test_corpora_of_each_kind_match_row_by_row_generators(grid11, counts, seed):
+    """Gaussian rows are consecutive gen_gaussian calls and constant rows
+    consecutive uniform(0, 1) calls on their kind's generator."""
     mesh, dofs = grid11
-    fp = FourierParams(n_terms=4)
-    assert_bitwise(build_sample_set(counts, fp, mesh, dofs, seed).samples,
-                   reference_corpus(counts, fp, mesh, dofs, seed, reference_fourier))
+    n_fourier, n_gaussian, n_constant = counts
+    gaussian, constant = kind_rng(seed, 1), kind_rng(seed, 2)
+    rows = [gen_gaussian(dofs, gaussian) for _ in range(n_gaussian)]
+    rows += [np.full(dofs.n_free, float(constant.uniform(0.0, 1.0))) for _ in range(n_constant)]
+    got = build_sample_set(counts, FourierParams(n_terms=4), mesh, dofs, seed).samples[n_fourier:]
+    assert_bitwise(got, np.array(rows).reshape(n_gaussian + n_constant, dofs.n_free))
 
 
 def test_gaussian_rows_on_one_free_dof_are_mid_range():
@@ -343,5 +312,5 @@ def test_gaussian_rows_on_one_free_dof_are_mid_range():
     assert dofs.n_free == 1
     counts, fp = (2, 6, 2), FourierParams(n_terms=3)
     got = build_sample_set(counts, fp, mesh, dofs, 12).samples
-    assert_bitwise(got, reference_corpus(counts, fp, mesh, dofs, 12, reference_fourier))
+    assert_bitwise(got, reference_corpus(counts, fp, mesh, dofs, 12))
     assert np.all(got[:8] == 0.5)
